@@ -11,7 +11,6 @@ Library plus CLI harness covering three connected pieces:
 """
 
 from .core import (
-    DENOM_FLOOR,
     Operator,
     Propagator,
     StateVector,
@@ -24,9 +23,7 @@ from .core import (
 from .decay import (
     BathSpec,
     DecayQuery,
-    PostKind,
     PostSpec,
-    ProjectorScan,
     asymptotic_final_state,
     asymptotic_truncation_bound,
     bath_propagator,
@@ -63,7 +60,6 @@ from .errors import (
 )
 from .spin import (
     PostChoice,
-    PostTag,
     SpinAxis,
     SpinParams,
     spin_propagator,

@@ -38,6 +38,10 @@ class CheckResult:
     xfail: bool = False
     seconds: float = 0.0
 
+    def __post_init__(self):
+        # checks compare numpy scalars; keep the verdict a plain bool for JSON
+        self.passed = bool(self.passed)
+
     @property
     def status(self) -> str:
         if self.passed:
@@ -108,23 +112,22 @@ def check_reduction_identities() -> CheckResult:
     # whole precession cycle: trivial +x post-selection
     params_full = spin.SpinParams(omega, t_i, 2.0 * math.pi)
     grid = np.linspace(t_i, params_full.t_f, 101)
-    worst_full = max(
-        abs(
-            spin.spin_weak_closed(spin.PostChoice.x_plus(), params_full, t)
-            - spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, t)
+    worst_full = np.max(
+        np.abs(
+            spin.spin_weak_closed(spin.PostChoice.x_plus(), params_full, grid)
+            - spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
         )
-        for t in grid
     )
     # half cycle: -x post-selection matches the evolved state, so the -x
     # projector's weak value reduces to its strong expectation
     params_half = spin.SpinParams(omega, t_i, math.pi)
     grid = np.linspace(t_i, params_half.t_f, 101)
-    worst_half = 0.0
-    for t in grid:
-        w_xplus = spin.spin_weak_closed(spin.PostChoice.x_minus(), params_half, t)
-        strong_xm = spin.spin_strong_closed(spin.SpinAxis.X_MINUS, omega, t_i, t)
-        strong_xp = spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, t)
-        worst_half = max(worst_half, abs((1.0 - w_xplus) - strong_xm), abs(w_xplus - strong_xp))
+    w_xplus = spin.spin_weak_closed(spin.PostChoice.x_minus(), params_half, grid)
+    strong_xm = spin.spin_strong_closed(spin.SpinAxis.X_MINUS, omega, t_i, grid)
+    strong_xp = spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
+    worst_half = max(
+        np.max(np.abs((1.0 - w_xplus) - strong_xm)), np.max(np.abs(w_xplus - strong_xp))
+    )
     ok = worst_full <= 1e-10 and worst_half <= 1e-10
     return CheckResult(
         "reduction_identities",
@@ -190,14 +193,8 @@ SWEEP_DELTA_E = 0.1
 def check_exponential_law_recovery() -> CheckResult:
     """C4: survival matches e^{-2 gamma t} at N=2000 and improves with N, within 60 s."""
     start = time.perf_counter()
-    base = harness.ScenarioConfig(
-        model="decay",
-        t_start=0.0,
-        t_end=4.0,
-        n_points=101,
-        tolerance=0.01,
-        gamma=1.0,
-        delta_e=SWEEP_DELTA_E,
+    base = harness.build_config(
+        {"model": "decay", "t_end": "4.0", "t_f": "4.0", "delta_e": str(SWEEP_DELTA_E)}
     )
     sweep = harness.convergence_sweep(base, SWEEP_LEVELS)
     elapsed = time.perf_counter() - start
@@ -223,24 +220,19 @@ def check_generalized_decay_laws() -> CheckResult:
     grid = np.linspace(t_i, t_f, 101)
     post_photon = decay.PostSpec.single_photon(1)
     post_asym = decay.PostSpec.asymptotic_emission()
-    worst_photon = worst_asym = worst_consistency = 0.0
-    for t in grid:
-        wp = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, t, t_f, post_photon))
-        wa = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, t, t_f, post_asym))
-        ref_res = decay.weak_survival_single_photon(g, 0.0, t_i, t, t_f)
-        ref_det = decay.weak_survival_single_photon(g, bath.delta_e, t_i, t, t_f)
-        ref_asym = decay.weak_survival_asymptotic_post(g, t_i, t, t_f)
-        worst_photon = max(worst_photon, abs(wp - ref_res))
-        worst_consistency = max(worst_consistency, abs(wp - ref_det))
-        worst_asym = max(worst_asym, abs(wa - ref_asym))
-    b_photon_i = abs(
-        decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, t_i, t_f, post_photon)) - 1.0
-    )
-    b_photon_f = abs(
-        decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, t_f, t_f, post_photon))
-    )
-    b_closed_i = abs(decay.weak_survival_single_photon(g, 0.0, t_i, t_i, t_f) - 1.0)
-    b_closed_f = abs(decay.weak_survival_single_photon(g, 0.0, t_i, t_f, t_f))
+    wp = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, grid, t_f, post_photon))
+    wa = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, grid, t_f, post_asym))
+    ref_res = decay.weak_survival_single_photon(g, 0.0, t_i, grid, t_f)
+    ref_det = decay.weak_survival_single_photon(g, bath.delta_e, t_i, grid, t_f)
+    ref_asym = decay.weak_survival_asymptotic_post(g, t_i, grid, t_f)
+    worst_photon = float(np.max(np.abs(wp - ref_res)))
+    worst_consistency = float(np.max(np.abs(wp - ref_det)))
+    worst_asym = float(np.max(np.abs(wa - ref_asym)))
+    # the grid runs from t_i to t_f, so its ends are the boundary values
+    b_photon_i = abs(wp[0] - 1.0)
+    b_photon_f = abs(wp[-1])
+    b_closed_i = abs(ref_res[0] - 1.0)
+    b_closed_f = abs(ref_res[-1])
     ok = (
         worst_photon <= 0.01
         and worst_asym <= 0.01
@@ -262,14 +254,12 @@ def check_generalized_decay_laws() -> CheckResult:
 def check_large_window_reduction() -> CheckResult:
     """C6: at t_f = 50/gamma both closed-form laws collapse to plain exponential decay."""
     g, t_f = 1.0, 50.0
-    worst = 0.0
-    for t in np.linspace(0.0, 5.0, 101):
-        bare = math.exp(-g * t)
-        worst = max(
-            worst,
-            abs(decay.weak_survival_single_photon(g, 0.0, 0.0, t, t_f) - bare),
-            abs(decay.weak_survival_asymptotic_post(g, 0.0, t, t_f) - bare),
-        )
+    grid = np.linspace(0.0, 5.0, 101)
+    bare = np.exp(-g * grid)
+    worst = max(
+        float(np.max(np.abs(decay.weak_survival_single_photon(g, 0.0, 0.0, grid, t_f) - bare))),
+        float(np.max(np.abs(decay.weak_survival_asymptotic_post(g, 0.0, grid, t_f) - bare))),
+    )
     return CheckResult(
         "large_window_reduction",
         worst <= 1e-10,
@@ -475,37 +465,6 @@ def check_harness_determinism() -> CheckResult:
         identical = first == second
         ok = ok and identical and first.splitlines()[0] == harness.CSV_HEADER
         details.append(f"{cfg.model}: {'identical' if identical else 'DIFFERS'}")
-    threaded = harness.run_scenario(
-        harness.ScenarioConfig(
-            model="spin",
-            t_start=0.0,
-            t_end=1.0,
-            n_points=51,
-            tolerance=1e-10,
-            threads=2,
-            omega=1.0,
-            t_i=0.0,
-            t_f=1.0,
-            post="xplus",
-        )
-    )
-    serial = harness.run_scenario(
-        harness.ScenarioConfig(
-            model="spin",
-            t_start=0.0,
-            t_end=1.0,
-            n_points=51,
-            tolerance=1e-10,
-            threads=1,
-            omega=1.0,
-            t_i=0.0,
-            t_f=1.0,
-            post="xplus",
-        )
-    )
-    thread_ok = harness.rows_to_csv(threaded.rows) == harness.rows_to_csv(serial.rows)
-    ok = ok and thread_ok
-    details.append(f"threads=2 vs 1: {'identical' if thread_ok else 'DIFFERS'}")
     return CheckResult("harness_determinism", ok, "; ".join(details))
 
 

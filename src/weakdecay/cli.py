@@ -1,13 +1,15 @@
 """Command-line harness.
 
 Usage:
-    weakdecay spin|decay|sums [--config FILE] [--set key=value ...] [--out FILE] [--threads K]
+    weakdecay spin|decay|sums [--config FILE] [--set key=value ...] [--out FILE]
     weakdecay sweep           [--config FILE] [--set key=value ...] [--out FILE]
     weakdecay check           [--out FILE]
 
 Scenario rows go to the CSV given by --out (or the config's ``out`` key);
 a single-line JSON summary always goes to stdout.  Exit codes: 0 all
-tolerances met, 1 tolerance breach, 2 invalid input, 3 numerical failure.
+tolerances met, 1 tolerance breach or numerical failure inside a scenario
+grid (reported as row errors), 2 invalid input, 3 numerical failure outside
+a scenario grid (for example in the sweep).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import checks, harness
 from .errors import ConfigInvalid, WeakDecayError
 
 _SCENARIO_COMMANDS = ("spin", "decay", "sums")
-DEFAULT_SWEEP_LEVELS = "250,500,1000,2000"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--threads", type=int, help="concurrent grid evaluations")
     return parser
 
 
@@ -50,8 +50,6 @@ def _gather_raw(args) -> dict[str, str]:
         raw[key.strip()] = value.strip()
     if args.out:
         raw["out"] = args.out
-    if args.threads is not None:
-        raw["threads"] = str(args.threads)
     return raw
 
 
@@ -71,8 +69,10 @@ def _run_scenario_command(command: str, args) -> int:
 def _run_sweep(args) -> int:
     raw = _gather_raw(args)
     raw.setdefault("model", "decay")
-    raw.setdefault("levels", DEFAULT_SWEEP_LEVELS)
-    raw.setdefault("t_start", raw.get("t_i", "0.0"))
+    # the acceptance battery's sweep (check C4): at the global default
+    # delta_e = 0.05 the N = 2000 error sits above the 0.01 tolerance
+    raw.setdefault("levels", ",".join(map(str, checks.SWEEP_LEVELS)))
+    raw.setdefault("delta_e", str(checks.SWEEP_DELTA_E))
     raw.setdefault("t_end", "4.0")
     raw.setdefault("t_f", raw.get("t_end", "4.0"))
     config = harness.build_config(raw)

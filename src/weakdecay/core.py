@@ -13,7 +13,8 @@ part explicitly when they want one.
 
 Everything here is a pure function of immutable values: state vectors,
 operators and propagators wrap read-only arrays, so any value can be shared
-freely across threads.  Natural units (hbar = 1) throughout.
+freely.  Propagators and weak values broadcast over a leading time axis.
+Natural units (hbar = 1) throughout.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ BASIS_TOL = 1e-10
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a matrix (stack) and a vector (stack), broadcast over time."""
+    return (m @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,27 +118,37 @@ class Propagator:
 
     ``duration`` is the time the matrix propagates over; the adjoint
     propagates over ``-duration`` (time reversal of a unitary evolution).
+    A leading time axis is allowed: a ``(n, dim, dim)`` stack with ``n``
+    durations holds one propagator per time, each checked for unitarity.
     """
 
     matrix: np.ndarray
-    duration: float
+    duration: float | np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        duration = np.array(self.duration, dtype=float, copy=True)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise DimensionMismatch(f"propagator must be a square matrix, got shape {m.shape}")
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        if duration.shape != m.shape[:-2]:
+            raise DimensionMismatch(
+                f"{duration.size} durations for a propagator stack of shape {m.shape}"
+            )
+        gram = np.swapaxes(m, -1, -2).conj() @ m
+        defect = float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
         if defect > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max|U^H U - 1| = {defect:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(
+            self, "duration", float(duration) if duration.ndim == 0 else _readonly(duration)
+        )
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def adjoint(self) -> "Propagator":
-        return Propagator(self.matrix.conj().T, -self.duration)
+        return Propagator(np.swapaxes(self.matrix, -1, -2).conj(), -self.duration)
 
     def compose(self, earlier: "Propagator") -> "Propagator":
         """Return the propagator applying ``earlier`` first, then ``self``."""
@@ -151,11 +167,11 @@ class WeakValueQuery:
     post: StateVector
     observable: Operator
     t_i: float
-    t: float
+    t: float | np.ndarray
     t_f: float
 
     def __post_init__(self):
-        if not (self.t_i <= self.t <= self.t_f):
+        if not np.all((self.t_i <= self.t) & (self.t <= self.t_f)):
             raise ValueError(f"need t_i <= t <= t_f, got ({self.t_i}, {self.t}, {self.t_f})")
         dims = {self.pre.dim, self.post.dim, self.observable.dim}
         if len(dims) != 1:
@@ -166,14 +182,17 @@ class WeakValueQuery:
         return self.pre.dim
 
 
-def weak_value(query: WeakValueQuery, u_mid: Propagator, u_late: Propagator) -> complex:
+def weak_value(
+    query: WeakValueQuery, u_mid: Propagator, u_late: Propagator
+) -> complex | np.ndarray:
     """Weak value of ``query.observable`` at the intermediate time.
 
     ``u_mid`` propagates over ``t - t_i`` and ``u_late`` over ``t_f - t``.
     The denominator is evaluated through the same propagator product as the
-    numerator so both share rounding behavior.
+    numerator so both share rounding behavior.  With a time axis on ``t`` and
+    on both propagators the result is one weak value per time.
 
-    Raises PostSelectionNull when the post-selection overlap magnitude is at
+    Raises PostSelectionNull when any post-selection overlap magnitude is at
     or below DENOM_FLOOR.
     """
     if u_mid.dim != query.dim or u_late.dim != query.dim:
@@ -181,13 +200,14 @@ def weak_value(query: WeakValueQuery, u_mid: Propagator, u_late: Propagator) -> 
             f"propagator dimensions ({u_mid.dim}, {u_late.dim}) != query dimension {query.dim}"
         )
     post_c = query.post.amplitudes.conj()
-    evolved = u_mid.matrix @ query.pre.amplitudes
-    denom = complex(post_c @ (u_late.matrix @ evolved))
-    if abs(denom) <= DENOM_FLOOR:
+    evolved = _apply(u_mid.matrix, query.pre.amplitudes)
+    denom = _apply(u_late.matrix, evolved) @ post_c
+    smallest = float(np.min(np.abs(denom), initial=np.inf))
+    if smallest <= DENOM_FLOOR:
         raise PostSelectionNull(
-            f"post-selection overlap magnitude {abs(denom):.3e} <= {DENOM_FLOOR:.0e}"
+            f"post-selection overlap magnitude {smallest:.3e} <= {DENOM_FLOOR:.0e}"
         )
-    numer = complex(post_c @ (u_late.matrix @ (query.observable.entries @ evolved)))
+    numer = _apply(u_late.matrix, _apply(query.observable.entries, evolved)) @ post_c
     return numer / denom
 
 

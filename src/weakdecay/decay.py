@@ -74,20 +74,25 @@ class BathSpec:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        if self.n_half < 1:
-            raise ValueError("n_half must be a positive integer")
-        if not self.delta_e > 0:
-            raise ValueError("delta_e must be positive")
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
+        problems = []
+        if not self.n_half >= 1:
+            problems.append(f"n_half: need >= 1, got {self.n_half}")
+        if not (math.isfinite(self.delta_e) and self.delta_e > 0):
+            problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
+        if not (math.isfinite(self.coupling) and self.coupling >= 0):
+            problems.append(f"coupling: need a finite value >= 0, got {self.coupling}")
+        if problems:
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "gamma", math.pi * self.coupling**2 / self.delta_e)
 
     @classmethod
     def from_gamma(cls, n_half: int, gamma: float, delta_e: float) -> "BathSpec":
         """Pick the coupling so the derived decay constant equals ``gamma``."""
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        return cls(n_half, delta_e, math.sqrt(gamma * delta_e / math.pi))
+        if not (math.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma: need a finite value >= 0, got {gamma}")
+        # an invalid spacing is reported by the constructor, not by sqrt
+        spacing = delta_e if math.isfinite(delta_e) and delta_e > 0 else 0.0
+        return cls(n_half, delta_e, math.sqrt(gamma * spacing / math.pi))
 
     @property
     def dim(self) -> int:
@@ -163,49 +168,77 @@ def _eigensystem(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _slot_energies(bath: BathSpec) -> np.ndarray:
-    e = np.concatenate([[0.0], bath.bath_atoms() * bath.delta_e])
-    return e
-
-
-def bath_propagator(bath: BathSpec, t: float) -> Propagator:
+def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
     """Dense Schroedinger propagator ``exp(-iHt)`` via eigendecomposition.
 
-    Builds (and unitarity-checks) the full ``dim x dim`` matrix, which costs
-    O(dim^3); use :func:`propagator_column` / :func:`propagator_element` for
-    large baths when only amplitudes out of the reference slot are needed.
+    Builds (and unitarity-checks) the full ``dim x dim`` matrix, one per time
+    for an array ``t``, which costs O(dim^3) each; use
+    :func:`propagator_column` / :func:`propagator_element` for large baths
+    when only amplitudes out of the reference slot are needed.
     """
     lam, vec = _eigensystem(bath)
-    cos_part = (vec * np.cos(lam * t)) @ vec.T
-    sin_part = (vec * np.sin(lam * t)) @ vec.T
+    phase = np.multiply.outer(t, lam)[..., None, :]
+    cos_part = (vec * np.cos(phase)) @ vec.T
+    sin_part = (vec * np.sin(phase)) @ vec.T
     return Propagator(cos_part - 1j * sin_part, t)
 
 
-def propagator_column(bath: BathSpec, t: float) -> np.ndarray:
-    """Column ``U[:, 0](t)``: amplitudes evolved out of the excited reference."""
+# Largest (times x eigenvalues) block of phases formed at once, so a long
+# time grid on a large bath does not need memory in proportion to both.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _over_time_blocks(t, width: int, block_fn) -> complex | np.ndarray:
+    """Map blocks of the times in ``t`` (as ``(b, 1)`` columns) to one value per time."""
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1, 1)
+    step = max(1, _BLOCK_ENTRIES // width)
+    blocks = [block_fn(times[s : s + step]) for s in range(0, max(len(times), 1), step)]
+    return np.concatenate(blocks).reshape(t.shape)[()]
+
+
+def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
+    """Column ``U[:, 0](t)``: amplitudes evolved out of the excited reference.
+
+    An array ``t`` gives one column per time, shape ``t.shape + (dim,)``.
+    """
     lam, vec = _eigensystem(bath)
     w = vec[REFERENCE_SLOT, :]
-    re = vec @ (w * np.cos(lam * t))
-    im = vec @ (w * np.sin(lam * t))
+    phase = np.multiply.outer(t, lam)
+    re = (w * np.cos(phase)) @ vec.T
+    im = (w * np.sin(phase)) @ vec.T
     return re - 1j * im
 
 
-def interaction_column(bath: BathSpec, t: float) -> np.ndarray:
-    """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``."""
-    return np.exp(1j * _slot_energies(bath) * t) * propagator_column(bath, t)
+def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
+    """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per time in ``t``."""
+    energies = np.concatenate([[0.0], bath.bath_atoms() * bath.delta_e])
+    return np.exp(1j * np.multiply.outer(t, energies)) * propagator_column(bath, t)
 
 
-def propagator_element(bath: BathSpec, atom: int, t: float) -> complex:
-    """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per call."""
+def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
+    """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per time."""
     lam, vec = _eigensystem(bath)
     w = vec[slot_of_atom(bath.n_half, atom), :] * vec[REFERENCE_SLOT, :]
-    return complex(np.sum(w * np.exp(-1j * lam * t)))
+    return _over_time_blocks(
+        t, bath.dim, lambda times: np.sum(w * np.exp(-1j * lam * times), axis=-1)
+    )
 
 
-def interaction_element(bath: BathSpec, atom: int, t: float) -> complex:
+def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``."""
-    phase = np.exp(1j * atom * bath.delta_e * t)
-    return complex(phase * propagator_element(bath, atom, t))
+    phase = np.exp(1j * atom * bath.delta_e * np.asarray(t))
+    return phase * propagator_element(bath, atom, t)
+
+
+def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.ndarray:
+    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots."""
+    weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
+    return _over_time_blocks(
+        t,
+        bath.dim,
+        lambda times: np.sum(weights * interaction_column(bath, times[:, 0])[:, 1:], axis=-1),
+    )
 
 
 def excited_reference_state(bath: BathSpec) -> StateVector:
@@ -245,54 +278,56 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float) -> complex:
     return 1j * h * (np.exp((-gamma + 1j * n * delta_e) * t) - 1.0) / pole
 
 
-def survival_probability(bath: BathSpec, t: float) -> float:
+def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.ndarray:
     """``|U00(t)|^2`` from the numeric propagator, guarded against recurrence."""
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    if t >= bath.recurrence_guard:
+    if np.any(np.asarray(t) >= bath.recurrence_guard):
         raise BeyondRecurrence(
-            f"t = {t} >= half the recurrence time {bath.recurrence_time:.3g}"
+            f"t = {np.max(t)} >= half the recurrence time {bath.recurrence_time:.3g}"
         )
-    return float(abs(propagator_element(bath, 0, t)) ** 2)
+    return np.abs(propagator_element(bath, 0, t)) ** 2
+
+
+def _check_window(t_i: float, t, t_f: float) -> None:
+    if t_f == t_i:
+        raise DegenerateWindow("t_f must differ from t_i")
+    if not np.all((t_i <= t) & (t <= t_f)):
+        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
 
 
 def weak_survival_single_photon(
-    gamma: float, e_diff: float, t_i: float, t: float, t_f: float
-) -> complex:
+    gamma: float, e_diff: float, t_i: float, t: float | np.ndarray, t_f: float
+) -> complex | np.ndarray:
     """Closed-form weak survival value, post-selected on one emitted quantum.
 
     ``e_diff`` is the energy offset of the post-selected bath excitation
     relative to the reference atom.  At ``e_diff = 0`` this is the resonant
     generalization of the exponential decay law: 1 at ``t_i``, 0 at ``t_f``,
-    and plain ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.
+    and plain ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.  An array ``t``
+    gives one value per time.
     """
-    if t_f == t_i:
-        raise DegenerateWindow("t_f must differ from t_i")
-    if not (t_i <= t <= t_f):
-        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+    _check_window(t_i, t, t_f)
     x = -gamma + 1j * e_diff
     denom = 1.0 - np.exp(x * (t_f - t_i))
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull("post-selection denominator vanished")
-    return complex(np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom)
+    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
 
 
-def weak_survival_asymptotic_post(gamma: float, t_i: float, t: float, t_f: float) -> complex:
+def weak_survival_asymptotic_post(
+    gamma: float, t_i: float, t: float | np.ndarray, t_f: float
+) -> complex | np.ndarray:
     """Closed-form weak survival value, post-selected on the full emission state.
 
     Same boundary values as the single-photon law but with the decay constant
-    doubled inside the window factors.
+    doubled inside the window factors.  An array ``t`` gives one value per time.
     """
-    if t_f == t_i:
-        raise DegenerateWindow("t_f must differ from t_i")
-    if not (t_i <= t <= t_f):
-        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+    _check_window(t_i, t, t_f)
     denom = 1.0 - np.exp(-2.0 * gamma * (t_f - t_i))
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull("post-selection denominator vanished")
-    return complex(
-        np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(-2.0 * gamma * (t_f - t))) / denom
-    )
+    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(-2.0 * gamma * (t_f - t))) / denom + 0j
 
 
 class PostKind(enum.Enum):
@@ -340,24 +375,19 @@ class DecayQuery:
 
     bath: BathSpec
     t_i: float
-    t: float
+    t: float | np.ndarray
     t_f: float
     post: PostSpec
 
     def __post_init__(self):
-        if not (self.t_i <= self.t <= self.t_f):
-            raise ValueError(f"need t_i <= t <= t_f, got ({self.t_i}, {self.t}, {self.t_f})")
+        _check_window(self.t_i, self.t, self.t_f)
         if self.post.kind is PostKind.SINGLE_PHOTON:
-            atom = self.post.photon_atom
-            if not -self.bath.n_half <= atom <= self.bath.n_half:
-                raise DimensionMismatch(
-                    f"photon atom {atom} outside the bath range +-{self.bath.n_half}"
-                )
+            slot_of_atom(self.bath.n_half, self.post.photon_atom)
         if self.post.kind is PostKind.CUSTOM and self.post.custom_state.dim != self.bath.dim:
             raise DimensionMismatch("custom post state dimension does not match the bath")
 
 
-def weak_survival_numeric(q: DecayQuery) -> complex:
+def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     """Finite-bath weak survival value from propagator elements.
 
     Single-photon and asymptotic-emission post-selections reduce to ratios of
@@ -367,11 +397,12 @@ def weak_survival_numeric(q: DecayQuery) -> complex:
     1 in the scaling limit; at finite N it deviates at the band-width level.
     Custom post-selections delegate to the generic kernel with the
     excited-reference projector (dense propagators: intended for small baths).
+
+    ``q.t`` may be a 1-D array of times, giving one value per time; the
+    window-level denominator is evaluated and checked once.
     """
     bath = q.bath
     window = q.t_f - q.t_i
-    if window == 0.0:
-        raise DegenerateWindow("t_f must differ from t_i")
     if window >= bath.recurrence_guard:
         raise BeyondRecurrence(
             f"window {window} >= half the recurrence time {bath.recurrence_time:.3g}"
@@ -384,23 +415,19 @@ def weak_survival_numeric(q: DecayQuery) -> complex:
         denom = interaction_element(bath, atom, window)
         if abs(denom) <= DENOM_FLOOR:
             raise PostSelectionNull(f"overlap with photon atom {atom} below floor")
-        return complex(
-            interaction_element(bath, atom, t2) * propagator_element(bath, 0, t1) / denom
-        )
+        return interaction_element(bath, atom, t2) * propagator_element(bath, 0, t1) / denom
 
     if q.post.kind is PostKind.ASYMPTOTIC_EMISSION:
-        weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
-        denom = complex(np.sum(weights * interaction_column(bath, window)[1:]))
+        denom = _emission_overlap(bath, window)
         if abs(denom) <= DENOM_FLOOR:
             raise PostSelectionNull("overlap with the asymptotic emission state below floor")
-        numer = complex(np.sum(weights * interaction_column(bath, t2)[1:]))
-        return complex(propagator_element(bath, 0, t1) * numer / denom)
+        return propagator_element(bath, 0, t1) * _emission_overlap(bath, t2) / denom
 
     if q.post.kind is PostKind.UNDECAYED:
         denom = propagator_element(bath, 0, window)
         if abs(denom) <= DENOM_FLOOR:
             raise PostSelectionNull("survival amplitude over the window below floor")
-        return complex(propagator_element(bath, 0, t2) * propagator_element(bath, 0, t1) / denom)
+        return propagator_element(bath, 0, t2) * propagator_element(bath, 0, t1) / denom
 
     query = WeakValueQuery(
         excited_reference_state(bath),
@@ -454,26 +481,23 @@ def bath_weak_projector_scan(
     Pre- and post-selection are both the excited reference state.  In the
     scaling limit the sum over bath atoms cancels exactly, which forces both
     positive and negative real parts at interior times; at finite N the
-    cancellation is limited by the band width.  Uses the generic kernel with
-    dense propagators, so keep the bath modest (N of a few hundred).
+    cancellation is limited by the band width.
+
+    ``H`` is real, so ``U`` is symmetric and ``<0|U(t_f - t)|n>`` is the
+    reference column at ``t_f - t``: each weak value is a product of two
+    columns over their sum, the window's survival amplitude.
     """
     if not (t_i <= t <= t_f):
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
     if (t_f - t_i) >= bath.recurrence_guard:
         raise BeyondRecurrence("selection window beyond the recurrence guard")
-    psi0 = excited_reference_state(bath)
-    u_mid = bath_propagator(bath, t - t_i)
-    u_late = bath_propagator(bath, t_f - t)
+    paths = propagator_column(bath, t_f - t) * propagator_column(bath, t - t_i)
+    denom = complex(np.sum(paths))
+    if abs(denom) <= DENOM_FLOOR:
+        raise PostSelectionNull(f"survival amplitude over the window {abs(denom):.3e} below floor")
+    weak = paths / denom
+    values, w_ref = weak[1:], weak[0]
     atoms = bath.bath_atoms()
-    values = np.empty(atoms.size, dtype=complex)
-    for i, atom in enumerate(atoms):
-        slot = slot_of_atom(bath.n_half, int(atom))
-        proj = np.zeros((bath.dim, bath.dim), dtype=complex)
-        proj[slot, slot] = 1.0
-        query = WeakValueQuery(psi0, psi0, Operator(proj), t_i, t, t_f)
-        values[i] = weak_value(query, u_mid, u_late)
-    query_ref = WeakValueQuery(psi0, psi0, projector_up(bath), t_i, t, t_f)
-    w_ref = weak_value(query_ref, u_mid, u_late)
     total = complex(np.sum(values))
     values.setflags(write=False)
     atoms.setflags(write=False)

@@ -3,8 +3,9 @@
 A scenario evaluates one model over a time grid and writes one CSV row per
 grid point with the numeric value, the closed-form comparator when one
 exists, and their absolute difference.  Identical configs produce
-byte-identical output; grid points may be evaluated concurrently but rows
-are always assembled in grid order.
+byte-identical output.  Spin and decay evaluate the whole grid in one call;
+since the selection window is fixed, a numerical failure there (a vanishing
+post-selection, a window beyond the recurrence guard) marks every row.
 
 Config files are flat ``key = value`` lines with ``#`` comments; every key
 can also be overridden on the command line with ``--set key=value``.
@@ -12,21 +13,19 @@ can also be overridden on the command line with ``--set key=value``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import decay, spin, sums
-from .errors import ConfigInvalid, WeakDecayError
+from .errors import ConfigInvalid, DimensionMismatch, WeakDecayError
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
-
-_MODELS = ("spin", "decay", "sums")
 
 _SPIN_POSTS = {
     "yplus": spin.PostChoice.y_plus,
@@ -44,7 +43,6 @@ class ScenarioConfig:
     t_end: float
     n_points: int
     tolerance: float
-    threads: int = 1
     out: Optional[str] = None
     # spin / decay selection window
     omega: float = 1.0
@@ -60,6 +58,33 @@ class ScenarioConfig:
     # sweep
     levels: tuple[int, ...] = ()
     scaling: str = "fixed_spacing"
+
+    # The model objects, built once from the fields above.  Their
+    # constructors hold the range checks; build_config reports the
+    # ValueErrors they raise as config problems.
+
+    @functools.cached_property
+    def spin_params(self) -> spin.SpinParams:
+        return spin.SpinParams(self.omega, self.t_i, self.t_f)
+
+    @functools.cached_property
+    def bath(self) -> decay.BathSpec:
+        return decay.BathSpec.from_gamma(self.n_half, self.gamma, self.delta_e)
+
+    @functools.cached_property
+    def decay_post(self) -> decay.PostSpec:
+        return _parse_decay_post(self.post, self.n_half)
+
+    @functools.cached_property
+    def sum_params(self) -> sums.SumParams:
+        return sums.SumParams(self.gamma, self.delta_e, 0.0, self.k_max)
+
+
+_MODEL_OBJECTS = {
+    "spin": ("spin_params",),
+    "decay": ("bath", "decay_post"),
+    "sums": ("sum_params",),
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +121,6 @@ _DEFAULTS: dict[str, str] = {
     "t_end": "",
     "n_points": "101",
     "tolerance": "",
-    "threads": "1",
     "out": "",
     "omega": "1.0",
     "t_i": "0.0",
@@ -126,8 +150,8 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     merged.update({k: v for k, v in raw.items() if k in _DEFAULTS})
 
     model = merged["model"]
-    if model not in _MODELS:
-        problems.append(f"model must be one of {_MODELS}, got {model!r}")
+    if model not in _EVALUATORS:
+        problems.append(f"model must be one of {tuple(_EVALUATORS)}, got {model!r}")
         raise ConfigInvalid(problems)
 
     def number(key: str, default: Optional[float] = None) -> float:
@@ -152,54 +176,26 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
 
     t_i = number("t_i")
     t_f = number("t_f")
-    omega = number("omega")
-    gamma = number("gamma")
-    delta_e = number("delta_e")
-    n_half = integer("n_half")
-    k_max = integer("k_max")
     n_points = integer("n_points")
-    threads = integer("threads")
     t_start = number("t_start", default=t_i if model != "sums" else 0.0)
     t_end = number("t_end", default=t_f if model != "sums" else 3.0)
     post = merged["post"] or _DEFAULT_POST[model]
 
     if n_points < 2:
         problems.append(f"n_points: need at least 2, got {n_points}")
-    if threads < 1:
-        problems.append(f"threads: need at least 1, got {threads}")
+    if model == "decay" and not (math.isfinite(t_i) and math.isfinite(t_f) and t_i < t_f):
+        problems.append(f"t_i/t_f: need finite t_i < t_f, got ({t_i}, {t_f})")
     if model in ("spin", "decay"):
-        if not t_i < t_f:
-            problems.append(f"t_i/t_f: need t_i < t_f, got ({t_i}, {t_f})")
         if not (t_i <= t_start <= t_end <= t_f):
             problems.append(
                 f"time grid [{t_start}, {t_end}] must lie within the selection window [{t_i}, {t_f}]"
             )
-    else:
-        if not t_start <= t_end:
-            problems.append(f"time grid: need t_start <= t_end, got ({t_start}, {t_end})")
-        if t_start < 0:
-            problems.append("time grid: sums require t >= 0")
+    elif not (0.0 <= t_start <= t_end < math.inf):
+        problems.append(
+            f"time grid: sums need finite 0 <= t_start <= t_end, got ({t_start}, {t_end})"
+        )
     if model == "spin" and post not in _SPIN_POSTS:
         problems.append(f"post: spin accepts {sorted(_SPIN_POSTS)}, got {post!r}")
-    if model == "decay":
-        if n_half < 1:
-            problems.append(f"n_half: need >= 1, got {n_half}")
-        if not delta_e > 0:
-            problems.append(f"delta_e: need > 0, got {delta_e}")
-        if gamma < 0:
-            problems.append(f"gamma: need >= 0, got {gamma}")
-        kind, atom = _parse_decay_post(post, problems)
-        if kind == "photon" and atom is not None and not (
-            -n_half <= atom <= n_half and atom != 0
-        ):
-            problems.append(f"post: photon atom must be a nonzero index within +-{n_half}")
-    if model == "sums":
-        if not gamma > 0:
-            problems.append(f"gamma: need > 0, got {gamma}")
-        if not delta_e > 0:
-            problems.append(f"delta_e: need > 0, got {delta_e}")
-        if k_max < 1:
-            problems.append(f"k_max: need >= 1, got {k_max}")
 
     levels: tuple[int, ...] = ()
     if merged["levels"]:
@@ -213,105 +209,96 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     if scaling not in ("fixed_spacing", "fixed_band"):
         problems.append(f"scaling: must be fixed_spacing or fixed_band, got {scaling!r}")
 
+    gamma = number("gamma")
     default_tol = {
         "spin": 1e-10,
         "decay": 0.05 if post == "undecayed" else 0.01,
         "sums": 0.005 * math.pi / gamma if gamma > 0 else 0.01,
     }[model]
     tolerance = number("tolerance", default=default_tol)
-    if not tolerance > 0:
-        problems.append(f"tolerance: need > 0, got {tolerance}")
+    if not (0.0 < tolerance < math.inf):
+        problems.append(f"tolerance: need a finite value > 0, got {tolerance}")
 
-    if problems:
-        raise ConfigInvalid(problems)
-    return ScenarioConfig(
+    config = ScenarioConfig(
         model=model,
         t_start=t_start,
         t_end=t_end,
         n_points=n_points,
         tolerance=tolerance,
-        threads=threads,
         out=merged["out"] or None,
-        omega=omega,
+        omega=number("omega"),
         t_i=t_i,
         t_f=t_f,
         post=post,
-        n_half=n_half,
+        n_half=integer("n_half"),
         gamma=gamma,
-        delta_e=delta_e,
-        k_max=k_max,
+        delta_e=number("delta_e"),
+        k_max=integer("k_max"),
         levels=levels,
         scaling=scaling,
     )
-
-
-def _parse_decay_post(post: str, problems: list[str]) -> tuple[str, Optional[int]]:
-    if post in ("asymptotic", "undecayed"):
-        return post, None
-    if post.startswith("photon:"):
+    for name in _MODEL_OBJECTS[model]:
         try:
-            return "photon", int(post.split(":", 1)[1])
-        except ValueError:
-            problems.append(f"post: bad photon atom in {post!r}")
-            return "photon", None
-    problems.append(f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {post!r}")
-    return "invalid", None
+            getattr(config, name)
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigInvalid(problems)
+    return config
 
 
-def _spin_evaluator(config: ScenarioConfig) -> Callable[[float], ResultRow]:
-    params = spin.SpinParams(config.omega, config.t_i, config.t_f)
+def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
+    if post == "asymptotic":
+        return decay.PostSpec.asymptotic_emission()
+    if post == "undecayed":
+        return decay.PostSpec.undecayed()
+    if not post.startswith("photon:"):
+        raise ValueError(
+            f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {post!r}"
+        )
+    try:
+        spec = decay.PostSpec.single_photon(int(post.removeprefix("photon:")))
+        decay.slot_of_atom(n_half, spec.photon_atom)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ValueError(f"post: bad photon atom in {post!r}: {exc}") from None
+    return spec
+
+
+def _spin_values(config: ScenarioConfig, grid: np.ndarray):
     choice = _SPIN_POSTS[config.post]()
-
-    def evaluate(t: float) -> ResultRow:
-        try:
-            value = spin.spin_weak_kernel(choice.state, params, t)
-            reference = spin.spin_weak_closed(choice, params, t)
-        except WeakDecayError as exc:
-            return ResultRow(t, complex("nan"), None, error=type(exc).__name__)
-        return ResultRow(t, value, reference)
-
-    return evaluate
+    params = config.spin_params
+    return (
+        spin.spin_weak_kernel(choice.state, params, grid),
+        spin.spin_weak_closed(choice, params, grid),
+    )
 
 
-def _decay_evaluator(config: ScenarioConfig) -> Callable[[float], ResultRow]:
-    bath = decay.BathSpec.from_gamma(config.n_half, config.gamma, config.delta_e)
-    kind, atom = _parse_decay_post(config.post, [])
-    if kind == "photon":
-        post = decay.PostSpec.single_photon(atom)
-    elif kind == "asymptotic":
-        post = decay.PostSpec.asymptotic_emission()
+def _decay_values(config: ScenarioConfig, grid: np.ndarray):
+    bath, post = config.bath, config.decay_post
+    value = decay.weak_survival_numeric(
+        decay.DecayQuery(bath, config.t_i, grid, config.t_f, post)
+    )
+    if post.kind is decay.PostKind.SINGLE_PHOTON:
+        reference = decay.weak_survival_single_photon(
+            bath.gamma, post.photon_atom * bath.delta_e, config.t_i, grid, config.t_f
+        )
+    elif post.kind is decay.PostKind.ASYMPTOTIC_EMISSION:
+        reference = decay.weak_survival_asymptotic_post(bath.gamma, config.t_i, grid, config.t_f)
     else:
-        post = decay.PostSpec.undecayed()
-
-    def reference_for(t: float) -> complex:
-        if kind == "photon":
-            return decay.weak_survival_single_photon(
-                bath.gamma, atom * bath.delta_e, config.t_i, t, config.t_f
-            )
-        if kind == "asymptotic":
-            return decay.weak_survival_asymptotic_post(bath.gamma, config.t_i, t, config.t_f)
-        return 1.0 + 0.0j
-
-    def evaluate(t: float) -> ResultRow:
-        try:
-            query = decay.DecayQuery(bath, config.t_i, t, config.t_f, post)
-            value = decay.weak_survival_numeric(query)
-            reference = reference_for(t)
-        except WeakDecayError as exc:
-            return ResultRow(t, complex("nan"), None, error=type(exc).__name__)
-        return ResultRow(t, value, reference)
-
-    return evaluate
+        reference = np.ones(grid.shape, dtype=complex)
+    return value, reference
 
 
-def _sums_evaluator(config: ScenarioConfig) -> Callable[[float], ResultRow]:
-    def evaluate(t: float) -> ResultRow:
-        params = sums.SumParams(config.gamma, config.delta_e, t, config.k_max)
-        value = sums.phased_lorentzian_sum(params)
-        reference = complex(math.pi / config.gamma * math.exp(-config.gamma * t))
-        return ResultRow(t, value, reference)
+def _sums_values(config: ScenarioConfig, grid: np.ndarray):
+    # One million-term sum per point: a points x terms array would not fit
+    # comfortably in memory, so the grid is walked point by point.
+    gamma = config.gamma
+    values = [sums.phased_lorentzian_sum(replace(config.sum_params, t=t)) for t in grid]
+    references = [math.pi / gamma * math.exp(-gamma * t) for t in grid]
+    return values, references
 
-    return evaluate
+
+_EVALUATORS = {"spin": _spin_values, "decay": _decay_values, "sums": _sums_values}
 
 
 @dataclass
@@ -325,18 +312,15 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Evaluate the configured model over its grid; never aborts on row errors."""
-    evaluator = {
-        "spin": _spin_evaluator,
-        "decay": _decay_evaluator,
-        "sums": _sums_evaluator,
-    }[config.model](config)
+    """Evaluate the configured model over its grid; numerical failures become row errors."""
     grid = np.linspace(config.t_start, config.t_end, config.n_points)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(evaluator, grid))
-    else:
-        rows = [evaluator(t) for t in grid]
+    try:
+        values, references = _EVALUATORS[config.model](config, grid)
+        rows = [
+            ResultRow(t, complex(v), complex(r)) for t, v, r in zip(grid, values, references)
+        ]
+    except WeakDecayError as exc:
+        rows = [ResultRow(t, complex("nan"), None, error=type(exc).__name__) for t in grid]
 
     errors = [r.abs_error for r in rows if r.abs_error is not None]
     row_errors = [{"t": r.t, "error": r.error} for r in rows if r.error is not None]
@@ -351,10 +335,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         "row_errors": row_errors,
     }
     if config.model == "decay":
-        bath = decay.BathSpec.from_gamma(config.n_half, config.gamma, config.delta_e)
-        summary["recurrence_time"] = bath.recurrence_time
+        summary["recurrence_time"] = config.bath.recurrence_time
         if config.post == "asymptotic":
-            summary["truncation_bound"] = decay.asymptotic_truncation_bound(bath)
+            summary["truncation_bound"] = decay.asymptotic_truncation_bound(config.bath)
     return ScenarioResult(rows, summary)
 
 
@@ -427,16 +410,17 @@ def convergence_sweep(base: ScenarioConfig, levels: tuple[int, ...]) -> SweepRes
             delta_e = base.delta_e * base.n_half / n_half
         else:
             delta_e = base.delta_e
-        bath = decay.BathSpec.from_gamma(n_half, base.gamma, delta_e)
+        try:
+            bath = decay.BathSpec.from_gamma(n_half, base.gamma, delta_e)
+        except ValueError as exc:
+            raise ConfigInvalid([f"levels: {exc}"]) from None
         if grid[-1] >= bath.recurrence_guard:
             rows.append(
                 SweepRow(n_half, None, time.perf_counter() - start, "beyond_recurrence")
             )
             continue
-        err = max(
-            abs(decay.survival_probability(bath, t) - math.exp(-2.0 * base.gamma * t))
-            for t in grid
-        )
+        survival = decay.survival_probability(bath, grid)
+        err = float(np.max(np.abs(survival - np.exp(-2.0 * base.gamma * grid))))
         rows.append(SweepRow(n_half, err, time.perf_counter() - start))
     usable = [r.max_abs_error for r in rows if r.max_abs_error is not None]
     if len(usable) < 2:

@@ -29,7 +29,6 @@ _SINGULAR_TOL = 1e-12
 X_PLUS = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
 X_MINUS = StateVector(np.array([1.0, -1.0]) / math.sqrt(2.0))
 Y_PLUS = StateVector(np.array([1.0j, -1.0]) / math.sqrt(2.0))
-Y_MINUS = StateVector(np.array([1.0, -1.0j]) / math.sqrt(2.0))
 Z_PLUS = StateVector(np.array([1.0, 0.0]))
 Z_MINUS = StateVector(np.array([0.0, 1.0]))
 
@@ -59,10 +58,13 @@ class SpinParams:
     t_f: float
 
     def __post_init__(self):
+        problems = []
         if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
-        if not self.t_i < self.t_f:
-            raise ValueError(f"need t_i < t_f, got ({self.t_i}, {self.t_f})")
+            problems.append(f"omega: need a finite value, got {self.omega}")
+        if not (math.isfinite(self.t_i) and math.isfinite(self.t_f) and self.t_i < self.t_f):
+            problems.append(f"t_i/t_f: need finite t_i < t_f, got ({self.t_i}, {self.t_f})")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -97,37 +99,48 @@ class PostChoice:
 
     @property
     def state(self) -> StateVector:
-        if self.tag is PostTag.Y_PLUS:
-            return Y_PLUS
-        if self.tag is PostTag.X_MINUS:
-            return X_MINUS
-        if self.tag is PostTag.X_PLUS:
-            return X_PLUS
-        return self.custom_state  # type: ignore[return-value]
+        canonical = {PostTag.Y_PLUS: Y_PLUS, PostTag.X_MINUS: X_MINUS, PostTag.X_PLUS: X_PLUS}
+        return canonical.get(self.tag, self.custom_state)  # type: ignore[return-value]
 
 
-def spin_propagator(omega: float, t: float) -> Propagator:
-    """Exact propagator ``diag(e^{i w t/2}, e^{-i w t/2})``."""
-    phase = 0.5 * omega * t
-    return Propagator(np.diag([np.exp(1j * phase), np.exp(-1j * phase)]), t)
+def spin_propagator(omega: float, t: float | np.ndarray) -> Propagator:
+    """Exact propagator ``diag(e^{i w t/2}, e^{-i w t/2})``, one per time for an array ``t``."""
+    phase = 0.5 * omega * np.asarray(t, dtype=float)
+    m = np.zeros(phase.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = np.exp(1j * phase)
+    m[..., 1, 1] = np.exp(-1j * phase)
+    return Propagator(m, t)
 
 
-def spin_strong_closed(axis: SpinAxis, omega: float, t_i: float, t: float) -> float:
-    """Closed-form strong expectation of the projector along ``axis``."""
-    if t < t_i:
+def spin_strong_closed(
+    axis: SpinAxis, omega: float, t_i: float, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Closed-form strong expectation of the projector along ``axis``, per time in ``t``."""
+    if np.any(t < t_i):
         raise ValueError(f"need t >= t_i, got t={t}, t_i={t_i}")
     a = omega * (t - t_i)
     if axis is SpinAxis.X_PLUS:
-        return 0.5 * (1.0 + math.cos(a))
+        return 0.5 * (1.0 + np.cos(a))
     if axis is SpinAxis.X_MINUS:
-        return 0.5 * (1.0 - math.cos(a))
+        return 0.5 * (1.0 - np.cos(a))
     if axis is SpinAxis.Y_PLUS:
-        return 0.5 * (1.0 - math.sin(a))
-    return 0.5 * (1.0 + math.sin(a))
+        return 0.5 * (1.0 - np.sin(a))
+    return 0.5 * (1.0 + np.sin(a))
 
 
-def spin_weak_kernel(post: StateVector, p: SpinParams, t: float) -> complex:
-    """Weak value of the +x projector via the numeric kernel (ground truth)."""
+def _nonsingular(den: float) -> float:
+    if abs(den) <= _SINGULAR_TOL:
+        raise ClosedFormSingular("post-selection orthogonal to the evolved state")
+    return den
+
+
+def spin_weak_kernel(
+    post: StateVector, p: SpinParams, t: float | np.ndarray
+) -> complex | np.ndarray:
+    """Weak value of the +x projector via the numeric kernel (ground truth).
+
+    ``t`` is one time or a 1-D array of times; an array gives one value per time.
+    """
     query = WeakValueQuery(X_PLUS, post, projector_from_state(X_PLUS), p.t_i, t, p.t_f)
     return weak_value(
         query,
@@ -136,32 +149,29 @@ def spin_weak_kernel(post: StateVector, p: SpinParams, t: float) -> complex:
     )
 
 
-def spin_weak_closed(choice: PostChoice, p: SpinParams, t: float) -> complex:
+def spin_weak_closed(
+    choice: PostChoice, p: SpinParams, t: float | np.ndarray
+) -> complex | np.ndarray:
     """Closed-form weak value of the +x projector, pre-selected along +x.
 
     Half-angles below: ``a`` for the elapsed interval, ``b`` for the
-    remaining interval, ``h`` for the whole window.  A custom post-selection
-    falls through to the numeric kernel.
+    remaining interval, ``h`` for the whole window.  The denominator depends
+    on the window only, so it is checked once for every time in ``t`` (one
+    time or a 1-D array).  A custom post-selection falls through to the
+    numeric kernel.
     """
-    if not (p.t_i <= t <= p.t_f):
+    if not np.all((p.t_i <= t) & (t <= p.t_f)):
         raise ValueError(f"need t_i <= t <= t_f, got ({p.t_i}, {t}, {p.t_f})")
+    if choice.tag is PostTag.CUSTOM:
+        return spin_weak_kernel(choice.state, p, t)
     a = 0.5 * p.omega * (t - p.t_i)
     b = 0.5 * p.omega * (p.t_f - t)
     h = 0.5 * p.omega * (p.t_f - p.t_i)
-
     if choice.tag is PostTag.X_PLUS:
-        den = math.cos(h)
-        if abs(den) <= _SINGULAR_TOL:
-            raise ClosedFormSingular("post-selection orthogonal to the evolved state")
-        return complex(math.cos(a) * math.cos(b) / den)
-    if choice.tag is PostTag.X_MINUS:
-        den = math.sin(h)
-        if abs(den) <= _SINGULAR_TOL:
-            raise ClosedFormSingular("post-selection orthogonal to the evolved state")
-        return complex(0.5 - math.sin(a - b) / (2.0 * den))
-    if choice.tag is PostTag.Y_PLUS:
-        den = math.cos(h) - math.sin(h)
-        if abs(den) <= _SINGULAR_TOL:
-            raise ClosedFormSingular("post-selection orthogonal to the evolved state")
-        return complex(math.cos(a) * (math.cos(b) - math.sin(b)) / den)
-    return spin_weak_kernel(choice.state, p, t)
+        value = np.cos(a) * np.cos(b) / _nonsingular(math.cos(h))
+    elif choice.tag is PostTag.X_MINUS:
+        value = 0.5 - np.sin(a - b) / (2.0 * _nonsingular(math.sin(h)))
+    else:
+        value = np.cos(a) * (np.cos(b) - np.sin(b)) / _nonsingular(math.cos(h) - math.sin(h))
+    return value + 0j
+

@@ -46,14 +46,17 @@ class SumParams:
     k_max: int = 10**6
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.delta_e > 0:
-            raise ValueError("delta_e must be positive")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        problems = []
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            problems.append(f"gamma: need a finite value > 0, got {self.gamma}")
+        if not (math.isfinite(self.delta_e) and self.delta_e > 0):
+            problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            problems.append(f"t: need a finite value >= 0, got {self.t}")
         if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+            problems.append(f"k_max: need >= 0, got {self.k_max}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def tail_bound(k_max: int, delta_e: float) -> float:

@@ -63,6 +63,19 @@ def test_propagator_rejects_non_unitary():
         Propagator(np.array([[1.0, 0.0], [0.0, 2.0]]), 1.0)
 
 
+def test_propagator_time_stack_checks_every_slice():
+    stack = spin_propagator(1.7, np.array([0.0, 0.4, 0.9]))
+    assert stack.matrix.shape == (3, 2, 2) and stack.dim == 2
+    assert np.array_equal(stack.duration, [0.0, 0.4, 0.9])
+    assert np.array_equal(stack.adjoint().matrix[2], spin_propagator(1.7, 0.9).adjoint().matrix)
+    bad = stack.matrix.copy()
+    bad[1, 1, 1] = 2.0
+    with pytest.raises(ValueError, match="not unitary"):
+        Propagator(bad, stack.duration)
+    with pytest.raises(DimensionMismatch):
+        Propagator(stack.matrix, 0.5)
+
+
 def test_propagator_adjoint_reverses_time():
     u = spin_propagator(1.7, 0.9)
     back = u.adjoint()

@@ -1,0 +1,54 @@
+"""A time grid passed in one call gives the values of per-time calls."""
+
+import numpy as np
+import pytest
+
+from weakdecay import (
+    DecayQuery,
+    PostChoice,
+    PostSpec,
+    SpinParams,
+    interaction_column,
+    propagator_column,
+    propagator_element,
+    spin_weak_closed,
+    spin_weak_kernel,
+    weak_survival_numeric,
+)
+from weakdecay import decay
+from weakdecay.spin import Y_PLUS
+
+TIMES = np.linspace(0.0, 1.5, 7)
+SPIN = SpinParams(1.3, -0.2, 1.9)
+
+
+def _weak(post):
+    return lambda bath, t: weak_survival_numeric(DecayQuery(bath, 0.0, t, 1.5, post))
+
+
+CASES = {
+    "propagator_column": propagator_column,
+    "interaction_column": interaction_column,
+    "weak_photon": _weak(PostSpec.single_photon(-2)),
+    "weak_asymptotic": _weak(PostSpec.asymptotic_emission()),
+    "weak_undecayed": _weak(PostSpec.undecayed()),
+    "spin_kernel": lambda bath, t: spin_weak_kernel(Y_PLUS, SPIN, t),
+    "spin_closed_xplus": lambda bath, t: spin_weak_closed(PostChoice.x_plus(), SPIN, t),
+    "spin_closed_xminus": lambda bath, t: spin_weak_closed(PostChoice.x_minus(), SPIN, t),
+    "spin_closed_yplus": lambda bath, t: spin_weak_closed(PostChoice.y_plus(), SPIN, t),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_grid_call_matches_per_time_calls(name, small_bath):
+    fn = CASES[name]
+    grid = fn(small_bath, TIMES)
+    per_time = np.array([fn(small_bath, t) for t in TIMES])
+    assert grid.shape == per_time.shape
+    assert np.max(np.abs(grid - per_time)) <= 1e-14
+
+
+def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
+    whole = propagator_element(small_bath, 3, TIMES)
+    monkeypatch.setattr(decay, "_BLOCK_ENTRIES", 2 * small_bath.dim)
+    assert np.array_equal(propagator_element(small_bath, 3, TIMES), whole)

@@ -2,9 +2,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdecay import ConfigInvalid
-from weakdecay import cli, harness
+from weakdecay import checks, cli, harness
+
+CONFIG_KEYS = (
+    "model", "t_start", "t_end", "n_points", "tolerance", "out", "omega", "t_i", "t_f",
+    "post", "n_half", "gamma", "delta_e", "k_max", "levels", "scaling",
+)
 
 
 # ---------------------------------------------------------------- config parsing
@@ -50,6 +57,42 @@ def test_build_config_field_diagnostics_accumulate():
         harness.build_config({"model": "decay", "n_half": "0", "delta_e": "-1", "post": "nope"})
     text = "; ".join(excinfo.value.problems)
     assert "n_half" in text and "delta_e" in text and "post" in text
+
+
+def test_config_keys_are_the_documented_ones():
+    assert set(harness._DEFAULTS) == set(CONFIG_KEYS)
+
+
+_RAW_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "-1", "2", "0.5", "3.0", "1e400", "-1e400", "nan", "inf", "-inf",
+         "5e-324", "1e308", "photon:1", "photon:-3", "photon:0", "photon:x", "photon:99",
+         "asymptotic", "undecayed", "xplus", "xminus", "yplus", "100,200", "200,100",
+         "0,100", "a,b", "fixed_band", "fixed_spacing", "rows.csv"]
+    ),
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(st.none(), st.sampled_from(["spin", "decay", "sums", "bogus"])),
+    raw=st.dictionaries(
+        st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=8)), _RAW_VALUES, max_size=8
+    ),
+)
+def test_any_raw_config_builds_or_raises_config_invalid(model, raw):
+    if model is not None:
+        raw = {**raw, "model": model}
+    try:
+        config = harness.build_config(raw)
+    except ConfigInvalid as exc:
+        assert exc.problems
+        return
+    assert config.model in ("spin", "decay", "sums")
+    assert config.n_points >= 2 and math.isfinite(config.tolerance)
 
 
 def test_build_config_decay_post_forms():
@@ -124,13 +167,6 @@ def test_csv_header_and_determinism():
     lines = first.splitlines()
     assert lines[0] == "t,value_re,value_im,reference_re,reference_im,abs_error"
     assert len(lines) == 12
-
-
-def test_threaded_run_matches_serial():
-    base = {"model": "spin", "n_points": "31"}
-    serial = harness.run_scenario(harness.build_config(base))
-    threaded = harness.run_scenario(harness.build_config({**base, "threads": "4"}))
-    assert harness.rows_to_csv(serial.rows) == harness.rows_to_csv(threaded.rows)
 
 
 def test_summary_json_is_single_line():
@@ -233,6 +269,57 @@ def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     code = cli.main(["spin", "--set", "n_points=5"])
     assert code == 3
     assert "EigenFailure" in capsys.readouterr().err
+
+
+def test_cli_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["spin", "--threads", "2"])
+    assert excinfo.value.code == 2
+
+
+def test_cli_threads_key_is_unknown(capsys):
+    assert cli.main(["spin", "--set", "threads=2"]) == 2
+    assert "config error: unknown keys: threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["spin", "--set", "omega=nan"], "omega"),
+        (["spin", "--set", "omega=inf"], "omega"),
+        (["decay", "--set", "gamma=inf"], "gamma"),
+        (["decay", "--set", "gamma=nan"], "gamma"),
+        (["decay", "--set", "delta_e=inf"], "delta_e"),
+    ],
+)
+def test_cli_non_finite_input_exits_2(argv, field, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sweep_rejects_nonpositive_level(capsys):
+    assert cli.main(["sweep", "--set", "levels=0,100"]) == 2
+    assert "config error: levels: n_half" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sets, delta_e", [([], checks.SWEEP_DELTA_E), (["--set", "delta_e=0.2"], 0.2)]
+)
+def test_cli_sweep_defaults_to_the_acceptance_config(monkeypatch, capsys, sets, delta_e):
+    seen = []
+
+    def fake_sweep(config, levels):
+        seen.append(config)
+        return harness.SweepResult([harness.SweepRow(n, 1e-3, 0.0) for n in levels], "decreasing")
+
+    monkeypatch.setattr(harness, "convergence_sweep", fake_sweep)
+    assert cli.main(["sweep", *sets]) == 0
+    (config,) = seen
+    assert config.delta_e == delta_e
+    assert config.levels == checks.SWEEP_LEVELS
+    assert (config.t_start, config.t_end, config.t_f) == (0.0, 4.0, 4.0)
 
 
 def test_cli_sweep_writes_table(tmp_path, capsys):
