@@ -28,6 +28,11 @@ from .core import (
 )
 
 SEED = 20260810
+SPIN_DRAWS = 1000
+OBSERVABLES = 100
+COMPLEMENT_DRAWS = 200
+UNDECAYED_DRAWS = 200
+DECOMPOSITION_TRIALS = 100
 
 
 @dataclass
@@ -66,12 +71,12 @@ def _random_spin_draw(rng, floor: float = 1e-2):
         return omega, t_i, t, t_f
 
 
-def check_spin_closed_forms_vs_kernel(n_draws: int = 1000) -> CheckResult:
+def check_spin_closed_forms_vs_kernel() -> CheckResult:
     """C1: every spin closed form agrees with the numeric kernel to 1e-10."""
     rng = _rng()
     p_xm = projector_from_state(spin.X_MINUS)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(SPIN_DRAWS):
         omega, t_i, t, t_f = _random_spin_draw(rng)
         params = spin.SpinParams(omega, t_i, t_f)
         for choice in (spin.PostChoice.y_plus(), spin.PostChoice.x_minus(), spin.PostChoice.x_plus()):
@@ -102,7 +107,7 @@ def check_spin_closed_forms_vs_kernel(n_draws: int = 1000) -> CheckResult:
     return CheckResult(
         "spin_closed_forms_vs_kernel",
         worst <= 1e-10,
-        f"max |closed - kernel| = {worst:.3e} over {n_draws} draws (tol 1e-10)",
+        f"max |closed - kernel| = {worst:.3e} over {SPIN_DRAWS} draws (tol 1e-10)",
     )
 
 
@@ -145,12 +150,12 @@ def _random_state(rng, dim: int) -> StateVector:
     return StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
-def check_weak_equals_strong(n_obs: int = 100) -> CheckResult:
+def check_weak_equals_strong() -> CheckResult:
     """C3: post-selecting the freely evolved state makes weak = strong (dims 2 and 21)."""
     rng = _rng()
     worst = 0.0
     # spin system
-    for _ in range(n_obs):
+    for _ in range(OBSERVABLES):
         omega = rng.uniform(-3.0, 3.0)
         t_i = rng.uniform(-1.0, 1.0)
         t_f = t_i + rng.uniform(0.2, 5.0)
@@ -166,7 +171,7 @@ def check_weak_equals_strong(n_obs: int = 100) -> CheckResult:
         worst = max(worst, abs(w - s))
     # small bath, dim 21
     bath = decay.BathSpec.from_gamma(10, 1.0, 0.05)
-    for _ in range(n_obs):
+    for _ in range(OBSERVABLES):
         t_i = 0.0
         t_f = rng.uniform(0.5, 3.0)
         t = rng.uniform(t_i, t_f)
@@ -182,7 +187,7 @@ def check_weak_equals_strong(n_obs: int = 100) -> CheckResult:
     return CheckResult(
         "weak_equals_strong",
         worst <= 1e-10,
-        f"max |weak - strong| = {worst:.3e} over {n_obs} observables per system (tol 1e-10)",
+        f"max |weak - strong| = {worst:.3e} over {OBSERVABLES} observables per system (tol 1e-10)",
     )
 
 
@@ -267,13 +272,13 @@ def check_large_window_reduction() -> CheckResult:
     )
 
 
-def check_complement_rule(n_draws: int = 200) -> CheckResult:
+def check_complement_rule() -> CheckResult:
     """C7: weak values of a projector and its complement sum to one."""
     rng = _rng()
     worst = 0.0
     p_xp = projector_from_state(spin.X_PLUS)
     comp_xp = Operator(np.eye(2) - p_xp.entries)
-    for _ in range(n_draws):
+    for _ in range(COMPLEMENT_DRAWS):
         omega, t_i, t, t_f = _random_spin_draw(rng)
         params = spin.SpinParams(omega, t_i, t_f)
         u_mid = spin.spin_propagator(omega, t - t_i)
@@ -308,7 +313,7 @@ def check_complement_rule(n_draws: int = 200) -> CheckResult:
     )
 
 
-def check_undecayed_identity(n_draws: int = 200) -> CheckResult:
+def check_undecayed_identity() -> CheckResult:
     """C7: the undecayed weak value is identically 1 on the limit amplitudes.
 
     The finite-bath counterpart deviates at the band-width level; its value
@@ -316,7 +321,7 @@ def check_undecayed_identity(n_draws: int = 200) -> CheckResult:
     """
     rng = _rng()
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(UNDECAYED_DRAWS):
         g = rng.uniform(0.2, 3.0)
         t_i = rng.uniform(-1.0, 1.0)
         t_f = t_i + rng.uniform(0.2, 8.0)
@@ -427,13 +432,13 @@ def check_lattice_sum_convergence_order() -> CheckResult:
     )
 
 
-def check_decomposition_identity(n_trials: int = 100) -> CheckResult:
+def check_decomposition_identity() -> CheckResult:
     """C9: post-selection decomposition reproduces the strong expectation (dim 21)."""
     rng = _rng()
     bath = decay.BathSpec.from_gamma(10, 1.0, 0.05)
     dim = bath.dim
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(DECOMPOSITION_TRIALS):
         t = rng.uniform(0.0, 3.0)
         u = decay.bath_propagator(bath, t)
         pre = _random_state(rng, dim)
@@ -445,7 +450,7 @@ def check_decomposition_identity(n_trials: int = 100) -> CheckResult:
     return CheckResult(
         "decomposition_identity",
         worst <= 1e-8,
-        f"max residual {worst:.3e} over {n_trials} random bases (tol 1e-8)",
+        f"max residual {worst:.3e} over {DECOMPOSITION_TRIALS} random bases (tol 1e-8)",
     )
 
 

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gather_raw(args) -> dict[str, str]:
+def _gather_raw(args, model: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
@@ -50,15 +50,16 @@ def _gather_raw(args) -> dict[str, str]:
         raw[key.strip()] = value.strip()
     if args.out:
         raw["out"] = args.out
+    raw.setdefault("model", model)
+    if raw["model"] != model:
+        raise ConfigInvalid(
+            [f"config model {raw['model']!r} conflicts with subcommand {args.command!r}"]
+        )
     return raw
 
 
 def _run_scenario_command(command: str, args) -> int:
-    raw = _gather_raw(args)
-    raw.setdefault("model", command)
-    if raw["model"] != command:
-        raise ConfigInvalid([f"config model {raw['model']!r} conflicts with subcommand {command!r}"])
-    config = harness.build_config(raw)
+    config = harness.build_config(_gather_raw(args, command))
     result = harness.run_scenario(config)
     if config.out:
         Path(config.out).write_text(harness.rows_to_csv(result.rows), encoding="utf-8")
@@ -67,8 +68,7 @@ def _run_scenario_command(command: str, args) -> int:
 
 
 def _run_sweep(args) -> int:
-    raw = _gather_raw(args)
-    raw.setdefault("model", "decay")
+    raw = _gather_raw(args, "decay")
     # the acceptance battery's sweep (check C4): at the global default
     # delta_e = 0.05 the N = 2000 error sits above the 0.01 tolerance
     raw.setdefault("levels", ",".join(map(str, checks.SWEEP_LEVELS)))

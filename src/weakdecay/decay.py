@@ -57,6 +57,10 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
+# Largest N: one dense eigh of the (2N+1)^2 arrowhead peaks near 5 * dim^2 * 8
+# bytes, ~2.6 GB and ~90 s at this cap (298 GiB at N = 100000).
+MAX_N_HALF = 4000
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -75,8 +79,8 @@ class BathSpec:
 
     def __post_init__(self):
         problems = []
-        if not self.n_half >= 1:
-            problems.append(f"n_half: need >= 1, got {self.n_half}")
+        if not 1 <= self.n_half <= MAX_N_HALF:
+            problems.append(f"n_half: need 1 <= n_half <= {MAX_N_HALF}, got {self.n_half}")
         if not (math.isfinite(self.delta_e) and self.delta_e > 0):
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
         if not (math.isfinite(self.coupling) and self.coupling >= 0):

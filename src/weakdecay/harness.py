@@ -1,11 +1,11 @@
 """Scenario orchestration: flat-file configs, deterministic CSV rows, sweeps.
 
 A scenario evaluates one model over a time grid and writes one CSV row per
-grid point with the numeric value, the closed-form comparator when one
-exists, and their absolute difference.  Identical configs produce
-byte-identical output.  Spin and decay evaluate the whole grid in one call;
-since the selection window is fixed, a numerical failure there (a vanishing
-post-selection, a window beyond the recurrence guard) marks every row.
+grid point with the numeric value, the closed-form comparator and their
+absolute difference.  Identical configs produce byte-identical output.  The
+grid is evaluated in one call and held as arrays; a numerical failure (a
+vanishing post-selection, a window or grid beyond the recurrence guard) does
+not depend on the probe time, so it is one error name that marks every row.
 
 Config files are flat ``key = value`` lines with ``#`` comments; every key
 can also be overridden on the command line with ``--set key=value``.
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import decay, spin, sums
-from .errors import ConfigInvalid, DimensionMismatch, WeakDecayError
+from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDecayError
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
@@ -36,28 +36,28 @@ _SPIN_POSTS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters (one model, one time grid)."""
+    """Validated scenario parameters (one model, one time grid); set by build_config."""
 
     model: str
     t_start: float
     t_end: float
     n_points: int
     tolerance: float
-    out: Optional[str] = None
+    out: Optional[str]
     # spin / decay selection window
-    omega: float = 1.0
-    t_i: float = 0.0
-    t_f: float = 2.0
-    post: str = "xplus"
+    omega: float
+    t_i: float
+    t_f: float
+    post: str
     # decay
-    n_half: int = 2000
-    gamma: float = 1.0
-    delta_e: float = 0.05
+    n_half: int
+    gamma: float
+    delta_e: float
     # sums
-    k_max: int = 10**6
+    k_max: int
     # sweep
-    levels: tuple[int, ...] = ()
-    scaling: str = "fixed_spacing"
+    levels: tuple[int, ...]
+    scaling: str
 
     # The model objects, built once from the fields above.  Their
     # constructors hold the range checks; build_config reports the
@@ -85,20 +85,6 @@ _MODEL_OBJECTS = {
     "decay": ("bath", "decay_post"),
     "sums": ("sum_params",),
 }
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    t: float
-    value: complex
-    reference: Optional[complex]
-    error: Optional[str] = None
-
-    @property
-    def abs_error(self) -> Optional[float]:
-        if self.reference is None or self.error is not None:
-            return None
-        return abs(self.value - self.reference)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -290,6 +276,10 @@ def _decay_values(config: ScenarioConfig, grid: np.ndarray):
 
 
 def _sums_values(config: ScenarioConfig, grid: np.ndarray):
+    # the lattice sum revives with period 2 pi / delta_e: guard half of it
+    guard = math.pi / config.delta_e
+    if grid[-1] >= guard:
+        raise BeyondRecurrence(f"t = {grid[-1]} >= half the lattice recurrence {2 * guard:.3g}")
     # One million-term sum per point: a points x terms array would not fit
     # comfortably in memory, so the grid is walked point by point.
     gamma = config.gamma
@@ -301,9 +291,32 @@ def _sums_values(config: ScenarioConfig, grid: np.ndarray):
 _EVALUATORS = {"spin": _spin_values, "decay": _decay_values, "sums": _sums_values}
 
 
+@dataclass(frozen=True)
+class Rows:
+    """A scenario table as columns, one row per grid point; a failure is nan and one name."""
+
+    t: np.ndarray
+    value: np.ndarray
+    reference: np.ndarray
+    error: Optional[str] = None
+
+    @functools.cached_property
+    def abs_error(self) -> Optional[list[float]]:
+        # Python's complex abs: numpy's vectorised one can differ in the last bit
+        return None if self.error else list(map(abs, (self.value - self.reference).tolist()))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        """``(t, value, reference, abs_error)`` per row; abs_error is None after a failure."""
+        abs_error = self.abs_error or [None] * len(self)
+        return zip(self.t.tolist(), self.value.tolist(), self.reference.tolist(), abs_error)
+
+
 @dataclass
 class ScenarioResult:
-    rows: list[ResultRow]
+    rows: Rows
     summary: dict
 
     @property
@@ -312,27 +325,25 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Evaluate the configured model over its grid; numerical failures become row errors."""
+    """Evaluate the configured model over its grid; a numerical failure marks every row."""
     grid = np.linspace(config.t_start, config.t_end, config.n_points)
     try:
         values, references = _EVALUATORS[config.model](config, grid)
-        rows = [
-            ResultRow(t, complex(v), complex(r)) for t, v, r in zip(grid, values, references)
-        ]
+        rows = Rows(grid, np.asarray(values, complex), np.asarray(references, complex))
     except WeakDecayError as exc:
-        rows = [ResultRow(t, complex("nan"), None, error=type(exc).__name__) for t in grid]
+        value = np.full(grid.shape, complex(math.nan, 0.0))
+        reference = np.full(grid.shape, complex(math.nan, math.nan))
+        rows = Rows(grid, value, reference, type(exc).__name__)
 
-    errors = [r.abs_error for r in rows if r.abs_error is not None]
-    row_errors = [{"t": r.t, "error": r.error} for r in rows if r.error is not None]
-    max_err = max(errors) if errors else None
+    max_err = max(rows.abs_error) if rows.abs_error else None
     summary = {
         "model": config.model,
         "post": config.post or None,
         "n_rows": len(rows),
         "max_abs_error": max_err,
         "tolerance": config.tolerance,
-        "passed": bool(max_err is not None and max_err <= config.tolerance and not row_errors),
-        "row_errors": row_errors,
+        "passed": bool(max_err is not None and max_err <= config.tolerance),
+        "row_errors": [{"t": t, "error": rows.error} for t in grid.tolist()] if rows.error else [],
     }
     if config.model == "decay":
         summary["recurrence_time"] = config.bath.recurrence_time
@@ -341,24 +352,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(rows, summary)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def rows_to_csv(rows: list[ResultRow]) -> str:
+def rows_to_csv(rows: Rows) -> str:
     """Render rows under the fixed header; bit-exact for identical inputs."""
     lines = [CSV_HEADER]
-    for r in rows:
-        if r.reference is None:
-            ref_re, ref_im = "nan", "nan"
-        else:
-            ref_re, ref_im = _fmt(r.reference.real), _fmt(r.reference.imag)
-        abs_err = "none" if r.abs_error is None else _fmt(r.abs_error)
-        lines.append(
-            ",".join(
-                [_fmt(r.t), _fmt(r.value.real), _fmt(r.value.imag), ref_re, ref_im, abs_err]
-            )
-        )
+    for t, v, r, abs_error in rows:
+        err = "none" if abs_error is None else repr(abs_error)
+        lines.append(f"{t!r},{v.real!r},{v.imag!r},{r.real!r},{r.imag!r},{err}")
     return "\n".join(lines) + "\n"
 
 
@@ -382,7 +381,7 @@ class SweepResult:
     def to_csv(self) -> str:
         lines = ["n_half,max_abs_error,seconds,marker"]
         for r in self.rows:
-            err = "none" if r.max_abs_error is None else _fmt(r.max_abs_error)
+            err = "none" if r.max_abs_error is None else repr(r.max_abs_error)
             lines.append(f"{r.n_half},{err},{r.seconds:.3f},{r.marker}")
         return "\n".join(lines) + "\n"
 
@@ -403,25 +402,26 @@ def convergence_sweep(base: ScenarioConfig, levels: tuple[int, ...]) -> SweepRes
     if list(levels) != sorted(levels) or not levels:
         raise ConfigInvalid(["levels: need a nonempty ascending list"])
     grid = np.linspace(base.t_start, base.t_end, base.n_points)
+    band = base.delta_e * base.n_half
+    fixed_band = base.scaling == "fixed_band"
+    try:  # every level is checked before the first spectrum solve
+        baths = [
+            decay.BathSpec.from_gamma(n, base.gamma, band / n if fixed_band else base.delta_e)
+            for n in levels
+        ]
+    except ValueError as exc:
+        raise ConfigInvalid([f"levels: {exc}"]) from None
     rows: list[SweepRow] = []
-    for n_half in levels:
+    for bath in baths:
         start = time.perf_counter()
-        if base.scaling == "fixed_band":
-            delta_e = base.delta_e * base.n_half / n_half
-        else:
-            delta_e = base.delta_e
-        try:
-            bath = decay.BathSpec.from_gamma(n_half, base.gamma, delta_e)
-        except ValueError as exc:
-            raise ConfigInvalid([f"levels: {exc}"]) from None
         if grid[-1] >= bath.recurrence_guard:
             rows.append(
-                SweepRow(n_half, None, time.perf_counter() - start, "beyond_recurrence")
+                SweepRow(bath.n_half, None, time.perf_counter() - start, "beyond_recurrence")
             )
             continue
         survival = decay.survival_probability(bath, grid)
         err = float(np.max(np.abs(survival - np.exp(-2.0 * base.gamma * grid))))
-        rows.append(SweepRow(n_half, err, time.perf_counter() - start))
+        rows.append(SweepRow(bath.n_half, err, time.perf_counter() - start))
     usable = [r.max_abs_error for r in rows if r.max_abs_error is not None]
     if len(usable) < 2:
         trend = "n/a"

@@ -25,7 +25,7 @@ which is what gives the first-order convergence the tests measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,23 +71,9 @@ def suggested_k_max(delta_e: float, tolerance: float) -> int:
     return max(1, math.ceil(2.0 / (tolerance * delta_e)))
 
 
-def _paired_chunks(p: SumParams, phased: bool):
-    g2 = p.gamma**2
-    de2 = p.delta_e**2
-    for start in range(1, p.k_max + 1, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, p.k_max + 1), dtype=float)
-        terms = 2.0 * p.delta_e / (g2 + k * k * de2)
-        if phased:
-            terms = terms * np.cos(k * p.delta_e * p.t)
-        yield float(np.sum(terms))
-
-
 def lorentzian_sum(p: SumParams, include_center: bool = True) -> float:
-    """Truncated ``delta_e * sum_{|k| <= k_max} 1 / (gamma^2 + k^2 delta_e^2)``."""
-    parts = list(_paired_chunks(p, phased=False))
-    if include_center:
-        parts.append(p.delta_e / p.gamma**2)
-    return math.fsum(parts)
+    """Truncated ``delta_e * sum_{|k| <= k_max} 1 / (gamma^2 + k^2 delta_e^2)`` (phased, t = 0)."""
+    return phased_lorentzian_sum(replace(p, t=0.0), include_center).real
 
 
 def phased_lorentzian_sum(p: SumParams, include_center: bool = True) -> complex:
@@ -95,7 +81,11 @@ def phased_lorentzian_sum(p: SumParams, include_center: bool = True) -> complex:
 
     Symmetric (k, -k) pairing makes the imaginary part vanish identically.
     """
-    parts = list(_paired_chunks(p, phased=True))
+    parts = []
+    for start in range(1, p.k_max + 1, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, p.k_max + 1), dtype=float)
+        terms = 2.0 * p.delta_e / (p.gamma**2 + k * k * p.delta_e**2) * np.cos(k * p.delta_e * p.t)
+        parts.append(float(np.sum(terms)))
     if include_center:
         parts.append(p.delta_e / p.gamma**2)
     return complex(math.fsum(parts))

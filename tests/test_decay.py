@@ -56,6 +56,14 @@ def test_spec_validation():
         BathSpec(5, 0.1, -0.1)
 
 
+def test_spec_caps_the_dense_dimension():
+    from weakdecay.decay import MAX_N_HALF
+
+    assert BathSpec(MAX_N_HALF, 0.1, 0.1).dim == 2 * MAX_N_HALF + 1
+    with pytest.raises(ValueError, match=f"n_half: need 1 <= n_half <= {MAX_N_HALF}"):
+        BathSpec(MAX_N_HALF + 1, 0.1, 0.1)
+
+
 def test_slot_bijection_round_trip():
     n = 7
     atoms = [0] + [k for k in range(-n, n + 1) if k != 0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdecay import ConfigInvalid
-from weakdecay import checks, cli, harness
+from weakdecay import checks, cli, decay, harness
 
 CONFIG_KEYS = (
     "model", "t_start", "t_end", "n_points", "tolerance", "out", "omega", "t_i", "t_f",
@@ -147,6 +147,15 @@ def test_decay_scenario_small_bath():
     assert result.summary["max_abs_error"] is not None
     assert "truncation_bound" in result.summary
     assert result.summary["recurrence_time"] == pytest.approx(2 * math.pi / 0.5)
+
+
+def test_csv_abs_error_is_python_complex_abs():
+    # on this grid numpy's complex abs differs from Python's in the last bit on some rows
+    cfg = harness.build_config({"model": "decay", "n_half": "50", "delta_e": "0.5"})
+    lines = harness.rows_to_csv(harness.run_scenario(cfg).rows).splitlines()[1:]
+    for line in lines:
+        t, v_re, v_im, r_re, r_im, err = map(float, line.split(","))
+        assert err == abs(complex(v_re, v_im) - complex(r_re, r_im))
 
 
 def test_sums_scenario():
@@ -297,6 +306,89 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
     captured = capsys.readouterr()
     assert f"config error: {field}:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spin", "--config", "no/such/scenario.cfg"], "config file not found: no/such"),
+        (["spin", "--set", "omega"], "--set expects KEY=VALUE, got 'omega'"),
+        (["sweep", "--set", "levels=200,100"], "levels: must be ascending"),
+        (["decay", "--set", "n_half=100000"], "n_half: need 1 <= n_half <= 4000"),
+        (["sweep", "--set", "levels=100,100000"], "levels: n_half: need 1 <= n_half <= 4000"),
+        (["sweep", "--set", "model=spin"], "config model 'spin' conflicts with subcommand 'sweep'"),
+    ],
+)
+def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("a spectrum was solved for invalid input")
+
+    monkeypatch.setattr(decay, "_eigensystem", no_solve)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def _set_args(sets):
+    return [arg for item in sets for arg in ("--set", item)]
+
+
+def test_cli_decay_undecayed_end_to_end(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    sets = ["post=undecayed", "n_half=200", "delta_e=0.2", "tolerance=0.2"]
+    code = cli.main(["decay", *_set_args(sets), "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert summary["post"] == "undecayed"
+    assert summary["max_abs_error"] == pytest.approx(0.139, abs=1e-3)
+    lines = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 101
+    assert all(line.split(",")[3:5] == ["1.0", "0.0"] for line in lines)
+
+
+# the lattice sum revives with period 2 pi / delta_e; the guard is half of it
+@pytest.mark.parametrize("t_end", ["1e6", repr(math.pi / 0.05)])
+def test_cli_sums_grid_beyond_recurrence_exits_1(t_end, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    sets = [f"t_end={t_end}", "k_max=1000", "n_points=3"]
+    code = cli.main(["sums", *_set_args(sets), "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert summary["max_abs_error"] is None
+    assert [e["error"] for e in summary["row_errors"]] == ["BeyondRecurrence"] * 3
+    assert summary["row_errors"][-1]["t"] == float(t_end)
+    assert out.read_text(encoding="utf-8").count(",nan,nan,none\n") == 3
+
+
+def test_cli_sweep_with_growing_errors_exits_1(capsys):
+    # at one-atom spacing and a slow decay, N = 2 fits worse than N = 1
+    sets = ["levels=1,2", "delta_e=1.0", "gamma=0.3", "t_end=3", "t_f=3", "n_points=31",
+            "tolerance=0.5"]
+    code = cli.main(["sweep", *_set_args(sets)])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert summary["trend"] == "not-decreasing"
+    errors = summary["max_abs_errors"]
+    assert errors[1] > errors[0] and errors[1] <= 0.5
+
+
+def test_cli_check_out_writes_one_line_per_check(monkeypatch, tmp_path, capsys):
+    results = [
+        checks.CheckResult("first", True, "ok", seconds=1.5),
+        checks.CheckResult("second", False, "gap", xfail=True),
+        checks.CheckResult("third", False, "broken"),
+    ]
+    monkeypatch.setattr(checks, "run_battery", lambda: results)
+    out = tmp_path / "checks.txt"
+    assert cli.main(["check", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "PASS  first (1.5s): ok",
+        "XFAIL second (0.0s): gap",
+        "FAIL  third (0.0s): broken",
+    ]
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary == {"checks": 3, "passed": 1, "xfail": 1, "failed": 1}
 
 
 def test_cli_sweep_rejects_nonpositive_level(capsys):

@@ -17,6 +17,7 @@ from weakdecay import (
     spin_strong_closed,
     spin_weak_closed,
     spin_weak_kernel,
+    strong_expectation,
     weak_value,
 )
 from weakdecay.spin import X_MINUS, X_PLUS, Y_PLUS
@@ -72,6 +73,22 @@ def test_strong_closed_values():
     assert spin_strong_closed(SpinAxis.Y_PLUS, 1.0, 0.0, 0.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
     assert spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
     assert spin_strong_closed(SpinAxis.X_MINUS, 1.0, 0.0, math.pi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_strong_closed_y_minus_matches_numeric_expectation():
+    # -y is orthogonal to Y_PLUS = (i, -1)/sqrt(2)
+    y_minus = StateVector(np.array([1.0j, 1.0]) / math.sqrt(2.0))
+    omega, t_i = 1.3, 0.4
+    times = np.linspace(t_i, t_i + 5.0, 41)
+    closed = spin_strong_closed(SpinAxis.Y_MINUS, omega, t_i, times)
+    for axis, state in ((SpinAxis.Y_PLUS, Y_PLUS), (SpinAxis.Y_MINUS, y_minus)):
+        numeric = [
+            strong_expectation(X_PLUS, projector_from_state(state), spin_propagator(omega, t - t_i))
+            for t in times
+        ]
+        assert np.max(np.abs(spin_strong_closed(axis, omega, t_i, times) - numeric)) <= 1e-12
+    assert np.max(np.abs(closed + spin_strong_closed(SpinAxis.Y_PLUS, omega, t_i, times) - 1.0)) <= 1e-15
+    assert spin_strong_closed(SpinAxis.Y_MINUS, 1.0, 0.0, 0.5 * math.pi) == pytest.approx(1.0)
 
 
 def _nonsingular_draw(rng):

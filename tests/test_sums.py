@@ -34,6 +34,16 @@ def test_plain_sum_reaches_limit():
     assert abs(lorentzian_sum(p2) - math.pi / 2.0) <= 0.001
 
 
+def test_plain_sum_matches_term_by_term_fsum():
+    g, de, k_max = 0.7, 0.03, 5000
+    terms = [de / (g * g + k * k * de * de) for k in range(-k_max, k_max + 1)]
+    p = SumParams(g, de, 0.0, k_max)
+    assert lorentzian_sum(p) == pytest.approx(math.fsum(terms), rel=1e-14)
+    assert lorentzian_sum(p, include_center=False) == pytest.approx(
+        math.fsum(terms) - de / g**2, rel=1e-14
+    )
+
+
 def test_phased_reduces_to_plain_at_zero_time():
     p = SumParams(1.3, 0.05, 0.0, 10**4)
     assert phased_lorentzian_sum(p) == pytest.approx(lorentzian_sum(p), abs=1e-14)
