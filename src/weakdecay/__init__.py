@@ -30,10 +30,8 @@ from .decay import (
     bath_weak_projector_scan,
     build_hamiltonian,
     default_bath,
-    excited_reference_state,
     interaction_column,
     interaction_element,
-    projector_up,
     propagator_column,
     propagator_element,
     slot_of_atom,

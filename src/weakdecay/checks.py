@@ -79,9 +79,9 @@ def check_spin_closed_forms_vs_kernel() -> CheckResult:
     for _ in range(SPIN_DRAWS):
         omega, t_i, t, t_f = _random_spin_draw(rng)
         params = spin.SpinParams(omega, t_i, t_f)
-        for choice in (spin.PostChoice.y_plus(), spin.PostChoice.x_minus(), spin.PostChoice.x_plus()):
+        for choice in spin.PostChoice:
             closed = spin.spin_weak_closed(choice, params, t)
-            kernel = spin.spin_weak_kernel(choice.state, params, t)
+            kernel = spin.spin_weak_kernel(choice.value, params, t)
             worst = max(worst, abs(closed - kernel))
         frac = (t - t_i) / (t_f - t_i)
         # half-cycle window: post-selection along -x equals the evolved state,
@@ -119,7 +119,7 @@ def check_reduction_identities() -> CheckResult:
     grid = np.linspace(t_i, params_full.t_f, 101)
     worst_full = np.max(
         np.abs(
-            spin.spin_weak_closed(spin.PostChoice.x_plus(), params_full, grid)
+            spin.spin_weak_closed(spin.PostChoice.X_PLUS, params_full, grid)
             - spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
         )
     )
@@ -127,7 +127,7 @@ def check_reduction_identities() -> CheckResult:
     # projector's weak value reduces to its strong expectation
     params_half = spin.SpinParams(omega, t_i, math.pi)
     grid = np.linspace(t_i, params_half.t_f, 101)
-    w_xplus = spin.spin_weak_closed(spin.PostChoice.x_minus(), params_half, grid)
+    w_xplus = spin.spin_weak_closed(spin.PostChoice.X_MINUS, params_half, grid)
     strong_xm = spin.spin_strong_closed(spin.SpinAxis.X_MINUS, omega, t_i, grid)
     strong_xp = spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
     worst_half = max(
@@ -283,9 +283,9 @@ def check_complement_rule() -> CheckResult:
         params = spin.SpinParams(omega, t_i, t_f)
         u_mid = spin.spin_propagator(omega, t - t_i)
         u_late = spin.spin_propagator(omega, t_f - t)
-        for choice in (spin.PostChoice.y_plus(), spin.PostChoice.x_minus(), spin.PostChoice.x_plus()):
-            q1 = WeakValueQuery(spin.X_PLUS, choice.state, p_xp, t_i, t, t_f)
-            q2 = WeakValueQuery(spin.X_PLUS, choice.state, comp_xp, t_i, t, t_f)
+        for choice in spin.PostChoice:
+            q1 = WeakValueQuery(spin.X_PLUS, choice.value, p_xp, t_i, t, t_f)
+            q2 = WeakValueQuery(spin.X_PLUS, choice.value, comp_xp, t_i, t, t_f)
             total = weak_value(q1, u_mid, u_late) + weak_value(q2, u_mid, u_late)
             worst = max(worst, abs(total - 1.0))
     bath = decay.BathSpec.from_gamma(5, 1.0, 0.2)

@@ -29,9 +29,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_SCENARIO_COMMANDS, "sweep", "check"):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
+        if name != "check":
+            p.add_argument("--config", help="flat key = value config file")
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="override a config key (repeatable)")
         p.add_argument("--out", help="output CSV path")
     return parser
 

@@ -39,14 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    DENOM_FLOOR,
-    Operator,
-    Propagator,
-    StateVector,
-    WeakValueQuery,
-    weak_value,
-)
+from .core import DENOM_FLOOR, Operator, Propagator, StateVector
 from .errors import (
     BeyondRecurrence,
     DegenerateWindow,
@@ -245,19 +238,6 @@ def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.nda
     )
 
 
-def excited_reference_state(bath: BathSpec) -> StateVector:
-    amps = np.zeros(bath.dim, dtype=complex)
-    amps[REFERENCE_SLOT] = 1.0
-    return StateVector(amps)
-
-
-def projector_up(bath: BathSpec) -> Operator:
-    """Projector onto the excited reference atom (all zeros except slot 0)."""
-    m = np.zeros((bath.dim, bath.dim), dtype=complex)
-    m[REFERENCE_SLOT, REFERENCE_SLOT] = 1.0
-    return Operator(m)
-
-
 def u00_limit(gamma: float, t: float) -> complex:
     """Scaling-limit survival amplitude of the excited reference atom."""
     if t < 0:
@@ -338,7 +318,6 @@ class PostKind(enum.Enum):
     SINGLE_PHOTON = "single_photon"
     ASYMPTOTIC_EMISSION = "asymptotic_emission"
     UNDECAYED = "undecayed"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -347,7 +326,6 @@ class PostSpec:
 
     kind: PostKind
     photon_atom: Optional[int] = None
-    custom_state: Optional[StateVector] = None
 
     @classmethod
     def single_photon(cls, atom: int) -> "PostSpec":
@@ -368,10 +346,6 @@ class PostSpec:
     def undecayed(cls) -> "PostSpec":
         return cls(PostKind.UNDECAYED)
 
-    @classmethod
-    def custom(cls, state: StateVector) -> "PostSpec":
-        return cls(PostKind.CUSTOM, custom_state=state)
-
 
 @dataclass(frozen=True)
 class DecayQuery:
@@ -387,20 +361,30 @@ class DecayQuery:
         _check_window(self.t_i, self.t, self.t_f)
         if self.post.kind is PostKind.SINGLE_PHOTON:
             slot_of_atom(self.bath.n_half, self.post.photon_atom)
-        if self.post.kind is PostKind.CUSTOM and self.post.custom_state.dim != self.bath.dim:
-            raise DimensionMismatch("custom post state dimension does not match the bath")
+
+
+def _post_overlap(bath: BathSpec, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
+    """Overlap of the post-selected state with the reference evolved for ``t``.
+
+    Bath states are read in the interaction picture, the convention of the
+    closed forms; the emission state is left unnormalized, since its norm
+    cancels between the numerator and the denominator of a weak value.
+    """
+    if post.kind is PostKind.SINGLE_PHOTON:
+        return interaction_element(bath, post.photon_atom, t)
+    if post.kind is PostKind.ASYMPTOTIC_EMISSION:
+        return _emission_overlap(bath, t)
+    return propagator_element(bath, 0, t)
 
 
 def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     """Finite-bath weak survival value from propagator elements.
 
-    Single-photon and asymptotic-emission post-selections reduce to ratios of
-    interaction-picture elements out of the reference slot, with the free
-    phases applied consistently to numerator and denominator.  The undecayed
-    branch returns the finite-bath counterpart of an identity that is exactly
-    1 in the scaling limit; at finite N it deviates at the band-width level.
-    Custom post-selections delegate to the generic kernel with the
-    excited-reference projector (dense propagators: intended for small baths).
+    Every post-selection gives the ratio
+    ``<f|U(t_f - t)|0> U00(t - t_i) / <f|U(t_f - t_i)|0>`` of overlaps out
+    of the reference slot.  The undecayed one is the finite-bath counterpart
+    of an identity that is exactly 1 in the scaling limit; at finite N it
+    deviates at the band-width level.
 
     ``q.t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated and checked once.
@@ -411,37 +395,11 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
         raise BeyondRecurrence(
             f"window {window} >= half the recurrence time {bath.recurrence_time:.3g}"
         )
-    t1 = q.t - q.t_i
-    t2 = q.t_f - q.t
-
-    if q.post.kind is PostKind.SINGLE_PHOTON:
-        atom = q.post.photon_atom
-        denom = interaction_element(bath, atom, window)
-        if abs(denom) <= DENOM_FLOOR:
-            raise PostSelectionNull(f"overlap with photon atom {atom} below floor")
-        return interaction_element(bath, atom, t2) * propagator_element(bath, 0, t1) / denom
-
-    if q.post.kind is PostKind.ASYMPTOTIC_EMISSION:
-        denom = _emission_overlap(bath, window)
-        if abs(denom) <= DENOM_FLOOR:
-            raise PostSelectionNull("overlap with the asymptotic emission state below floor")
-        return propagator_element(bath, 0, t1) * _emission_overlap(bath, t2) / denom
-
-    if q.post.kind is PostKind.UNDECAYED:
-        denom = propagator_element(bath, 0, window)
-        if abs(denom) <= DENOM_FLOOR:
-            raise PostSelectionNull("survival amplitude over the window below floor")
-        return propagator_element(bath, 0, t2) * propagator_element(bath, 0, t1) / denom
-
-    query = WeakValueQuery(
-        excited_reference_state(bath),
-        q.post.custom_state,
-        projector_up(bath),
-        q.t_i,
-        q.t,
-        q.t_f,
-    )
-    return weak_value(query, bath_propagator(bath, t1), bath_propagator(bath, t2))
+    denom = _post_overlap(bath, q.post, window)
+    if abs(denom) <= DENOM_FLOOR:
+        raise PostSelectionNull(f"overlap with the {q.post.kind.value} post-selection below floor")
+    overlap = _post_overlap(bath, q.post, q.t_f - q.t)
+    return overlap * propagator_element(bath, 0, q.t - q.t_i) / denom
 
 
 def asymptotic_truncation_bound(bath: BathSpec) -> float:

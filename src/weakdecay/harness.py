@@ -27,10 +27,13 @@ from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDeca
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
+# Largest time grid: at this size a spin run peaks near 480 MB and writes an 80 MB CSV.
+MAX_POINTS = 1_000_000
+
 _SPIN_POSTS = {
-    "yplus": spin.PostChoice.y_plus,
-    "xminus": spin.PostChoice.x_minus,
-    "xplus": spin.PostChoice.x_plus,
+    "yplus": spin.PostChoice.Y_PLUS,
+    "xminus": spin.PostChoice.X_MINUS,
+    "xplus": spin.PostChoice.X_PLUS,
 }
 
 
@@ -167,8 +170,8 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     t_end = number("t_end", default=t_f if model != "sums" else 3.0)
     post = merged["post"] or _DEFAULT_POST[model]
 
-    if n_points < 2:
-        problems.append(f"n_points: need at least 2, got {n_points}")
+    if not 2 <= n_points <= MAX_POINTS:
+        problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {n_points}")
     if model == "decay" and not (math.isfinite(t_i) and math.isfinite(t_f) and t_i < t_f):
         problems.append(f"t_i/t_f: need finite t_i < t_f, got ({t_i}, {t_f})")
     if model in ("spin", "decay"):
@@ -251,10 +254,10 @@ def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
 
 
 def _spin_values(config: ScenarioConfig, grid: np.ndarray):
-    choice = _SPIN_POSTS[config.post]()
+    choice = _SPIN_POSTS[config.post]
     params = config.spin_params
     return (
-        spin.spin_weak_kernel(choice.state, params, grid),
+        spin.spin_weak_kernel(choice.value, params, grid),
         spin.spin_weak_closed(choice, params, grid),
     )
 

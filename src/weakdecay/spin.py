@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,13 +41,6 @@ class SpinAxis(enum.Enum):
     Y_MINUS = "y-"
 
 
-class PostTag(enum.Enum):
-    Y_PLUS = "y+"
-    X_MINUS = "x-"
-    X_PLUS = "x+"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class SpinParams:
     """Precession frequency and selection window."""
@@ -67,40 +59,15 @@ class SpinParams:
             raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class PostChoice:
-    """Post-selection choice: one of the three canonical axes or a custom state."""
+class PostChoice(enum.Enum):
+    """Post-selections with a closed-form weak value; each value is the state.
 
-    tag: PostTag
-    custom_state: Optional[StateVector] = None
+    Kept apart from :class:`SpinAxis`: the -y post-selection has no closed form.
+    """
 
-    def __post_init__(self):
-        if self.tag is PostTag.CUSTOM:
-            if self.custom_state is None or self.custom_state.dim != 2:
-                raise ValueError("custom post-selection needs a normalized 2-vector")
-        elif self.custom_state is not None:
-            raise ValueError("only the CUSTOM tag carries a state")
-
-    @classmethod
-    def y_plus(cls) -> "PostChoice":
-        return cls(PostTag.Y_PLUS)
-
-    @classmethod
-    def x_minus(cls) -> "PostChoice":
-        return cls(PostTag.X_MINUS)
-
-    @classmethod
-    def x_plus(cls) -> "PostChoice":
-        return cls(PostTag.X_PLUS)
-
-    @classmethod
-    def custom(cls, state: StateVector) -> "PostChoice":
-        return cls(PostTag.CUSTOM, state)
-
-    @property
-    def state(self) -> StateVector:
-        canonical = {PostTag.Y_PLUS: Y_PLUS, PostTag.X_MINUS: X_MINUS, PostTag.X_PLUS: X_PLUS}
-        return canonical.get(self.tag, self.custom_state)  # type: ignore[return-value]
+    Y_PLUS = Y_PLUS
+    X_MINUS = X_MINUS
+    X_PLUS = X_PLUS
 
 
 def spin_propagator(omega: float, t: float | np.ndarray) -> Propagator:
@@ -157,19 +124,16 @@ def spin_weak_closed(
     Half-angles below: ``a`` for the elapsed interval, ``b`` for the
     remaining interval, ``h`` for the whole window.  The denominator depends
     on the window only, so it is checked once for every time in ``t`` (one
-    time or a 1-D array).  A custom post-selection falls through to the
-    numeric kernel.
+    time or a 1-D array).
     """
     if not np.all((p.t_i <= t) & (t <= p.t_f)):
         raise ValueError(f"need t_i <= t <= t_f, got ({p.t_i}, {t}, {p.t_f})")
-    if choice.tag is PostTag.CUSTOM:
-        return spin_weak_kernel(choice.state, p, t)
     a = 0.5 * p.omega * (t - p.t_i)
     b = 0.5 * p.omega * (p.t_f - t)
     h = 0.5 * p.omega * (p.t_f - p.t_i)
-    if choice.tag is PostTag.X_PLUS:
+    if choice is PostChoice.X_PLUS:
         value = np.cos(a) * np.cos(b) / _nonsingular(math.cos(h))
-    elif choice.tag is PostTag.X_MINUS:
+    elif choice is PostChoice.X_MINUS:
         value = 0.5 - np.sin(a - b) / (2.0 * _nonsingular(math.sin(h)))
     else:
         value = np.cos(a) * (np.cos(b) - np.sin(b)) / _nonsingular(math.cos(h) - math.sin(h))

@@ -47,8 +47,13 @@ class SumParams:
 
     def __post_init__(self):
         problems = []
+        square = self.gamma * self.gamma  # the center term is delta_e / gamma**2
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             problems.append(f"gamma: need a finite value > 0, got {self.gamma}")
+        elif math.isfinite(self.delta_e) and not (
+            0.0 < square < math.inf and math.isfinite(self.delta_e / square)
+        ):
+            problems.append(f"gamma: center term delta_e / gamma**2 is not finite at {self.gamma}")
         if not (math.isfinite(self.delta_e) and self.delta_e > 0):
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
         if not (math.isfinite(self.t) and self.t >= 0):

@@ -11,6 +11,7 @@ from weakdecay import (
     DimensionMismatch,
     PostSpec,
     StateVector,
+    WeakValueQuery,
     asymptotic_final_state,
     asymptotic_truncation_bound,
     atom_of_slot,
@@ -18,10 +19,9 @@ from weakdecay import (
     bath_weak_projector_scan,
     build_hamiltonian,
     default_bath,
-    excited_reference_state,
     interaction_column,
     interaction_element,
-    projector_up,
+    projector_from_state,
     propagator_column,
     propagator_element,
     slot_of_atom,
@@ -31,6 +31,7 @@ from weakdecay import (
     weak_survival_asymptotic_post,
     weak_survival_numeric,
     weak_survival_single_photon,
+    weak_value,
 )
 
 from oracles import ode_interaction_column
@@ -291,22 +292,23 @@ def test_numeric_recurrence_and_degenerate_guards(small_bath):
         weak_survival_numeric(DecayQuery(small_bath, 0.0, 1.0, long_window, post))
 
 
-def test_custom_post_matches_single_photon_up_to_free_phase():
-    # the photon branch works in the interaction picture; a custom state goes
-    # through the bare kernel, so the two differ by the free phase of the
-    # post-selected level over the elapsed time
+@pytest.mark.parametrize(
+    "atom", [1, -1, 3, -3, 0], ids=lambda a: f"photon:{a}" if a else "undecayed"
+)
+def test_dense_kernel_matches_numeric_weak_value(atom):
+    # the generic kernel on dense propagators shares no code with the overlap
+    # ratio; the ratio reads bath states in the interaction picture, so the two
+    # differ by the free phase of the post-selected level over the elapsed time
     bath = BathSpec.from_gamma(5, 1.0, 0.2)
-    atom, t_i, t, t_f = 2, 0.0, 0.7, 1.8
-    amps = np.zeros(bath.dim, dtype=complex)
-    amps[slot_of_atom(bath.n_half, atom)] = 1.0
-    w_custom = weak_survival_numeric(
-        DecayQuery(bath, t_i, t, t_f, PostSpec.custom(StateVector(amps)))
-    )
-    w_photon = weak_survival_numeric(
-        DecayQuery(bath, t_i, t, t_f, PostSpec.single_photon(atom))
-    )
+    t_i, t, t_f = 0.0, 0.7, 1.8
+    reference = StateVector(np.eye(bath.dim)[0])
+    post = StateVector(np.eye(bath.dim)[slot_of_atom(bath.n_half, atom)])
+    query = WeakValueQuery(reference, post, projector_from_state(reference), t_i, t, t_f)
+    w_kernel = weak_value(query, bath_propagator(bath, t - t_i), bath_propagator(bath, t_f - t))
+    spec = PostSpec.single_photon(atom) if atom else PostSpec.undecayed()
+    w_numeric = weak_survival_numeric(DecayQuery(bath, t_i, t, t_f, spec))
     phase = np.exp(1j * atom * bath.delta_e * (t - t_i))
-    assert abs(w_custom - w_photon * phase) <= 1e-10
+    assert abs(w_kernel - w_numeric * phase) <= 1e-10
 
 
 # ---------------------------------------------------------------- asymptotic state
@@ -366,15 +368,6 @@ def test_scan_respects_recurrence_guard():
 
 
 # ---------------------------------------------------------------- helpers
-
-def test_reference_state_and_projector(small_bath):
-    psi0 = excited_reference_state(small_bath)
-    p_up = projector_up(small_bath)
-    assert psi0.amplitudes[0] == 1.0
-    assert np.sum(np.abs(psi0.amplitudes)) == 1.0
-    assert p_up.is_projector()
-    assert np.trace(p_up.entries) == pytest.approx(1.0)
-
 
 def test_survival_error_shrinks_with_bandwidth():
     errors = []

@@ -33,9 +33,9 @@ CASES = {
     "weak_asymptotic": _weak(PostSpec.asymptotic_emission()),
     "weak_undecayed": _weak(PostSpec.undecayed()),
     "spin_kernel": lambda bath, t: spin_weak_kernel(Y_PLUS, SPIN, t),
-    "spin_closed_xplus": lambda bath, t: spin_weak_closed(PostChoice.x_plus(), SPIN, t),
-    "spin_closed_xminus": lambda bath, t: spin_weak_closed(PostChoice.x_minus(), SPIN, t),
-    "spin_closed_yplus": lambda bath, t: spin_weak_closed(PostChoice.y_plus(), SPIN, t),
+    "spin_closed_xplus": lambda bath, t: spin_weak_closed(PostChoice.X_PLUS, SPIN, t),
+    "spin_closed_xminus": lambda bath, t: spin_weak_closed(PostChoice.X_MINUS, SPIN, t),
+    "spin_closed_yplus": lambda bath, t: spin_weak_closed(PostChoice.Y_PLUS, SPIN, t),
 }
 
 

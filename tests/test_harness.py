@@ -59,6 +59,14 @@ def test_build_config_field_diagnostics_accumulate():
     assert "n_half" in text and "delta_e" in text and "post" in text
 
 
+def test_build_config_bounds_the_grid_size():
+    assert harness.build_config({"n_points": str(harness.MAX_POINTS)}).n_points == 10**6
+    for n_points in (1, harness.MAX_POINTS + 1):
+        message = f"n_points: need 2 <= n_points <= 1000000, got {n_points}"
+        with pytest.raises(ConfigInvalid, match=message):
+            harness.build_config({"model": "decay", "n_points": str(n_points)})
+
+
 def test_config_keys_are_the_documented_ones():
     assert set(harness._DEFAULTS) == set(CONFIG_KEYS)
 
@@ -299,6 +307,7 @@ def test_cli_threads_key_is_unknown(capsys):
         (["decay", "--set", "gamma=inf"], "gamma"),
         (["decay", "--set", "gamma=nan"], "gamma"),
         (["decay", "--set", "delta_e=inf"], "delta_e"),
+        (["sums", "--set", "gamma=1e-300", "--set", "k_max=10", "--set", "n_points=2"], "gamma"),
     ],
 )
 def test_cli_non_finite_input_exits_2(argv, field, capsys):
@@ -317,6 +326,8 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
         (["decay", "--set", "n_half=100000"], "n_half: need 1 <= n_half <= 4000"),
         (["sweep", "--set", "levels=100,100000"], "levels: n_half: need 1 <= n_half <= 4000"),
         (["sweep", "--set", "model=spin"], "config model 'spin' conflicts with subcommand 'sweep'"),
+        (["spin", "--set", "n_points=10000000000000000"],
+         "n_points: need 2 <= n_points <= 1000000"),
     ],
 )
 def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
@@ -389,6 +400,18 @@ def test_cli_check_out_writes_one_line_per_check(monkeypatch, tmp_path, capsys):
     ]
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary == {"checks": 3, "passed": 1, "xfail": 1, "failed": 1}
+
+
+@pytest.mark.parametrize("flag", [["--set", "n_half=5"], ["--config", "nope.cfg"]])
+def test_cli_check_takes_no_config(flag, monkeypatch, capsys):
+    def no_battery():
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(checks, "run_battery", no_battery)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["check", *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_nonpositive_level(capsys):

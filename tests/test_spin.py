@@ -38,23 +38,22 @@ def test_params_validation():
 
 
 def test_post_choice_states():
-    assert np.allclose(PostChoice.x_plus().state.amplitudes, X_PLUS.amplitudes)
-    assert np.allclose(PostChoice.x_minus().state.amplitudes, X_MINUS.amplitudes)
-    assert np.allclose(PostChoice.y_plus().state.amplitudes, Y_PLUS.amplitudes)
-    with pytest.raises(ValueError):
-        PostChoice.custom(StateVector(np.array([1.0, 0, 0])))
+    assert [choice.name for choice in PostChoice] == ["Y_PLUS", "X_MINUS", "X_PLUS"]
+    assert np.allclose(PostChoice.X_PLUS.value.amplitudes, X_PLUS.amplitudes)
+    assert np.allclose(PostChoice.X_MINUS.value.amplitudes, X_MINUS.amplitudes)
+    assert np.allclose(PostChoice.Y_PLUS.value.amplitudes, Y_PLUS.amplitudes)
 
 
 def test_weak_closed_trivial_post_selection_value():
     # whole cycle, probed at a quarter of it
     params = SpinParams(1.0, 0.0, 2.0 * math.pi)
-    w = spin_weak_closed(PostChoice.x_plus(), params, 0.5 * math.pi)
+    w = spin_weak_closed(PostChoice.X_PLUS, params, 0.5 * math.pi)
     assert w == pytest.approx(0.5 + 0.0j, abs=1e-12)
 
 
 def test_weak_closed_quarter_cycle_exceeds_one():
     params = SpinParams(1.0, 0.0, 0.5 * math.pi)
-    w = spin_weak_closed(PostChoice.x_plus(), params, 0.25 * math.pi)
+    w = spin_weak_closed(PostChoice.X_PLUS, params, 0.25 * math.pi)
     assert w == pytest.approx(0.5 * (1.0 + math.sqrt(2.0)), abs=1e-12)
 
 
@@ -62,7 +61,7 @@ def test_weak_closed_x_minus_matches_kernel_at_quarter_cycle():
     # the kernel is ground truth for this value (it evaluates to 1/2 here)
     params = SpinParams(1.0, 0.0, 0.5 * math.pi)
     t = 0.25 * math.pi
-    closed = spin_weak_closed(PostChoice.x_minus(), params, t)
+    closed = spin_weak_closed(PostChoice.X_MINUS, params, t)
     kernel = spin_weak_kernel(X_MINUS, params, t)
     assert abs(closed - kernel) <= 1e-12
     assert closed == pytest.approx(0.5 + 0.0j, abs=1e-12)
@@ -106,9 +105,9 @@ def test_closed_forms_match_kernel(rng):
     for _ in range(200):
         omega, t_i, t, t_f = _nonsingular_draw(rng)
         params = SpinParams(omega, t_i, t_f)
-        for choice in (PostChoice.y_plus(), PostChoice.x_minus(), PostChoice.x_plus()):
+        for choice in PostChoice:
             closed = spin_weak_closed(choice, params, t)
-            kernel = spin_weak_kernel(choice.state, params, t)
+            kernel = spin_weak_kernel(choice.value, params, t)
             worst = max(worst, abs(closed - kernel))
     assert worst <= 1e-10
 
@@ -117,7 +116,7 @@ def test_trivial_post_selection_reduction_multiple_cycles():
     for n in (1, 2, 3):
         params = SpinParams(1.0, 0.0, 2.0 * math.pi * n)
         for t in np.linspace(0.0, params.t_f, 41):
-            w = spin_weak_closed(PostChoice.x_plus(), params, t)
+            w = spin_weak_closed(PostChoice.X_PLUS, params, t)
             s = spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, t)
             assert abs(w - s) <= 1e-10
 
@@ -127,19 +126,19 @@ def test_half_cycle_reduction_to_strong_values():
     # cycle, so weak values collapse to strong expectations there
     params = SpinParams(1.0, 0.0, math.pi)
     for t in np.linspace(0.0, math.pi, 41):
-        w_xplus = spin_weak_closed(PostChoice.x_minus(), params, t)
+        w_xplus = spin_weak_closed(PostChoice.X_MINUS, params, t)
         assert abs(w_xplus - spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, t)) <= 1e-10
         assert abs((1.0 - w_xplus) - spin_strong_closed(SpinAxis.X_MINUS, 1.0, 0.0, t)) <= 1e-10
 
 
 def test_quarter_cycle_form_boundaries_and_excess():
     params = SpinParams(1.0, 0.0, 0.5 * math.pi)
-    w_start = spin_weak_closed(PostChoice.x_plus(), params, params.t_i)
-    w_end = spin_weak_closed(PostChoice.x_plus(), params, params.t_f)
+    w_start = spin_weak_closed(PostChoice.X_PLUS, params, params.t_i)
+    w_end = spin_weak_closed(PostChoice.X_PLUS, params, params.t_f)
     assert w_start == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert w_end == pytest.approx(1.0 + 0.0j, abs=1e-12)
     interior = [
-        spin_weak_closed(PostChoice.x_plus(), params, t).real
+        spin_weak_closed(PostChoice.X_PLUS, params, t).real
         for t in np.linspace(0.1, params.t_f - 0.1, 21)
     ]
     assert max(interior) > 1.0 + 1e-6
@@ -152,12 +151,12 @@ def test_complement_rule_every_post_choice(rng):
         omega, t_i, t, t_f = _nonsingular_draw(rng)
         u_mid = spin_propagator(omega, t - t_i)
         u_late = spin_propagator(omega, t_f - t)
-        for choice in (PostChoice.y_plus(), PostChoice.x_minus(), PostChoice.x_plus()):
+        for choice in PostChoice:
             w1 = weak_value(
-                WeakValueQuery(X_PLUS, choice.state, p_xp, t_i, t, t_f), u_mid, u_late
+                WeakValueQuery(X_PLUS, choice.value, p_xp, t_i, t, t_f), u_mid, u_late
             )
             w2 = weak_value(
-                WeakValueQuery(X_PLUS, choice.state, comp, t_i, t, t_f), u_mid, u_late
+                WeakValueQuery(X_PLUS, choice.value, comp, t_i, t, t_f), u_mid, u_late
             )
             assert abs(w1 + w2 - 1.0) <= 1e-10
 
@@ -165,11 +164,11 @@ def test_complement_rule_every_post_choice(rng):
 def test_static_field_reduces_to_overlap_ratios():
     params = SpinParams(0.0, 0.0, 2.0)
     for t in (0.0, 0.7, 2.0):
-        assert spin_weak_closed(PostChoice.x_plus(), params, t) == pytest.approx(1.0, abs=1e-12)
-        assert spin_weak_closed(PostChoice.y_plus(), params, t) == pytest.approx(1.0, abs=1e-12)
+        assert spin_weak_closed(PostChoice.X_PLUS, params, t) == pytest.approx(1.0, abs=1e-12)
+        assert spin_weak_closed(PostChoice.Y_PLUS, params, t) == pytest.approx(1.0, abs=1e-12)
     # -x post-selection is orthogonal to a frozen +x state
     with pytest.raises(ClosedFormSingular):
-        spin_weak_closed(PostChoice.x_minus(), params, 1.0)
+        spin_weak_closed(PostChoice.X_MINUS, params, 1.0)
     with pytest.raises(PostSelectionNull):
         spin_weak_kernel(X_MINUS, params, 1.0)
 
@@ -177,17 +176,10 @@ def test_static_field_reduces_to_overlap_ratios():
 def test_singular_window_raises():
     params = SpinParams(1.0, 0.0, math.pi)  # cos(h) = 0 for the +x form
     with pytest.raises(ClosedFormSingular):
-        spin_weak_closed(PostChoice.x_plus(), params, 0.5)
-
-
-def test_custom_choice_delegates_to_kernel(rng):
-    state = StateVector.normalized(rng.normal(size=2) + 1j * rng.normal(size=2))
-    params = SpinParams(1.1, 0.0, 2.0)
-    w_choice = spin_weak_closed(PostChoice.custom(state), params, 0.8)
-    assert w_choice == spin_weak_kernel(state, params, 0.8)
+        spin_weak_closed(PostChoice.X_PLUS, params, 0.5)
 
 
 def test_out_of_window_time_rejected():
     params = SpinParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        spin_weak_closed(PostChoice.x_plus(), params, 1.5)
+        spin_weak_closed(PostChoice.X_PLUS, params, 1.5)

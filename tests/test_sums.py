@@ -22,6 +22,18 @@ def test_params_validation():
         SumParams(1.0, 0.1, t=-1.0)
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e200])
+def test_params_reject_a_gamma_whose_center_term_is_not_finite(gamma):
+    # gamma**2 underflows to 0 (or delta_e / gamma**2 overflows), or gamma**2 overflows
+    with pytest.raises(ValueError, match="^gamma: center term"):
+        SumParams(gamma, 0.05, k_max=10)
+
+
+def test_params_accept_a_tiny_gamma_with_a_finite_center_term():
+    p = SumParams(1e-150, 0.05, k_max=10)
+    assert math.isfinite(lorentzian_sum(p))
+
+
 def test_single_term_sum():
     p = SumParams(2.0, 0.3, 0.0, k_max=0)
     assert lorentzian_sum(p) == pytest.approx(0.3 / 4.0, abs=1e-15)
