@@ -40,6 +40,7 @@ from .decay import (
     u00_limit,
     un0_limit,
     weak_survival_asymptotic_post,
+    weak_survival_closed,
     weak_survival_numeric,
     weak_survival_single_photon,
 )

@@ -348,7 +348,7 @@ SCAN_BATH = (200, 1.0, 0.05)  # n_half, gamma, delta_e
 SCAN_TIMES = (0.0, 1.0, 2.0)
 
 
-def _scan() -> decay.ProjectorScan:
+def _scan() -> np.ndarray:
     bath = decay.BathSpec.from_gamma(*SCAN_BATH)
     return decay.bath_weak_projector_scan(bath, *SCAN_TIMES)
 
@@ -356,17 +356,15 @@ def _scan() -> decay.ProjectorScan:
 def check_bath_projector_signs() -> CheckResult:
     """C7: the bath scan shows both positive and negative weak values, and the
     sum over all atoms (bath plus reference) closes to 1 exactly."""
-    scan = _scan()
-    ok = (
-        scan.re_min < -1e-9
-        and scan.re_max > 1e-9
-        and abs(scan.total_with_reference - 1.0) <= 1e-10
-    )
+    w = _scan()
+    re_min, re_max = float(np.min(w[1:].real)), float(np.max(w[1:].real))
+    closure = abs(complex(np.sum(w[1:])) + w[0] - 1.0)
+    ok = re_min < -1e-9 and re_max > 1e-9 and closure <= 1e-10
     return CheckResult(
         "bath_projector_signs",
         ok,
-        f"re range [{scan.re_min:.3e}, {scan.re_max:.3e}]; "
-        f"|sum incl. reference - 1| = {abs(scan.total_with_reference - 1.0):.3e} (tol 1e-10)",
+        f"re range [{re_min:.3e}, {re_max:.3e}]; "
+        f"|sum incl. reference - 1| = {closure:.3e} (tol 1e-10)",
     )
 
 
@@ -378,11 +376,11 @@ def check_bath_projector_sum_limit() -> CheckResult:
     deviation 1 - w(P_up), floored near 1e-2 at N=200 for every admissible
     spacing.  Implemented exactly as stated so the gap stays visible.
     """
-    scan = _scan()
+    bath_sum = abs(complex(np.sum(_scan()[1:])))
     return CheckResult(
         "bath_projector_sum_limit",
-        abs(scan.total) <= 1e-6,
-        f"|sum over bath atoms| = {abs(scan.total):.3e} vs requested 1e-6; "
+        bath_sum <= 1e-6,
+        f"|sum over bath atoms| = {bath_sum:.3e} vs requested 1e-6; "
         "finite-bath floor ~3e-2 at N=200 (scaling-limit identity, see README)",
         xfail=True,
     )

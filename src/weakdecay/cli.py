@@ -96,6 +96,8 @@ def _run_sweep(args) -> int:
 
 
 def _run_check(args) -> int:
+    if problems := harness.out_problems(args.out):
+        raise ConfigInvalid(problems)
     results = checks.run_battery()
     lines = []
     for r in results:

@@ -280,6 +280,15 @@ def _check_window(t_i: float, t, t_f: float) -> None:
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
 
 
+def _decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | np.ndarray:
+    """The generalized law ``e^{-gamma (t-t_i)} (1 - e^{x (t_f-t)}) / (1 - e^{x (t_f-t_i)})``."""
+    _check_window(t_i, t, t_f)
+    denom = 1.0 - np.exp(x * (t_f - t_i))
+    if abs(denom) <= DENOM_FLOOR:
+        raise PostSelectionNull("post-selection denominator vanished")
+    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
+
+
 def weak_survival_single_photon(
     gamma: float, e_diff: float, t_i: float, t: float | np.ndarray, t_f: float
 ) -> complex | np.ndarray:
@@ -291,12 +300,7 @@ def weak_survival_single_photon(
     and plain ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.  An array ``t``
     gives one value per time.
     """
-    _check_window(t_i, t, t_f)
-    x = -gamma + 1j * e_diff
-    denom = 1.0 - np.exp(x * (t_f - t_i))
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull("post-selection denominator vanished")
-    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
+    return _decay_law(gamma, -gamma + 1j * e_diff, t_i, t, t_f)
 
 
 def weak_survival_asymptotic_post(
@@ -307,11 +311,7 @@ def weak_survival_asymptotic_post(
     Same boundary values as the single-photon law but with the decay constant
     doubled inside the window factors.  An array ``t`` gives one value per time.
     """
-    _check_window(t_i, t, t_f)
-    denom = 1.0 - np.exp(-2.0 * gamma * (t_f - t_i))
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull("post-selection denominator vanished")
-    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(-2.0 * gamma * (t_f - t))) / denom + 0j
+    return _decay_law(gamma, -2.0 * gamma, t_i, t, t_f) + 0j
 
 
 class PostKind(enum.Enum):
@@ -402,6 +402,17 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     return overlap * propagator_element(bath, 0, q.t - q.t_i) / denom
 
 
+def weak_survival_closed(q: DecayQuery) -> complex | np.ndarray:
+    """Scaling-limit law for the query's post-selection; the undecayed one is identically 1."""
+    gamma = q.bath.gamma
+    if q.post.kind is PostKind.SINGLE_PHOTON:
+        e_diff = q.post.photon_atom * q.bath.delta_e
+        return weak_survival_single_photon(gamma, e_diff, q.t_i, q.t, q.t_f)
+    if q.post.kind is PostKind.ASYMPTOTIC_EMISSION:
+        return weak_survival_asymptotic_post(gamma, q.t_i, q.t, q.t_f)
+    return np.ones(np.shape(q.t), dtype=complex)[()]
+
+
 def asymptotic_truncation_bound(bath: BathSpec) -> float:
     """Lorentzian tail bound on truncating the emission-state sums at ``|n| <= N``."""
     return 2.0 * bath.gamma / (math.pi * bath.n_half * bath.delta_e)
@@ -421,29 +432,16 @@ def asymptotic_final_state(bath: BathSpec) -> StateVector:
     return StateVector.normalized(amps)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorScan:
-    """Per-bath-atom weak values of the single-atom excitation projectors."""
+def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -> np.ndarray:
+    """Weak values of every slot's excitation projector, as a read-only ``(dim,)`` array.
 
-    atoms: np.ndarray
-    values: np.ndarray
-    total: complex
-    re_min: float
-    re_max: float
-    #: total plus the reference-atom weak value; equals 1 to rounding at any
-    #: finite N (completeness of the basis plus propagator composition).
-    total_with_reference: complex
-
-
-def bath_weak_projector_scan(
-    bath: BathSpec, t_i: float, t: float, t_f: float
-) -> ProjectorScan:
-    """Weak values of every bath atom's excitation projector, plus their sum.
-
-    Pre- and post-selection are both the excited reference state.  In the
-    scaling limit the sum over bath atoms cancels exactly, which forces both
-    positive and negative real parts at interior times; at finite N the
-    cancellation is limited by the band width.
+    Slot 0 is the reference atom; the bath atoms follow in slot order (see
+    :meth:`BathSpec.bath_atoms`).  Pre- and post-selection are both the
+    excited reference state.  In the scaling limit the sum over bath atoms
+    cancels exactly, which forces both positive and negative real parts at
+    interior times; at finite N the cancellation is limited by the band
+    width.  The sum over all slots equals 1 to rounding at any finite N
+    (completeness of the basis plus propagator composition).
 
     ``H`` is real, so ``U`` is symmetric and ``<0|U(t_f - t)|n>`` is the
     reference column at ``t_f - t``: each weak value is a product of two
@@ -458,16 +456,5 @@ def bath_weak_projector_scan(
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull(f"survival amplitude over the window {abs(denom):.3e} below floor")
     weak = paths / denom
-    values, w_ref = weak[1:], weak[0]
-    atoms = bath.bath_atoms()
-    total = complex(np.sum(values))
-    values.setflags(write=False)
-    atoms.setflags(write=False)
-    return ProjectorScan(
-        atoms=atoms,
-        values=values,
-        total=total,
-        re_min=float(np.min(values.real)),
-        re_max=float(np.max(values.real)),
-        total_with_reference=total + w_ref,
-    )
+    weak.setflags(write=False)
+    return weak

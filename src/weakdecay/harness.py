@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -29,6 +30,9 @@ CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
 # Largest time grid: at this size a spin run peaks near 480 MB and writes an 80 MB CSV.
 MAX_POINTS = 1_000_000
+
+# Largest lattice-sum job (n_points * k_max terms): ~30 s at ~3e7 terms/s.
+MAX_SUM_TERMS = 10**9
 
 _SPIN_POSTS = {
     "yplus": spin.PostChoice.Y_PLUS,
@@ -174,6 +178,8 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {n_points}")
     if model == "decay" and not (math.isfinite(t_i) and math.isfinite(t_f) and t_i < t_f):
         problems.append(f"t_i/t_f: need finite t_i < t_f, got ({t_i}, {t_f})")
+    elif model == "decay" and not math.isfinite(t_f - t_i):
+        problems.append(f"t_i/t_f: window t_f - t_i overflows at ({t_i}, {t_f})")
     if model in ("spin", "decay"):
         if not (t_i <= t_start <= t_end <= t_f):
             problems.append(
@@ -207,6 +213,7 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     tolerance = number("tolerance", default=default_tol)
     if not (0.0 < tolerance < math.inf):
         problems.append(f"tolerance: need a finite value > 0, got {tolerance}")
+    problems += out_problems(merged["out"])
 
     config = ScenarioConfig(
         model=model,
@@ -226,6 +233,9 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         levels=levels,
         scaling=scaling,
     )
+    terms = config.n_points * config.k_max
+    if model == "sums" and terms > MAX_SUM_TERMS:
+        problems.append(f"k_max: n_points * k_max = {terms} terms, need <= {MAX_SUM_TERMS}")
     for name in _MODEL_OBJECTS[model]:
         try:
             getattr(config, name)
@@ -234,6 +244,14 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     if problems:
         raise ConfigInvalid(problems)
     return config
+
+
+def out_problems(out: Optional[str]) -> list[str]:
+    """An output path is checked before any work: its directory must already exist."""
+    if not out:
+        return []
+    directory = os.path.dirname(out) or "."
+    return [] if os.path.isdir(directory) else [f"out: directory {directory!r} does not exist"]
 
 
 def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
@@ -263,19 +281,8 @@ def _spin_values(config: ScenarioConfig, grid: np.ndarray):
 
 
 def _decay_values(config: ScenarioConfig, grid: np.ndarray):
-    bath, post = config.bath, config.decay_post
-    value = decay.weak_survival_numeric(
-        decay.DecayQuery(bath, config.t_i, grid, config.t_f, post)
-    )
-    if post.kind is decay.PostKind.SINGLE_PHOTON:
-        reference = decay.weak_survival_single_photon(
-            bath.gamma, post.photon_atom * bath.delta_e, config.t_i, grid, config.t_f
-        )
-    elif post.kind is decay.PostKind.ASYMPTOTIC_EMISSION:
-        reference = decay.weak_survival_asymptotic_post(bath.gamma, config.t_i, grid, config.t_f)
-    else:
-        reference = np.ones(grid.shape, dtype=complex)
-    return value, reference
+    q = decay.DecayQuery(config.bath, config.t_i, grid, config.t_f, config.decay_post)
+    return decay.weak_survival_numeric(q), decay.weak_survival_closed(q)
 
 
 def _sums_values(config: ScenarioConfig, grid: np.ndarray):

@@ -55,6 +55,8 @@ class SpinParams:
             problems.append(f"omega: need a finite value, got {self.omega}")
         if not (math.isfinite(self.t_i) and math.isfinite(self.t_f) and self.t_i < self.t_f):
             problems.append(f"t_i/t_f: need finite t_i < t_f, got ({self.t_i}, {self.t_f})")
+        elif not math.isfinite(self.t_f - self.t_i):
+            problems.append(f"t_i/t_f: window t_f - t_i overflows at ({self.t_i}, {self.t_f})")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -56,6 +56,8 @@ class SumParams:
             problems.append(f"gamma: center term delta_e / gamma**2 is not finite at {self.gamma}")
         if not (math.isfinite(self.delta_e) and self.delta_e > 0):
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
+        elif not math.isfinite(self.delta_e * self.delta_e):  # the terms use delta_e**2
+            problems.append(f"delta_e: delta_e**2 is not finite at {self.delta_e}")
         if not (math.isfinite(self.t) and self.t >= 0):
             problems.append(f"t: need a finite value >= 0, got {self.t}")
         if self.k_max < 0:

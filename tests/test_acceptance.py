@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, at the tolerances pinned in
-``weakdecay.checks``.  Each test prints its own pass/fail line so the
-criteria remain legible in captured output; ``weakdecay check`` reports the
-same battery from the command line.
+``weakdecay.checks``.  The battery runs once, through ``weakdecay check``;
+each test asserts its own check's recorded result and prints its pass/fail
+line so the criteria remain legible in captured output.
 
 One sub-criterion (the bath-only projector sum against the scaling-limit
 cancellation at 1e-6) is strictly xfailed: the quantity is a limit-law
@@ -10,58 +10,85 @@ every admissible spacing.  The measured value and the exact finite-bath
 companions are asserted in criterion 7's other tests.
 """
 
+import contextlib
+import io
+from typing import NamedTuple
+
 import pytest
 
 from weakdecay import checks, cli
 
 
-def _report(result: checks.CheckResult):
+class CheckRun(NamedTuple):
+    code: int
+    report: str
+    results: dict[str, checks.CheckResult]
+
+
+@pytest.fixture(scope="module")
+def battery() -> CheckRun:
+    """Run ``weakdecay check`` once, recording what ``checks.run_battery`` returned."""
+    recorded = []
+
+    def recording_battery(run=checks.run_battery):
+        recorded.extend(run())
+        return recorded
+
+    report = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(report):
+        mp.setattr(checks, "run_battery", recording_battery)
+        code = cli.main(["check"])
+    return CheckRun(code, report.getvalue(), {result.name: result for result in recorded})
+
+
+def _report(battery: CheckRun, name: str) -> checks.CheckResult:
+    result = battery.results[name]
     print(f"ACCEPTANCE {result.status}: {result.name} - {result.detail}")
     return result
 
 
-def test_criterion_01_spin_closed_forms_vs_kernel():
-    result = _report(checks.check_spin_closed_forms_vs_kernel())
+def test_criterion_01_spin_closed_forms_vs_kernel(battery):
+    result = _report(battery, "spin_closed_forms_vs_kernel")
     assert result.passed, result.detail
 
 
-def test_criterion_02_reduction_identities():
-    result = _report(checks.check_reduction_identities())
+def test_criterion_02_reduction_identities(battery):
+    result = _report(battery, "reduction_identities")
     assert result.passed, result.detail
 
 
-def test_criterion_03_weak_equals_strong():
-    result = _report(checks.check_weak_equals_strong())
+def test_criterion_03_weak_equals_strong(battery):
+    result = _report(battery, "weak_equals_strong")
     assert result.passed, result.detail
 
 
-def test_criterion_04_exponential_law_recovery():
-    result = _report(checks.check_exponential_law_recovery())
+def test_criterion_04_exponential_law_recovery(battery):
+    result = _report(battery, "exponential_law_recovery")
     assert result.passed, result.detail
 
 
-def test_criterion_05_generalized_decay_laws():
-    result = _report(checks.check_generalized_decay_laws())
+def test_criterion_05_generalized_decay_laws(battery):
+    result = _report(battery, "generalized_decay_laws")
     assert result.passed, result.detail
 
 
-def test_criterion_06_large_window_reduction():
-    result = _report(checks.check_large_window_reduction())
+def test_criterion_06_large_window_reduction(battery):
+    result = _report(battery, "large_window_reduction")
     assert result.passed, result.detail
 
 
-def test_criterion_07_complement_rule():
-    result = _report(checks.check_complement_rule())
+def test_criterion_07_complement_rule(battery):
+    result = _report(battery, "complement_rule")
     assert result.passed, result.detail
 
 
-def test_criterion_07_undecayed_identity():
-    result = _report(checks.check_undecayed_identity())
+def test_criterion_07_undecayed_identity(battery):
+    result = _report(battery, "undecayed_identity")
     assert result.passed, result.detail
 
 
-def test_criterion_07_bath_projector_signs():
-    result = _report(checks.check_bath_projector_signs())
+def test_criterion_07_bath_projector_signs(battery):
+    result = _report(battery, "bath_projector_signs")
     assert result.passed, result.detail
 
 
@@ -71,34 +98,33 @@ def test_criterion_07_bath_projector_signs():
     "floor near 3e-2 at N=200 (equal to one minus the undecayed weak value, whose "
     "exact closure is asserted in the signs test); 1e-6 is unreachable at desk scale",
 )
-def test_criterion_07_bath_projector_sum_limit():
-    result = _report(checks.check_bath_projector_sum_limit())
+def test_criterion_07_bath_projector_sum_limit(battery):
+    result = _report(battery, "bath_projector_sum_limit")
     assert result.passed, result.detail
 
 
-def test_criterion_08_lattice_sum_values():
-    result = _report(checks.check_lattice_sum_values())
+def test_criterion_08_lattice_sum_values(battery):
+    result = _report(battery, "lattice_sum_values")
     assert result.passed, result.detail
 
 
-def test_criterion_08_lattice_sum_convergence_order():
-    result = _report(checks.check_lattice_sum_convergence_order())
+def test_criterion_08_lattice_sum_convergence_order(battery):
+    result = _report(battery, "lattice_sum_convergence_order")
     assert result.passed, result.detail
 
 
-def test_criterion_09_decomposition_identity():
-    result = _report(checks.check_decomposition_identity())
+def test_criterion_09_decomposition_identity(battery):
+    result = _report(battery, "decomposition_identity")
     assert result.passed, result.detail
 
 
-def test_criterion_10_harness_determinism():
-    result = _report(checks.check_harness_determinism())
+def test_criterion_10_harness_determinism(battery):
+    result = _report(battery, "harness_determinism")
     assert result.passed, result.detail
 
 
-def test_criterion_10_check_command_reports_and_exits_zero(capsys):
-    code = cli.main(["check"])
-    out = capsys.readouterr().out
+def test_criterion_10_check_command_reports_and_exits_zero(battery):
+    code, out = battery.code, battery.report
     for fn in checks.ALL_CHECKS:
         name = fn.__name__.removeprefix("check_")
         assert name in out, f"property {name} missing from the check report"

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from weakdecay import (
     u00_limit,
     un0_limit,
     weak_survival_asymptotic_post,
+    weak_survival_closed,
     weak_survival_numeric,
     weak_survival_single_photon,
     weak_value,
@@ -247,6 +249,28 @@ def test_asymptotic_post_large_window_reduces_to_bare_decay():
         assert abs(w - math.exp(-t)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "post, x",
+    [
+        (PostSpec.single_photon(-2), -1.0 - 0.4j),
+        (PostSpec.asymptotic_emission(), -2.0),
+        (PostSpec.undecayed(), None),
+    ],
+    ids=["photon:-2", "asymptotic", "undecayed"],
+)
+def test_closed_law_follows_the_post_selection(post, x):
+    # gamma = 1 and delta_e = 0.2: x = -gamma + i k delta_e for photon k, -2 gamma for emission
+    bath = BathSpec.from_gamma(5, 1.0, 0.2)
+    t_i, t_f = 0.2, 1.7
+    for t in (0.2, 0.9, 1.7):
+        law = weak_survival_closed(DecayQuery(bath, t_i, t, t_f, post))
+        expected = 1.0
+        if x is not None:
+            window = (1 - cmath.exp(x * (t_f - t))) / (1 - cmath.exp(x * (t_f - t_i)))
+            expected = cmath.exp(-(t - t_i)) * window
+        assert abs(law - expected) <= 1e-14
+
+
 # ---------------------------------------------------------------- numeric weak values
 
 def test_post_spec_rejects_reference_slot():
@@ -344,21 +368,22 @@ def test_truncation_bound_value():
 
 def test_scan_all_zero_at_start():
     bath = BathSpec.from_gamma(30, 1.0, 0.2)
-    scan = bath_weak_projector_scan(bath, 0.0, 0.0, 1.5)
-    assert np.max(np.abs(scan.values)) <= 1e-10
+    w = bath_weak_projector_scan(bath, 0.0, 0.0, 1.5)
+    assert w.shape == (bath.dim,) and not w.flags.writeable
+    assert np.max(np.abs(w[1:])) <= 1e-10
 
 
 def test_scan_interior_signs_and_unitarity_closure():
     bath = BathSpec.from_gamma(30, 1.0, 0.2)
-    scan = bath_weak_projector_scan(bath, 0.0, 0.6, 1.5)
-    assert scan.re_min < -1e-9
-    assert scan.re_max > 1e-9
-    assert abs(scan.total_with_reference - 1.0) <= 1e-10
+    w = bath_weak_projector_scan(bath, 0.0, 0.6, 1.5)
+    assert np.min(w[1:].real) < -1e-9
+    assert np.max(w[1:].real) > 1e-9
+    assert abs(np.sum(w) - 1.0) <= 1e-10
     # the bath-only sum equals one minus the undecayed weak value, exactly
     w_undecayed = weak_survival_numeric(
         DecayQuery(bath, 0.0, 0.6, 1.5, PostSpec.undecayed())
     )
-    assert abs(scan.total - (1.0 - w_undecayed)) <= 1e-10
+    assert abs(np.sum(w[1:]) - (1.0 - w_undecayed)) <= 1e-10
 
 
 def test_scan_respects_recurrence_guard():

@@ -13,6 +13,7 @@ from weakdecay import (
     propagator_element,
     spin_weak_closed,
     spin_weak_kernel,
+    weak_survival_closed,
     weak_survival_numeric,
 )
 from weakdecay import decay
@@ -22,8 +23,8 @@ TIMES = np.linspace(0.0, 1.5, 7)
 SPIN = SpinParams(1.3, -0.2, 1.9)
 
 
-def _weak(post):
-    return lambda bath, t: weak_survival_numeric(DecayQuery(bath, 0.0, t, 1.5, post))
+def _weak(post, law=weak_survival_numeric):
+    return lambda bath, t: law(DecayQuery(bath, 0.0, t, 1.5, post))
 
 
 CASES = {
@@ -32,6 +33,9 @@ CASES = {
     "weak_photon": _weak(PostSpec.single_photon(-2)),
     "weak_asymptotic": _weak(PostSpec.asymptotic_emission()),
     "weak_undecayed": _weak(PostSpec.undecayed()),
+    "closed_photon": _weak(PostSpec.single_photon(-2), weak_survival_closed),
+    "closed_asymptotic": _weak(PostSpec.asymptotic_emission(), weak_survival_closed),
+    "closed_undecayed": _weak(PostSpec.undecayed(), weak_survival_closed),
     "spin_kernel": lambda bath, t: spin_weak_kernel(Y_PLUS, SPIN, t),
     "spin_closed_xplus": lambda bath, t: spin_weak_closed(PostChoice.X_PLUS, SPIN, t),
     "spin_closed_xminus": lambda bath, t: spin_weak_closed(PostChoice.X_MINUS, SPIN, t),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdecay import ConfigInvalid
-from weakdecay import checks, cli, decay, harness
+from weakdecay import checks, cli, decay, harness, sums
 
 CONFIG_KEYS = (
     "model", "t_start", "t_end", "n_points", "tolerance", "out", "omega", "t_i", "t_f",
@@ -65,6 +65,16 @@ def test_build_config_bounds_the_grid_size():
         message = f"n_points: need 2 <= n_points <= 1000000, got {n_points}"
         with pytest.raises(ConfigInvalid, match=message):
             harness.build_config({"model": "decay", "n_points": str(n_points)})
+
+
+def test_build_config_bounds_the_lattice_sum_terms():
+    k_max = harness.MAX_SUM_TERMS // 101
+    assert harness.build_config({"model": "sums", "k_max": str(k_max)}).k_max == k_max
+    message = rf"k_max: n_points \* k_max = {101 * (k_max + 1)} terms, need <= 1000000000"
+    with pytest.raises(ConfigInvalid, match=message):
+        harness.build_config({"model": "sums", "k_max": str(k_max + 1)})
+    # the budget is for the sums model only
+    assert harness.build_config({"model": "decay", "k_max": str(10**12)}).k_max == 10**12
 
 
 def test_config_keys_are_the_documented_ones():
@@ -308,6 +318,8 @@ def test_cli_threads_key_is_unknown(capsys):
         (["decay", "--set", "gamma=nan"], "gamma"),
         (["decay", "--set", "delta_e=inf"], "delta_e"),
         (["sums", "--set", "gamma=1e-300", "--set", "k_max=10", "--set", "n_points=2"], "gamma"),
+        (["sums", "--set", "delta_e=1e200", "--set", "t_end=0", "--set", "k_max=10",
+          "--set", "n_points=2"], "delta_e"),
     ],
 )
 def test_cli_non_finite_input_exits_2(argv, field, capsys):
@@ -328,6 +340,10 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
         (["sweep", "--set", "model=spin"], "config model 'spin' conflicts with subcommand 'sweep'"),
         (["spin", "--set", "n_points=10000000000000000"],
          "n_points: need 2 <= n_points <= 1000000"),
+        (["decay", "--set", "t_i=-1e308", "--set", "t_f=1e308"],
+         "t_i/t_f: window t_f - t_i overflows"),
+        (["spin", "--set", "t_i=-1e308", "--set", "t_f=1e308", "--set", "t_start=0",
+          "--set", "t_end=1"], "t_i/t_f: window t_f - t_i overflows"),
     ],
 )
 def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
@@ -339,6 +355,43 @@ def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys
     captured = capsys.readouterr()
     assert f"config error: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_cli_sums_beyond_the_term_budget_exits_2_before_summing(monkeypatch, capsys):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a lattice sum ran for invalid input")
+
+    monkeypatch.setattr(sums, "phased_lorentzian_sum", no_sum)
+    assert cli.main(["sums", "--set", "k_max=100000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: k_max: n_points * k_max = 10100000000000000 terms" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda out: ["spin", "--set", "n_points=3", "--out", out],
+        lambda out: ["sweep", "--set", f"out={out}"],
+        lambda out: ["check", "--out", out],
+    ],
+    ids=["spin-out", "sweep-out-key", "check-out"],
+)
+def test_cli_out_into_a_missing_directory_exits_2_before_any_work(
+    argv, tmp_path, monkeypatch, capsys
+):
+    def no_work(*args):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_scenario", no_work)
+    monkeypatch.setattr(harness, "convergence_sweep", no_work)
+    monkeypatch.setattr(checks, "run_battery", no_work)
+    missing = tmp_path / "missing"
+    assert cli.main(argv(str(missing / "out.csv"))) == 2
+    captured = capsys.readouterr()
+    assert f"config error: out: directory {str(missing)!r} does not exist" in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 def _set_args(sets):

@@ -35,6 +35,8 @@ def test_params_validation():
         SpinParams(float("inf"), 0.0, 1.0)
     with pytest.raises(ValueError):
         SpinParams(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="t_i/t_f: window t_f - t_i overflows"):
+        SpinParams(1.0, -1e308, 1e308)
 
 
 def test_post_choice_states():

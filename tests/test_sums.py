@@ -20,6 +20,8 @@ def test_params_validation():
         SumParams(1.0, -0.1)
     with pytest.raises(ValueError):
         SumParams(1.0, 0.1, t=-1.0)
+    with pytest.raises(ValueError, match=r"^delta_e: delta_e\*\*2 is not finite"):
+        SumParams(1.0, 1e200)
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e200])
