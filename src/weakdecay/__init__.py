@@ -28,7 +28,6 @@ from .decay import (
     asymptotic_truncation_bound,
     bath_propagator,
     bath_weak_projector_scan,
-    build_hamiltonian,
     default_bath,
     interaction_column,
     interaction_element,

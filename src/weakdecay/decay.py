@@ -4,8 +4,11 @@ The model: a reference atom, initially excited, is coupled with equal real
 strength ``H`` to ``2N`` bath atoms whose excitation energies are equispaced
 with spacing ``delta_e`` and symmetric about the reference energy (which is
 set to zero).  Restricted to the single-excitation sector the Hamiltonian is
-a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix; one symmetric
-eigendecomposition per bath serves every evolution time.
+a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix.  Its spectrum comes
+from the secular equation in O(N) per bath (eigenvalues plus the weights
+``v_0k^2`` of the reference atom) and serves every evolution time: a
+reference element costs O(N) per time, a whole bath column one product
+with an ``N x N`` Cauchy kernel.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -35,23 +38,23 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DENOM_FLOOR, Operator, Propagator, StateVector
+from .core import DENOM_FLOOR, Propagator, StateVector
 from .errors import (
     BeyondRecurrence,
     DegenerateWindow,
     DimensionMismatch,
-    EigenFailure,
     PostSelectionNull,
 )
 
 REFERENCE_SLOT = 0
 
-# Largest N: one dense eigh of the (2N+1)^2 arrowhead peaks near 5 * dim^2 * 8
-# bytes, ~2.6 GB and ~90 s at this cap (298 GiB at N = 100000).
+# Largest N.  The spectrum (~20 ms here) and survival (O(N) per time) would
+# allow far more, but columns, emission overlaps and projector scans are
+# O(N^2) per time: one 101-point emission grid takes ~0.3 s at this cap.
 MAX_N_HALF = 4000
 
 
@@ -80,6 +83,12 @@ class BathSpec:
             problems.append(f"coupling: need a finite value >= 0, got {self.coupling}")
         if problems:
             raise ValueError("; ".join(problems))
+        ratio = self.coupling / self.delta_e
+        if not math.isfinite(ratio * ratio):  # g of the secular equation
+            raise ValueError(
+                "coupling/delta_e: (coupling / delta_e)**2 overflows at "
+                f"({self.coupling}, {self.delta_e})"
+            )
         object.__setattr__(self, "gamma", math.pi * self.coupling**2 / self.delta_e)
 
     @classmethod
@@ -111,7 +120,7 @@ class BathSpec:
 
 
 def default_bath(n_half: int = 2000, gamma: float = 1.0, delta_e: float = 0.05) -> BathSpec:
-    """Desk-scale bath: a 4001-level eigenproblem solvable in seconds.
+    """Desk-scale bath: 4001 levels, whose spectrum takes milliseconds.
 
     The default spacing keeps the band width ``2 N delta_e`` at 200 gamma so
     that finite-band transients sit well below the percent level, while the
@@ -139,49 +148,167 @@ def atom_of_slot(n_half: int, slot: int) -> int:
     return slot - n_half - 1 if slot <= n_half else slot - n_half
 
 
-def _arrowhead(bath: BathSpec) -> np.ndarray:
-    dim = bath.dim
-    m = np.zeros((dim, dim))
-    m[0, 1:] = bath.coupling
-    m[1:, 0] = bath.coupling
-    diag = np.arange(1, dim)
-    m[diag, diag] = bath.bath_atoms() * bath.delta_e
-    return m
+class _Spectrum(NamedTuple):
+    """Positive half of the arrowhead spectrum; the negative half mirrors it.
+
+    Root ``j`` sits at ``x_j = cell_j + offset_j`` in units of ``delta_e``:
+    eigenvalue ``lam_j = x_j * delta_e`` with reference weight
+    ``weight_j = v_0j^2``, and ``-lam_j`` carries the same weight.  The
+    exact root 0 carries ``weight0``.  ``scale`` is ``H / delta_e``, or 0
+    for a decoupled bath.
+    """
+
+    cell: np.ndarray
+    offset: np.ndarray
+    lam: np.ndarray
+    weight: np.ndarray
+    weight0: float
+    scale: float
+
+    @property
+    def root(self) -> np.ndarray:
+        """``x_j = lam_j / delta_e``, summed from cell and offset."""
+        return self.cell + self.offset
 
 
-def build_hamiltonian(bath: BathSpec) -> Operator:
-    """Single-excitation Hamiltonian: arrowhead with the reference at slot 0."""
-    return Operator(_arrowhead(bath).astype(complex))
+# Cap on bisection steps; about 64 reach the last bit of any offset.
+_MAX_BISECTIONS = 128
+
+
+def _bisect(secular, hi: np.ndarray) -> np.ndarray:
+    """Offsets in ``(0, hi]`` where the increasing ``secular`` changes sign, to the last bit.
+
+    Midpoints are geometric while a bracket spans more than a factor 4, so an
+    offset far below 1 (a root next to its pole at weak coupling) still comes
+    out to full relative precision.
+    """
+    lo = np.full_like(hi, np.finfo(float).tiny)
+    for _ in range(_MAX_BISECTIONS):
+        mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        below = secular(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi
 
 
 @functools.lru_cache(maxsize=8)
-def _eigensystem(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        lam, vec = np.linalg.eigh(_arrowhead(bath))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenFailure(f"symmetric eigensolver failed for {bath}") from exc
-    lam.setflags(write=False)
-    vec.setflags(write=False)
-    return lam, vec
+def _spectrum(bath: BathSpec) -> _Spectrum:
+    """Eigenvalues and reference weights of the arrowhead from its secular equation, O(dim).
+
+    With ``x = lambda / delta_e`` and ``g = (H / delta_e)^2`` the eigenvalues
+    solve ``x = g S(x)``, ``S(x) = sum_{0<|n|<=N} 1/(x - n)``: the exact
+    root 0, one root in each cell ``(n, n+1)`` for ``1 <= n < N``, one
+    outer root beyond ``N``, and their mirror images.  Inside a cell
+    ``x = n + s`` and
+
+        S = pi cot(pi s) - 1/x - [psi(N+1-x) - psi(N+1+x)],
+
+    so the cotangent keeps full precision; the outer root uses the direct
+    sum.  The weights are ``1 / (1 + g sum_n 1/(x - n)^2)``, whose sum has
+    the closed form ``pi^2 csc^2(pi s) - 1/x^2 - psi1(N+1-x) - psi1(N+1+x)``
+    and is ``2 sum_{n<=N} 1/n^2`` at ``x = 0``.
+    """
+    # imported here: at module level scipy.special would slow every process down
+    from scipy.special import psi, zeta
+
+    n_half = bath.n_half
+    scale = bath.coupling / bath.delta_e
+    g = scale * scale
+    cell = np.arange(1.0, n_half + 1.0)
+    if g == 0.0:  # decoupled: U00 = 1 and U_n0 = 0
+        none = np.zeros(n_half)
+        return _frozen(_Spectrum(cell, none, cell * bath.delta_e, none, 1.0, 0.0))
+
+    inner = cell[:-1]
+    below, above = (n_half + 1.0) - inner, (n_half + 1.0) + inner
+
+    def inner_secular(s):
+        x = inner + s
+        return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi(below - s) - psi(above + s)))
+
+    # outer root x = N + s: x - n and x + n for n = 1..N are these gaps plus s
+    gaps = np.concatenate([np.arange(float(n_half)), np.arange(n_half + 1.0, 2.0 * n_half + 1.0)])
+
+    def outer_secular(s):
+        return (n_half + s) - g * np.sum(1.0 / (gaps + s[:, None]), axis=-1)
+
+    # overflow to inf near a pole keeps the sign the bisection needs
+    with np.errstate(over="ignore"):
+        s_in = _bisect(inner_secular, np.ones(n_half - 1))
+        # S(x) <= 2 N x / (x^2 - N^2) bounds the outer root by sqrt(N^2 + 2 N g)
+        r = math.sqrt(2.0 * n_half) * math.sqrt(g)
+        s_out = _bisect(outer_secular, np.array([r * (r / (math.hypot(n_half, r) + n_half))]))
+        # g / d^2 as (scale / d)^2, so a tiny offset does not underflow;
+        # the Hurwitz zeta(2, a) is psi1(a)
+        x_in = inner + s_in
+        gsq_in = (scale * math.pi / np.sin(math.pi * s_in)) ** 2
+        gsq_in -= g * (1.0 / x_in**2 + zeta(2, below - s_in) + zeta(2, above + s_in))
+        gsq_out = np.sum((scale / (gaps + s_out)) ** 2)
+    offset = np.append(s_in, s_out)
+    weight = 1.0 / (1.0 + np.append(gsq_in, gsq_out))
+    weight0 = 1.0 / (1.0 + g * 2.0 * np.sum(1.0 / cell**2))
+    return _frozen(_Spectrum(cell, offset, (cell + offset) * bath.delta_e, weight, weight0, scale))
+
+
+def _frozen(spec: _Spectrum) -> _Spectrum:
+    for part in spec[:4]:
+        part.setflags(write=False)
+    return spec
+
+
+def _pair_kernel(spec: _Spectrum, atoms: np.ndarray) -> np.ndarray:
+    """The chirally paired Cauchy kernel ``1 / (x_j^2 - m^2)``, roots down, atoms across.
+
+    Pairing the roots ``+-x_j`` (``x = lam / delta_e``) and the atoms ``+-m``
+    folds ``H v_0k^2 / (lam_k - E_m)`` over the whole spectrum into
+
+        U_m0(t) = H/delta_e [-weight0/m + sum_j 2 weight_j K_jm
+                             (m cos(lam_j t) - i x_j sin(lam_j t))],
+
+    so ``Re U_m0`` is odd and ``Im U_m0`` even in ``m``.  The denominator is
+    taken from the offsets as ``(cell^2 - m^2) + offset (2 cell + offset)``,
+    an exact integer plus a term as precise as the offset, not from
+    ``lam_j - E_m`` in floats, which cancels for a root next to its pole.
+    """
+    kernel = np.subtract.outer(spec.cell**2, atoms**2)
+    kernel += (spec.offset * (2.0 * spec.cell + spec.offset))[:, None]
+    return np.reciprocal(kernel, out=kernel)
+
+
+def _eigenvectors(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues and the ``dim x dim`` eigenvectors ``v_mk = H v_0k / (lam_k - E_m)``."""
+    spec = _spectrum(bath)
+    cell = np.concatenate([[0.0], spec.cell, -spec.cell])
+    offset = np.concatenate([[0.0], spec.offset, -spec.offset])
+    lam = np.concatenate([[0.0], spec.lam, -spec.lam])
+    v0 = np.sqrt(np.concatenate([[spec.weight0], spec.weight, spec.weight]))
+    denom = (cell - bath.bath_atoms()[:, None]) + offset
+    if spec.scale == 0.0:  # decoupled: each bath level is an eigenvector
+        rows = (denom == 0.0).astype(float)
+    else:
+        rows = spec.scale * v0 / denom
+    return lam, np.vstack([v0, rows])
 
 
 def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
-    """Dense Schroedinger propagator ``exp(-iHt)`` via eigendecomposition.
+    """Dense Schroedinger propagator ``exp(-iHt)`` from the secular eigenvectors.
 
     Builds (and unitarity-checks) the full ``dim x dim`` matrix, one per time
     for an array ``t``, which costs O(dim^3) each; use
     :func:`propagator_column` / :func:`propagator_element` for large baths
     when only amplitudes out of the reference slot are needed.
     """
-    lam, vec = _eigensystem(bath)
+    lam, vec = _eigenvectors(bath)
     phase = np.multiply.outer(t, lam)[..., None, :]
     cos_part = (vec * np.cos(phase)) @ vec.T
     sin_part = (vec * np.sin(phase)) @ vec.T
     return Propagator(cos_part - 1j * sin_part, t)
 
 
-# Largest (times x eigenvalues) block of phases formed at once, so a long
-# time grid on a large bath does not need memory in proportion to both.
+# Largest block of (times x roots) phases or (roots x atoms) kernel entries
+# formed at once, so memory grows with neither a long grid nor a large bath.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -198,13 +325,29 @@ def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
     """Column ``U[:, 0](t)``: amplitudes evolved out of the excited reference.
 
     An array ``t`` gives one column per time, shape ``t.shape + (dim,)``.
+    The ``T`` times cost one real ``2T x N x N`` product with the paired
+    Cauchy kernel (see :func:`_pair_kernel`), formed in blocks of atoms.
     """
-    lam, vec = _eigensystem(bath)
-    w = vec[REFERENCE_SLOT, :]
-    phase = np.multiply.outer(t, lam)
-    re = (w * np.cos(phase)) @ vec.T
-    im = (w * np.sin(phase)) @ vec.T
-    return re - 1j * im
+    spec = _spectrum(bath)
+    t = np.asarray(t, dtype=float)
+    phase = np.multiply.outer(t.reshape(-1), spec.lam)
+    n, times = bath.n_half, len(phase)
+    column = np.zeros((times, bath.dim), dtype=complex)
+    cos = np.cos(phase)
+    column[:, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
+    if spec.scale:
+        weight = 2.0 * spec.scale * spec.weight
+        waves = np.concatenate([cos * weight, np.sin(phase) * (weight * spec.root)])
+        atoms = np.arange(1.0, n + 1.0)
+        sums = np.empty((2 * times, n))
+        step = max(1, _BLOCK_ENTRIES // n)
+        for lo in range(0, n, step):
+            sums[:, lo : lo + step] = waves @ _pair_kernel(spec, atoms[lo : lo + step])
+        re = atoms * sums[:times] - spec.scale * spec.weight0 / atoms
+        im = sums[times:]
+        column[:, n + 1 :] = re - 1j * im  # atoms 1..N
+        column[:, n:0:-1] = -re - 1j * im  # atoms -1..-N
+    return column.reshape(t.shape + (bath.dim,))
 
 
 def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
@@ -215,11 +358,23 @@ def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
 
 def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per time."""
-    lam, vec = _eigensystem(bath)
-    w = vec[slot_of_atom(bath.n_half, atom), :] * vec[REFERENCE_SLOT, :]
-    return _over_time_blocks(
-        t, bath.dim, lambda times: np.sum(w * np.exp(-1j * lam * times), axis=-1)
-    )
+    spec = _spectrum(bath)
+    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch outside the bath
+    zeros = np.zeros(bath.n_half)
+    if atom == 0:
+        constant, odd, even = spec.weight0, 2.0 * spec.weight, zeros
+    elif spec.scale == 0.0:  # decoupled
+        constant, odd, even = 0.0, zeros, zeros
+    else:
+        kernel = _pair_kernel(spec, np.array([float(atom)]))[:, 0]
+        weight = 2.0 * spec.scale * spec.weight * kernel
+        constant, odd, even = -spec.scale * spec.weight0 / atom, atom * weight, weight * spec.root
+
+    def block(times):
+        phase = times * spec.lam
+        return constant + np.cos(phase) @ odd - 1j * (np.sin(phase) @ even)
+
+    return _over_time_blocks(t, bath.n_half, block)
 
 
 def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:

@@ -24,6 +24,9 @@ from .core import Propagator, StateVector, WeakValueQuery, projector_from_state,
 from .errors import ClosedFormSingular
 
 _SINGULAR_TOL = 1e-12
+# Largest half-window phase: near 2**52 the spacing of floats reaches one
+# radian, so the closed forms' cos and sin of it mean nothing.
+MAX_PHASE = 4.5e15
 
 X_PLUS = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
 X_MINUS = StateVector(np.array([1.0, -1.0]) / math.sqrt(2.0))
@@ -57,6 +60,11 @@ class SpinParams:
             problems.append(f"t_i/t_f: need finite t_i < t_f, got ({self.t_i}, {self.t_f})")
         elif not math.isfinite(self.t_f - self.t_i):
             problems.append(f"t_i/t_f: window t_f - t_i overflows at ({self.t_i}, {self.t_f})")
+        elif 0.5 * abs(self.omega) > MAX_PHASE / (self.t_f - self.t_i):
+            problems.append(
+                f"omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds {MAX_PHASE:g}"
+                f" at omega={self.omega}, window {self.t_f - self.t_i}"
+            )
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -18,7 +18,6 @@ from weakdecay import (
     atom_of_slot,
     bath_propagator,
     bath_weak_projector_scan,
-    build_hamiltonian,
     default_bath,
     interaction_column,
     interaction_element,
@@ -35,8 +34,9 @@ from weakdecay import (
     weak_survival_single_photon,
     weak_value,
 )
+from weakdecay import decay
 
-from oracles import ode_interaction_column
+from oracles import build_hamiltonian, dense_eigensystem, ode_interaction_column
 
 
 # ---------------------------------------------------------------- BathSpec & layout
@@ -57,6 +57,8 @@ def test_spec_validation():
         BathSpec(5, -0.1, 0.1)
     with pytest.raises(ValueError):
         BathSpec(5, 0.1, -0.1)
+    with pytest.raises(ValueError, match="coupling/delta_e"):
+        BathSpec(5, 1e-300, 1e10)  # the secular equation's (H / delta_e)^2 overflows
 
 
 def test_spec_caps_the_dense_dimension():
@@ -151,6 +153,22 @@ def test_interaction_phase_convention(small_bath):
         phase = np.exp(1j * atom * small_bath.delta_e * t)
         assert icol[s] == pytest.approx(phase * col[s], abs=1e-12)
         assert interaction_element(small_bath, atom, t) == pytest.approx(icol[s], abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1.0, 1e3])
+@pytest.mark.parametrize("n_half", [1, 5, 10, 200])
+def test_secular_spectrum_matches_dense_eigh(n_half, gamma):
+    bath = BathSpec.from_gamma(n_half, gamma, 0.05)
+    spec = decay._spectrum(bath)
+    lam = np.concatenate([[0.0], spec.lam, -spec.lam])
+    weight = np.concatenate([[spec.weight0], spec.weight, spec.weight])
+    order = np.argsort(lam)
+    dense_lam, vec = dense_eigensystem(bath)
+    assert np.max(np.abs(lam[order] - dense_lam)) <= 1e-12
+    assert np.max(np.abs(weight[order] - vec[0] ** 2)) <= 1e-12
+    for t in (0.3, 1.7):
+        dense_column = (vec * np.exp(-1j * dense_lam * t)) @ vec[0]
+        assert np.max(np.abs(propagator_column(bath, t) - dense_column)) <= 1e-12
 
 
 def test_ode_oracle_small_bath():

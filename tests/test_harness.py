@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -344,17 +348,42 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
          "t_i/t_f: window t_f - t_i overflows"),
         (["spin", "--set", "t_i=-1e308", "--set", "t_f=1e308", "--set", "t_start=0",
           "--set", "t_end=1"], "t_i/t_f: window t_f - t_i overflows"),
+        (["spin", "--set", "omega=1e300", "--set", "t_f=1e10", "--set", "n_points=3"],
+         "omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds 4.5e+15"),
+        (["spin", "--set", "omega=1e308", "--set", "t_f=10", "--set", "n_points=3"],
+         "omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds 4.5e+15"),
+        (["decay", "--set", "gamma=10", "--set", "delta_e=1e-308"],
+         "coupling/delta_e: (coupling / delta_e)**2 overflows"),
     ],
 )
 def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
     def no_solve(*args):
         raise AssertionError("a spectrum was solved for invalid input")
 
-    monkeypatch.setattr(decay, "_eigensystem", no_solve)
+    monkeypatch.setattr(decay, "_spectrum", no_solve)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert f"config error: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_bath_free_runs_never_import_scipy(tmp_path):
+    # scipy.special is imported only when a bath spectrum is solved, so spin and
+    # sums processes do not pay for its import time and memory
+    code = (
+        "import sys\n"
+        "import weakdecay.cli as cli\n"
+        f"cli.main(['spin', '--set', 'n_points=5', '--out', {str(tmp_path / 'spin.csv')!r}])\n"
+        "cli.main(['sums', '--set', 'k_max=1000', '--set', 'n_points=3',"
+        f" '--out', {str(tmp_path / 'sums.csv')!r}])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "spin.csv").exists() and (tmp_path / "sums.csv").exists()
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_sums_beyond_the_term_budget_exits_2_before_summing(monkeypatch, capsys):
