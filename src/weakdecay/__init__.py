@@ -24,7 +24,6 @@ from .decay import (
     BathSpec,
     DecayQuery,
     PostSpec,
-    asymptotic_final_state,
     asymptotic_truncation_bound,
     bath_propagator,
     bath_weak_projector_scan,
@@ -34,7 +33,6 @@ from .decay import (
     propagator_column,
     propagator_element,
     slot_of_atom,
-    atom_of_slot,
     survival_probability,
     u00_limit,
     un0_limit,
@@ -50,7 +48,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateWindow,
     DimensionMismatch,
-    EigenFailure,
     NotHermitian,
     NotNormalized,
     PostSelectionNull,

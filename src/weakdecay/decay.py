@@ -6,9 +6,10 @@ with spacing ``delta_e`` and symmetric about the reference energy (which is
 set to zero).  Restricted to the single-excitation sector the Hamiltonian is
 a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix.  Its spectrum comes
 from the secular equation in O(N) per bath (eigenvalues plus the weights
-``v_0k^2`` of the reference atom) and serves every evolution time: a
-reference element costs O(N) per time, a whole bath column one product
-with an ``N x N`` Cauchy kernel.
+``v_0k^2`` of the reference atom), and one routine turns it into every
+amplitude out of the reference at any set of times: ``T`` times onto ``M``
+atom pairs cost one real ``2T x N x M`` product with a paired Cauchy
+kernel, so an element costs O(N) and a whole bath column O(N^2) per time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -42,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DENOM_FLOOR, Propagator, StateVector
+from .core import DENOM_FLOOR, Propagator
 from .errors import (
     BeyondRecurrence,
     DegenerateWindow,
@@ -139,15 +140,6 @@ def slot_of_atom(n_half: int, atom: int) -> int:
     return atom + n_half + 1 if atom < 0 else atom + n_half
 
 
-def atom_of_slot(n_half: int, slot: int) -> int:
-    """Inverse of :func:`slot_of_atom`."""
-    if not 0 <= slot <= 2 * n_half:
-        raise DimensionMismatch(f"slot {slot} outside [0, {2 * n_half}]")
-    if slot == REFERENCE_SLOT:
-        return 0
-    return slot - n_half - 1 if slot <= n_half else slot - n_half
-
-
 class _Spectrum(NamedTuple):
     """Positive half of the arrowhead spectrum; the negative half mirrors it.
 
@@ -164,11 +156,6 @@ class _Spectrum(NamedTuple):
     weight: np.ndarray
     weight0: float
     scale: float
-
-    @property
-    def root(self) -> np.ndarray:
-        """``x_j = lam_j / delta_e``, summed from cell and offset."""
-        return self.cell + self.offset
 
 
 # Cap on bisection steps; about 64 reach the last bit of any offset.
@@ -277,8 +264,15 @@ def _pair_kernel(spec: _Spectrum, atoms: np.ndarray) -> np.ndarray:
     return np.reciprocal(kernel, out=kernel)
 
 
-def _eigenvectors(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues and the ``dim x dim`` eigenvectors ``v_mk = H v_0k / (lam_k - E_m)``."""
+def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
+    """Dense Schroedinger propagator ``exp(-iHt)`` from the secular eigenvectors.
+
+    The eigenvectors are ``v_mk = H v_0k / (lam_k - E_m)`` over all ``dim``
+    eigenvalues.  Builds (and unitarity-checks) the full ``dim x dim``
+    matrix, one per time for an array ``t``, which costs O(dim^3) each; use
+    :func:`propagator_column` / :func:`propagator_element` for large baths
+    when only amplitudes out of the reference slot are needed.
+    """
     spec = _spectrum(bath)
     cell = np.concatenate([[0.0], spec.cell, -spec.cell])
     offset = np.concatenate([[0.0], spec.offset, -spec.offset])
@@ -289,36 +283,66 @@ def _eigenvectors(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
         rows = (denom == 0.0).astype(float)
     else:
         rows = spec.scale * v0 / denom
-    return lam, np.vstack([v0, rows])
-
-
-def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
-    """Dense Schroedinger propagator ``exp(-iHt)`` from the secular eigenvectors.
-
-    Builds (and unitarity-checks) the full ``dim x dim`` matrix, one per time
-    for an array ``t``, which costs O(dim^3) each; use
-    :func:`propagator_column` / :func:`propagator_element` for large baths
-    when only amplitudes out of the reference slot are needed.
-    """
-    lam, vec = _eigenvectors(bath)
+    vec = np.vstack([v0, rows])
     phase = np.multiply.outer(t, lam)[..., None, :]
     cos_part = (vec * np.cos(phase)) @ vec.T
     sin_part = (vec * np.sin(phase)) @ vec.T
     return Propagator(cos_part - 1j * sin_part, t)
 
 
-# Largest block of (times x roots) phases or (roots x atoms) kernel entries
-# formed at once, so memory grows with neither a long grid nor a large bath.
+# Largest block of entries formed at once (times x roots phases, roots x atoms
+# kernels, times x slots emission columns): memory grows with neither grid nor bath.
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _over_time_blocks(t, width: int, block_fn) -> complex | np.ndarray:
-    """Map blocks of the times in ``t`` (as ``(b, 1)`` columns) to one value per time."""
-    t = np.asarray(t, dtype=float)
-    times = t.reshape(-1, 1)
+def _blocks(count: int, width: int) -> list[slice]:
+    """Slices over ``count`` rows of ``width`` entries, each holding at most ``_BLOCK_ENTRIES``."""
     step = max(1, _BLOCK_ENTRIES // width)
-    blocks = [block_fn(times[s : s + step]) for s in range(0, max(len(times), 1), step)]
-    return np.concatenate(blocks).reshape(t.shape)[()]
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
+    """Amplitudes out of the reference onto atom 0 and ``+-m`` for the ``M`` magnitudes ``atoms``.
+
+    One row per time, laid out like slots (the bath column for ``atoms = 1..N``).
+    ``T`` times cost one real ``2T x N x M`` product with :func:`_pair_kernel`
+    for the halves ``U[+-m, 0] = +-re - i im``.  With ``interaction`` they are
+    ``e^{+i E_m t} U[m, 0]``: the free phases of ``+-m`` are conjugates, so one
+    real ``cos``/``sin`` pair over ``m delta_e t`` serves both.
+    """
+    spec = _spectrum(bath)
+    times = np.asarray(t, dtype=float).reshape(-1)
+    m = len(atoms)
+    sums = np.zeros((2, len(times), m))
+    column = np.empty((len(times), 2 * m + 1), dtype=complex)
+    weight = 2.0 * spec.scale * spec.weight
+    root_weight = weight * (spec.cell + spec.offset)
+    for rows in _blocks(len(times), bath.n_half):
+        phase = np.multiply.outer(times[rows], spec.lam)
+        cos = np.cos(phase)
+        column[rows, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
+        if not (spec.scale and m):  # decoupled: U_m0 = 0
+            continue
+        waves = np.concatenate([cos * weight, np.sin(phase) * root_weight])
+        for cols in _blocks(m, bath.n_half):
+            block = waves @ _pair_kernel(spec, atoms[cols])
+            sums[:, rows, cols] = block.reshape(2, len(phase), -1)
+    re = atoms * sums[0] - spec.scale * spec.weight0 / atoms
+    im = sums[1]
+    if interaction:
+        free = np.multiply.outer(times, atoms * bath.delta_e)
+        cos, sin = np.cos(free), np.sin(free)
+        re, im = cos * re + sin * im, cos * im - sin * re
+    column[:, m + 1 :] = re - 1j * im  # +m, ascending
+    column[:, m:0:-1] = -re - 1j * im  # -m, descending
+    return column.reshape(np.shape(t) + (2 * m + 1,))
+
+
+def _element(bath: BathSpec, atom: int, t, interaction: bool) -> complex | np.ndarray:
+    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch outside the bath
+    pair = _amplitudes(bath, np.array([abs(atom)] if atom else [], dtype=float), t, interaction)
+    # the atom's slot among the reference, -|atom| and +|atom|
+    return pair[..., slot_of_atom(1, int(np.sign(atom)))][()]
 
 
 def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
@@ -326,71 +350,34 @@ def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
 
     An array ``t`` gives one column per time, shape ``t.shape + (dim,)``.
     The ``T`` times cost one real ``2T x N x N`` product with the paired
-    Cauchy kernel (see :func:`_pair_kernel`), formed in blocks of atoms.
+    Cauchy kernel (see :func:`_pair_kernel`).
     """
-    spec = _spectrum(bath)
-    t = np.asarray(t, dtype=float)
-    phase = np.multiply.outer(t.reshape(-1), spec.lam)
-    n, times = bath.n_half, len(phase)
-    column = np.zeros((times, bath.dim), dtype=complex)
-    cos = np.cos(phase)
-    column[:, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
-    if spec.scale:
-        weight = 2.0 * spec.scale * spec.weight
-        waves = np.concatenate([cos * weight, np.sin(phase) * (weight * spec.root)])
-        atoms = np.arange(1.0, n + 1.0)
-        sums = np.empty((2 * times, n))
-        step = max(1, _BLOCK_ENTRIES // n)
-        for lo in range(0, n, step):
-            sums[:, lo : lo + step] = waves @ _pair_kernel(spec, atoms[lo : lo + step])
-        re = atoms * sums[:times] - spec.scale * spec.weight0 / atoms
-        im = sums[times:]
-        column[:, n + 1 :] = re - 1j * im  # atoms 1..N
-        column[:, n:0:-1] = -re - 1j * im  # atoms -1..-N
-    return column.reshape(t.shape + (bath.dim,))
+    return _amplitudes(bath, np.arange(1.0, bath.n_half + 1.0), t, interaction=False)
 
 
 def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
     """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per time in ``t``."""
-    energies = np.concatenate([[0.0], bath.bath_atoms() * bath.delta_e])
-    return np.exp(1j * np.multiply.outer(t, energies)) * propagator_column(bath, t)
+    return _amplitudes(bath, np.arange(1.0, bath.n_half + 1.0), t, interaction=True)
 
 
 def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per time."""
-    spec = _spectrum(bath)
-    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch outside the bath
-    zeros = np.zeros(bath.n_half)
-    if atom == 0:
-        constant, odd, even = spec.weight0, 2.0 * spec.weight, zeros
-    elif spec.scale == 0.0:  # decoupled
-        constant, odd, even = 0.0, zeros, zeros
-    else:
-        kernel = _pair_kernel(spec, np.array([float(atom)]))[:, 0]
-        weight = 2.0 * spec.scale * spec.weight * kernel
-        constant, odd, even = -spec.scale * spec.weight0 / atom, atom * weight, weight * spec.root
-
-    def block(times):
-        phase = times * spec.lam
-        return constant + np.cos(phase) @ odd - 1j * (np.sin(phase) @ even)
-
-    return _over_time_blocks(t, bath.n_half, block)
+    return _element(bath, atom, t, interaction=False)
 
 
 def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``."""
-    phase = np.exp(1j * atom * bath.delta_e * np.asarray(t))
-    return phase * propagator_element(bath, atom, t)
+    return _element(bath, atom, t, interaction=True)
 
 
 def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots."""
     weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
-    return _over_time_blocks(
-        t,
-        bath.dim,
-        lambda times: np.sum(weights * interaction_column(bath, times[:, 0])[:, 1:], axis=-1),
-    )
+    times = np.asarray(t, dtype=float).reshape(-1)
+    overlap = np.empty(len(times), dtype=complex)
+    for rows in _blocks(len(times), bath.dim):
+        overlap[rows] = np.sum(weights * interaction_column(bath, times[rows])[:, 1:], axis=-1)
+    return overlap.reshape(np.shape(t))[()]
 
 
 def u00_limit(gamma: float, t: float) -> complex:
@@ -542,7 +529,7 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     deviates at the band-width level.
 
     ``q.t`` may be a 1-D array of times, giving one value per time; the
-    window-level denominator is evaluated and checked once.
+    window-level denominator is evaluated with the grid and checked once.
     """
     bath = q.bath
     window = q.t_f - q.t_i
@@ -550,11 +537,11 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
         raise BeyondRecurrence(
             f"window {window} >= half the recurrence time {bath.recurrence_time:.3g}"
         )
-    denom = _post_overlap(bath, q.post, window)
+    overlap = _post_overlap(bath, q.post, np.append(window, q.t_f - np.asarray(q.t)))
+    denom = overlap[0]
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull(f"overlap with the {q.post.kind.value} post-selection below floor")
-    overlap = _post_overlap(bath, q.post, q.t_f - q.t)
-    return overlap * propagator_element(bath, 0, q.t - q.t_i) / denom
+    return overlap[1:].reshape(np.shape(q.t)) * propagator_element(bath, 0, q.t - q.t_i) / denom
 
 
 def weak_survival_closed(q: DecayQuery) -> complex | np.ndarray:
@@ -571,20 +558,6 @@ def weak_survival_closed(q: DecayQuery) -> complex | np.ndarray:
 def asymptotic_truncation_bound(bath: BathSpec) -> float:
     """Lorentzian tail bound on truncating the emission-state sums at ``|n| <= N``."""
     return 2.0 * bath.gamma / (math.pi * bath.n_half * bath.delta_e)
-
-
-def asymptotic_final_state(bath: BathSpec) -> StateVector:
-    """State the decayed system approaches at late times.
-
-    Its overlap row against basis slot ``n`` is proportional to
-    ``i H / (gamma + i n delta_e)``; the ket components stored here are the
-    conjugates of that row.  Reference component zero, normalized after
-    truncation to the 2N bath slots.
-    """
-    amps = np.zeros(bath.dim, dtype=complex)
-    atoms = bath.bath_atoms()
-    amps[1:] = -1j * bath.coupling / (bath.gamma - 1j * atoms * bath.delta_e)
-    return StateVector.normalized(amps)
 
 
 def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -> np.ndarray:
@@ -606,7 +579,7 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
     if (t_f - t_i) >= bath.recurrence_guard:
         raise BeyondRecurrence("selection window beyond the recurrence guard")
-    paths = propagator_column(bath, t_f - t) * propagator_column(bath, t - t_i)
+    paths = np.prod(propagator_column(bath, np.array([t_f - t, t - t_i])), axis=0)
     denom = complex(np.sum(paths))
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull(f"survival amplitude over the window {abs(denom):.3e} below floor")

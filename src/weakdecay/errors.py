@@ -33,10 +33,6 @@ class ClosedFormSingular(WeakDecayError):
     """A closed-form weak value hits a vanishing post-selection denominator."""
 
 
-class EigenFailure(WeakDecayError):
-    """The symmetric eigensolver did not converge."""
-
-
 class BeyondRecurrence(WeakDecayError):
     """Requested time is beyond the finite bath's recurrence guard.
 

@@ -10,12 +10,11 @@ from weakdecay import (
     DecayQuery,
     DegenerateWindow,
     DimensionMismatch,
+    PostSelectionNull,
     PostSpec,
     StateVector,
     WeakValueQuery,
-    asymptotic_final_state,
     asymptotic_truncation_bound,
-    atom_of_slot,
     bath_propagator,
     bath_weak_projector_scan,
     default_bath,
@@ -71,16 +70,11 @@ def test_spec_caps_the_dense_dimension():
 
 def test_slot_bijection_round_trip():
     n = 7
-    atoms = [0] + [k for k in range(-n, n + 1) if k != 0]
-    slots = [slot_of_atom(n, a) for a in atoms]
-    assert sorted(slots) == list(range(2 * n + 1))
+    atoms = BathSpec(n, 0.1, 0.1).bath_atoms()
     assert slot_of_atom(n, 0) == 0
-    for a, s in zip(atoms, slots):
-        assert atom_of_slot(n, s) == a
+    assert [slot_of_atom(n, a) for a in atoms] == list(range(1, 2 * n + 1))
     with pytest.raises(DimensionMismatch):
         slot_of_atom(n, n + 1)
-    with pytest.raises(DimensionMismatch):
-        atom_of_slot(n, 2 * n + 1)
 
 
 def test_hamiltonian_smallest_bath():
@@ -113,6 +107,17 @@ def test_decoupled_bath_never_decays():
     assert np.max(np.abs(u.matrix - np.diag(expected))) <= 1e-12
 
 
+def test_decoupled_bath_amplitudes_stay_in_the_reference():
+    bath = BathSpec(4, 0.5, 0.0)
+    times = np.array([0.0, 0.3, 2.0])
+    assert np.array_equal(propagator_column(bath, times), np.tile(np.eye(bath.dim)[0], (3, 1)))
+    for atom in (-3, -1, 1, 3):
+        assert np.all(interaction_element(bath, atom, times) == 0.0)
+    query = DecayQuery(bath, 0.0, times, 2.0, PostSpec.asymptotic_emission())
+    with pytest.raises(PostSelectionNull):
+        weak_survival_numeric(query)
+
+
 # ---------------------------------------------------------------- propagator
 
 def test_propagator_at_zero_is_identity(small_bath):
@@ -142,6 +147,23 @@ def test_column_and_element_match_dense(small_bath):
     for atom in (0, -3, 5):
         s = slot_of_atom(small_bath.n_half, atom)
         assert propagator_element(small_bath, atom, t) == pytest.approx(dense[s, 0], abs=1e-12)
+
+
+def test_weak_value_and_scan_form_the_kernel_once(small_bath, monkeypatch):
+    calls = []
+    kernel = decay._pair_kernel
+
+    def counted(spec, atoms):
+        calls.append(len(atoms))
+        return kernel(spec, atoms)
+
+    monkeypatch.setattr(decay, "_pair_kernel", counted)
+    times = np.linspace(0.0, 1.5, 7)
+    weak_survival_numeric(DecayQuery(small_bath, 0.0, times, 1.5, PostSpec.asymptotic_emission()))
+    assert calls == [small_bath.n_half]
+    calls.clear()
+    bath_weak_projector_scan(small_bath, 0.0, 0.6, 1.5)
+    assert calls == [small_bath.n_half]
 
 
 def test_interaction_phase_convention(small_bath):
@@ -355,23 +377,12 @@ def test_dense_kernel_matches_numeric_weak_value(atom):
 
 # ---------------------------------------------------------------- asymptotic state
 
-def test_asymptotic_state_structure():
-    bath = BathSpec.from_gamma(50, 1.0, 0.2)
-    state = asymptotic_final_state(bath)
-    amps = state.amplitudes
-    assert amps[0] == 0.0
-    assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-12
-    for k in (1, 7, 33):
-        s_plus = slot_of_atom(bath.n_half, k)
-        s_minus = slot_of_atom(bath.n_half, -k)
-        assert abs(amps[s_plus]) == pytest.approx(abs(amps[s_minus]), abs=1e-14)
-
-
 def test_asymptotic_state_attracts_evolution():
+    # the late-time state's overlap row is proportional to 1 / (gamma + i n delta_e)
     bath = default_bath()
-    state = asymptotic_final_state(bath)
+    row = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
     evolved = interaction_column(bath, 10.0)
-    overlap = abs(np.vdot(state.amplitudes, evolved))
+    overlap = abs(np.sum(row * evolved[1:])) / np.linalg.norm(row)
     assert overlap >= 0.99
 
 

@@ -291,15 +291,15 @@ def test_cli_tolerance_breach_exits_1(capsys):
 
 
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
-    from weakdecay.errors import EigenFailure
+    from weakdecay.errors import PostSelectionNull
 
     def boom(config):
-        raise EigenFailure("synthetic solver breakdown")
+        raise PostSelectionNull("synthetic numerical breakdown")
 
     monkeypatch.setattr(harness, "run_scenario", boom)
     code = cli.main(["spin", "--set", "n_points=5"])
     assert code == 3
-    assert "EigenFailure" in capsys.readouterr().err
+    assert "PostSelectionNull" in capsys.readouterr().err
 
 
 def test_cli_threads_flag_is_gone(capsys):
