@@ -68,7 +68,6 @@ from .sums import (
     lorentzian_sum,
     phased_closed_form,
     phased_lorentzian_sum,
-    suggested_k_max,
     tail_bound,
 )
 

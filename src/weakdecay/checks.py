@@ -391,11 +391,11 @@ def check_lattice_sum_values() -> CheckResult:
     worst_rel = 0.0
     details = []
     for g in (1.0, 2.0):
-        val = sums.lorentzian_sum(sums.SumParams(g, 0.01, 0.0, 10**6))
+        val = sums.lorentzian_sum(sums.SumParams(g, 0.01, k_max=10**6))
         err = abs(val - math.pi / g)
         worst_rel = max(worst_rel, err / (math.pi / g))
         details.append(f"plain(g={g}): err {err:.2e}")
-    val = sums.phased_lorentzian_sum(sums.SumParams(1.0, 0.01, 1.0, 10**6))
+    val = sums.phased_lorentzian_sum(sums.SumParams(1.0, 0.01, k_max=10**6), 1.0)
     err = abs(val - math.pi * math.exp(-1.0))
     worst_rel = max(worst_rel, err / math.pi)
     details.append(f"phased(t=1): err {err:.2e}, imag {abs(val.imag):.1e}")
@@ -417,8 +417,8 @@ def check_lattice_sum_convergence_order() -> CheckResult:
     errs = []
     for j in range(5):
         de = 0.01 / 2**j
-        params = sums.SumParams(g, de, t, int(round(200.0 / de)))
-        val = sums.phased_lorentzian_sum(params, include_center=False)
+        params = sums.SumParams(g, de, k_max=int(round(200.0 / de)))
+        val = sums.phased_lorentzian_sum(params, t, include_center=False)
         errs.append(abs(val - math.pi / g * math.exp(-g * t)))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     ok = all(1.5 <= r <= 2.5 for r in ratios)

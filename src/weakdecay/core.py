@@ -13,7 +13,8 @@ part explicitly when they want one.
 
 Everything here is a pure function of immutable values: state vectors,
 operators and propagators wrap read-only arrays, so any value can be shared
-freely.  Propagators and weak values broadcast over a leading time axis.
+freely.  Time is an argument, not a field: propagators and weak values
+broadcast over a leading time axis.
 Natural units (hbar = 1) throughout.
 """
 
@@ -39,7 +40,6 @@ DENOM_FLOOR = 1e-12
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
 BASIS_TOL = 1e-10
 
 
@@ -108,55 +108,35 @@ class Operator:
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
-    def is_projector(self, tol: float = PROJECTOR_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries @ self.entries - self.entries)) <= tol)
-
 
 @dataclass(frozen=True, eq=False)
 class Propagator:
-    """Unitary evolution operator tagged with its time argument.
+    """Unitary evolution operator, or a ``(n, dim, dim)`` stack of them, one per time.
 
-    ``duration`` is the time the matrix propagates over; the adjoint
-    propagates over ``-duration`` (time reversal of a unitary evolution).
-    A leading time axis is allowed: a ``(n, dim, dim)`` stack with ``n``
-    durations holds one propagator per time, each checked for unitarity.
+    Every slice of a stack is checked for unitarity.
     """
 
     matrix: np.ndarray
-    duration: float | np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, copy=True)
-        duration = np.array(self.duration, dtype=float, copy=True)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise DimensionMismatch(f"propagator must be a square matrix, got shape {m.shape}")
-        if duration.shape != m.shape[:-2]:
-            raise DimensionMismatch(
-                f"{duration.size} durations for a propagator stack of shape {m.shape}"
-            )
         gram = np.swapaxes(m, -1, -2).conj() @ m
         defect = float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
         if defect > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max|U^H U - 1| = {defect:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(
-            self, "duration", float(duration) if duration.ndim == 0 else _readonly(duration)
-        )
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    def adjoint(self) -> "Propagator":
-        return Propagator(np.swapaxes(self.matrix, -1, -2).conj(), -self.duration)
 
-    def compose(self, earlier: "Propagator") -> "Propagator":
-        """Return the propagator applying ``earlier`` first, then ``self``."""
-        if earlier.dim != self.dim:
-            raise DimensionMismatch(
-                f"cannot compose propagators of dimension {self.dim} and {earlier.dim}"
-            )
-        return Propagator(self.matrix @ earlier.matrix, self.duration + earlier.duration)
+def check_window(t_i: float, t: float | np.ndarray, t_f: float) -> None:
+    """Raise ValueError unless ``t_i <= t <= t_f`` for every time in ``t``."""
+    if not np.all((t_i <= t) & (t <= t_f)):
+        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +151,7 @@ class WeakValueQuery:
     t_f: float
 
     def __post_init__(self):
-        if not np.all((self.t_i <= self.t) & (self.t <= self.t_f)):
-            raise ValueError(f"need t_i <= t <= t_f, got ({self.t_i}, {self.t}, {self.t_f})")
+        check_window(self.t_i, self.t, self.t_f)
         dims = {self.pre.dim, self.post.dim, self.observable.dim}
         if len(dims) != 1:
             raise DimensionMismatch(f"pre/post/observable dimensions differ: {sorted(dims)}")

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DENOM_FLOOR, Propagator
+from .core import DENOM_FLOOR, Propagator, check_window
 from .errors import (
     BeyondRecurrence,
     DegenerateWindow,
@@ -287,7 +287,7 @@ def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
     phase = np.multiply.outer(t, lam)[..., None, :]
     cos_part = (vec * np.cos(phase)) @ vec.T
     sin_part = (vec * np.sin(phase)) @ vec.T
-    return Propagator(cos_part - 1j * sin_part, t)
+    return Propagator(cos_part - 1j * sin_part)
 
 
 # Largest block of entries formed at once (times x roots phases, roots x atoms
@@ -418,8 +418,7 @@ def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.nd
 def _check_window(t_i: float, t, t_f: float) -> None:
     if t_f == t_i:
         raise DegenerateWindow("t_f must differ from t_i")
-    if not np.all((t_i <= t) & (t <= t_f)):
-        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+    check_window(t_i, t, t_f)
 
 
 def _decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | np.ndarray:
@@ -575,8 +574,7 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
     reference column at ``t_f - t``: each weak value is a product of two
     columns over their sum, the window's survival amplitude.
     """
-    if not (t_i <= t <= t_f):
-        raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+    check_window(t_i, t, t_f)
     if (t_f - t_i) >= bath.recurrence_guard:
         raise BeyondRecurrence("selection window beyond the recurrence guard")
     paths = np.prod(propagator_column(bath, np.array([t_f - t, t - t_i])), axis=0)

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Propagator, StateVector, WeakValueQuery, projector_from_state, weak_value
+from .core import (
+    Propagator,
+    StateVector,
+    WeakValueQuery,
+    check_window,
+    projector_from_state,
+    weak_value,
+)
 from .errors import ClosedFormSingular
 
 _SINGULAR_TOL = 1e-12
@@ -86,7 +93,7 @@ def spin_propagator(omega: float, t: float | np.ndarray) -> Propagator:
     m = np.zeros(phase.shape + (2, 2), dtype=complex)
     m[..., 0, 0] = np.exp(1j * phase)
     m[..., 1, 1] = np.exp(-1j * phase)
-    return Propagator(m, t)
+    return Propagator(m)
 
 
 def spin_strong_closed(
@@ -136,8 +143,7 @@ def spin_weak_closed(
     on the window only, so it is checked once for every time in ``t`` (one
     time or a 1-D array).
     """
-    if not np.all((p.t_i <= t) & (t <= p.t_f)):
-        raise ValueError(f"need t_i <= t <= t_f, got ({p.t_i}, {t}, {p.t_f})")
+    check_window(p.t_i, t, p.t_f)
     a = 0.5 * p.omega * (t - p.t_i)
     b = 0.5 * p.omega * (p.t_f - t)
     h = 0.5 * p.omega * (p.t_f - p.t_i)

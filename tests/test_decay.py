@@ -129,14 +129,14 @@ def test_propagator_unitarity_and_reversal(small_bath):
     for t in (0.3, 1.7):
         u = bath_propagator(small_bath, t)  # construction enforces unitarity
         back = bath_propagator(small_bath, -t)
-        assert np.max(np.abs(u.adjoint().matrix - back.matrix)) <= 1e-10
+        assert np.max(np.abs(u.matrix.conj().T - back.matrix)) <= 1e-10
 
 
 def test_propagator_composition(small_bath):
     u1 = bath_propagator(small_bath, 0.4)
     u2 = bath_propagator(small_bath, 1.1)
     u12 = bath_propagator(small_bath, 1.5)
-    assert np.max(np.abs(u1.compose(u2).matrix - u12.matrix)) <= 1e-10
+    assert np.max(np.abs(u1.matrix @ u2.matrix - u12.matrix)) <= 1e-10
 
 
 def test_column_and_element_match_dense(small_bath):
@@ -413,6 +413,14 @@ def test_scan_interior_signs_and_unitarity_closure():
         DecayQuery(bath, 0.0, 0.6, 1.5, PostSpec.undecayed())
     )
     assert abs(np.sum(w[1:]) - (1.0 - w_undecayed)) <= 1e-10
+
+
+def test_scan_window_checks():
+    bath = BathSpec.from_gamma(5, 1.0, 1.0)
+    w = bath_weak_projector_scan(bath, 0.5, 0.5, 0.5)  # a zero window is no error here
+    assert w[0] == pytest.approx(1.0, abs=1e-12) and np.max(np.abs(w[1:])) <= 1e-12
+    with pytest.raises(ValueError, match=r"^need t_i <= t <= t_f"):
+        bath_weak_projector_scan(bath, 0.0, 2.0, 1.5)
 
 
 def test_scan_respects_recurrence_guard():

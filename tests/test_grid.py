@@ -8,7 +8,9 @@ from weakdecay import (
     PostChoice,
     PostSpec,
     SpinParams,
+    SumParams,
     interaction_column,
+    phased_lorentzian_sum,
     propagator_column,
     propagator_element,
     spin_weak_closed,
@@ -40,6 +42,7 @@ CASES = {
     "spin_closed_xplus": lambda bath, t: spin_weak_closed(PostChoice.X_PLUS, SPIN, t),
     "spin_closed_xminus": lambda bath, t: spin_weak_closed(PostChoice.X_MINUS, SPIN, t),
     "spin_closed_yplus": lambda bath, t: spin_weak_closed(PostChoice.Y_PLUS, SPIN, t),
+    "lattice_sum": lambda bath, t: phased_lorentzian_sum(SumParams(1.0, 0.05, k_max=3000), t),
 }
 
 

@@ -188,6 +188,20 @@ def test_sums_scenario():
     assert result.passed
 
 
+def test_sums_scenario_sums_the_grid_in_one_call(monkeypatch):
+    calls = []
+    lattice_sum = sums.phased_lorentzian_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lattice_sum(*args, **kwargs)
+
+    monkeypatch.setattr(sums, "phased_lorentzian_sum", counted)
+    cfg = harness.build_config({"model": "sums", "k_max": "20000", "n_points": "7"})
+    assert harness.run_scenario(cfg).passed
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- output format
 
 def test_csv_header_and_determinism():

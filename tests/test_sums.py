@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from weakdecay import (
@@ -8,7 +9,6 @@ from weakdecay import (
     lorentzian_sum,
     phased_closed_form,
     phased_lorentzian_sum,
-    suggested_k_max,
     tail_bound,
 )
 
@@ -18,10 +18,11 @@ def test_params_validation():
         SumParams(0.0, 0.1)
     with pytest.raises(ValueError):
         SumParams(1.0, -0.1)
-    with pytest.raises(ValueError):
-        SumParams(1.0, 0.1, t=-1.0)
     with pytest.raises(ValueError, match=r"^delta_e: delta_e\*\*2 is not finite"):
         SumParams(1.0, 1e200)
+    for times in (-1.0, np.array([0.5, -1.0]), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="^t: need finite times >= 0"):
+            phased_lorentzian_sum(SumParams(1.0, 0.1), times)
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e200])
@@ -37,21 +38,21 @@ def test_params_accept_a_tiny_gamma_with_a_finite_center_term():
 
 
 def test_single_term_sum():
-    p = SumParams(2.0, 0.3, 0.0, k_max=0)
+    p = SumParams(2.0, 0.3, k_max=0)
     assert lorentzian_sum(p) == pytest.approx(0.3 / 4.0, abs=1e-15)
 
 
 def test_plain_sum_reaches_limit():
-    p = SumParams(1.0, 0.01, 0.0, 10**6)
+    p = SumParams(1.0, 0.01, k_max=10**6)
     assert abs(lorentzian_sum(p) - math.pi) <= 0.001
-    p2 = SumParams(2.0, 0.01, 0.0, 10**6)
+    p2 = SumParams(2.0, 0.01, k_max=10**6)
     assert abs(lorentzian_sum(p2) - math.pi / 2.0) <= 0.001
 
 
 def test_plain_sum_matches_term_by_term_fsum():
     g, de, k_max = 0.7, 0.03, 5000
     terms = [de / (g * g + k * k * de * de) for k in range(-k_max, k_max + 1)]
-    p = SumParams(g, de, 0.0, k_max)
+    p = SumParams(g, de, k_max)
     assert lorentzian_sum(p) == pytest.approx(math.fsum(terms), rel=1e-14)
     assert lorentzian_sum(p, include_center=False) == pytest.approx(
         math.fsum(terms) - de / g**2, rel=1e-14
@@ -59,31 +60,31 @@ def test_plain_sum_matches_term_by_term_fsum():
 
 
 def test_phased_reduces_to_plain_at_zero_time():
-    p = SumParams(1.3, 0.05, 0.0, 10**4)
-    assert phased_lorentzian_sum(p) == pytest.approx(lorentzian_sum(p), abs=1e-14)
+    p = SumParams(1.3, 0.05, k_max=10**4)
+    assert phased_lorentzian_sum(p, 0.0) == pytest.approx(lorentzian_sum(p), abs=1e-14)
 
 
 def test_phased_sum_reaches_damped_limit():
     for t in (1.0, 3.0):
-        p = SumParams(1.0, 0.01, t, 10**6)
-        val = phased_lorentzian_sum(p)
+        p = SumParams(1.0, 0.01, k_max=10**6)
+        val = phased_lorentzian_sum(p, t)
         assert abs(val - math.pi * math.exp(-t)) <= 0.005
         assert abs(val.imag) <= 1e-6
 
 
 def test_symmetric_truncation_kills_imaginary_part():
-    p = SumParams(0.7, 0.2, 2.3, 10**4)
-    val = phased_lorentzian_sum(p)
+    p = SumParams(0.7, 0.2, k_max=10**4)
+    val = phased_lorentzian_sum(p, 2.3)
     assert val.imag == 0.0  # paired accumulation cancels exactly
 
 
 def test_truncated_sum_matches_closed_form_within_tail():
     for (g, de, t) in ((1.0, 0.5, 0.3), (2.0, 0.2, 1.0), (1.0, 0.1, 2.0)):
-        p = SumParams(g, de, t, int(3000 / de))
-        numeric = phased_lorentzian_sum(p)
+        p = SumParams(g, de, k_max=int(3000 / de))
+        numeric = phased_lorentzian_sum(p, t)
         closed = phased_closed_form(g, de, t)
         assert abs(numeric - closed) <= tail_bound(p.k_max, de)
-    p0 = SumParams(1.0, 0.5, 0.0, 6000)
+    p0 = SumParams(1.0, 0.5, k_max=6000)
     assert abs(lorentzian_sum(p0) - lorentzian_closed_form(1.0, 0.5)) <= tail_bound(6000, 0.5)
 
 
@@ -96,8 +97,8 @@ def test_convergence_is_first_order_without_center_term():
     errs = []
     for j in range(4):
         de = 0.01 / 2**j
-        p = SumParams(1.0, de, 1.0, int(round(200.0 / de)))
-        val = phased_lorentzian_sum(p, include_center=False)
+        p = SumParams(1.0, de, k_max=int(round(200.0 / de)))
+        val = phased_lorentzian_sum(p, 1.0, include_center=False)
         errs.append(abs(val - math.pi * math.exp(-1.0)))
     for a, b in zip(errs, errs[1:]):
         assert 1.5 <= a / b <= 2.5
@@ -105,14 +106,11 @@ def test_convergence_is_first_order_without_center_term():
 
 def test_center_term_is_the_first_order_deficit():
     de = 0.02
-    p = SumParams(1.0, de, 1.0, int(round(200.0 / de)))
-    with_center = phased_lorentzian_sum(p)
-    without = phased_lorentzian_sum(p, include_center=False)
+    p = SumParams(1.0, de, k_max=int(round(200.0 / de)))
+    with_center = phased_lorentzian_sum(p, 1.0)
+    without = phased_lorentzian_sum(p, 1.0, include_center=False)
     assert (with_center - without).real == pytest.approx(de, abs=1e-12)
 
 
-def test_tail_bound_and_suggestion_round_trip():
+def test_tail_bound():
     assert tail_bound(1000, 0.01) == pytest.approx(0.2)
-    k = suggested_k_max(0.01, 1e-3)
-    assert tail_bound(k, 0.01) <= 1e-3
-    assert tail_bound(k - 1, 0.01) > 1e-3
