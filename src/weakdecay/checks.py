@@ -191,17 +191,11 @@ def check_weak_equals_strong() -> CheckResult:
     )
 
 
-SWEEP_LEVELS = (250, 500, 1000, 2000)
-SWEEP_DELTA_E = 0.1
-
-
 def check_exponential_law_recovery() -> CheckResult:
     """C4: survival matches e^{-2 gamma t} at N=2000 and improves with N, within 60 s."""
     start = time.perf_counter()
-    base = harness.build_config(
-        {"model": "decay", "t_end": "4.0", "t_f": "4.0", "delta_e": str(SWEEP_DELTA_E)}
-    )
-    sweep = harness.convergence_sweep(base, SWEEP_LEVELS)
+    config = harness.build_config({"model": "sweep"})
+    sweep = harness.convergence_sweep(config)
     elapsed = time.perf_counter() - start
     errs = [r.max_abs_error for r in sweep.rows]
     ok = (
@@ -210,7 +204,7 @@ def check_exponential_law_recovery() -> CheckResult:
         and sweep.trend == "decreasing"
         and elapsed <= 60.0
     )
-    err_text = ", ".join(f"N={n}: {e:.4f}" for n, e in zip(SWEEP_LEVELS, errs))
+    err_text = ", ".join(f"N={n}: {e:.4f}" for n, e in zip(config.levels, errs))
     return CheckResult(
         "exponential_law_recovery",
         ok,

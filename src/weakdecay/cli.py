@@ -1,15 +1,15 @@
 """Command-line harness.
 
 Usage:
-    weakdecay spin|decay|sums [--config FILE] [--set key=value ...] [--out FILE]
-    weakdecay sweep           [--config FILE] [--set key=value ...] [--out FILE]
-    weakdecay check           [--out FILE]
+    weakdecay spin|decay|sums|sweep [--config FILE] [--set key=value ...] [--out FILE]
+    weakdecay check                 [--out FILE]
 
-Scenario rows go to the CSV given by --out (or the config's ``out`` key);
-a single-line JSON summary always goes to stdout.  Exit codes: 0 all
-tolerances met, 1 tolerance breach or numerical failure inside a scenario
-grid (reported as row errors), 2 invalid input, 3 numerical failure outside
-a scenario grid (for example in the sweep).
+Each model command runs the harness model of its name: a scenario's rows
+(a sweep's levels) go to the CSV given by --out (or the config's ``out``
+key); a single-line JSON summary always goes to stdout.  A config's
+``model`` must match the command.  Exit codes: 0 all tolerances met, 1
+tolerance breach or numerical failure inside a scenario grid (reported as
+row errors), 2 invalid input, 3 numerical failure outside a scenario grid.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from pathlib import Path
 from . import checks, harness
 from .errors import ConfigInvalid, WeakDecayError
 
-_SCENARIO_COMMANDS = ("spin", "decay", "sums")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weakdecay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_SCENARIO_COMMANDS, "sweep", "check"):
+    for name in ("spin", "decay", "sums", "sweep", "check"):
         p = sub.add_parser(name)
         if name != "check":
             p.add_argument("--config", help="flat key = value config file")
@@ -37,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gather_raw(args, model: str) -> dict[str, str]:
+def _run_model(args) -> int:
     raw: dict[str, str] = {}
     if args.config:
         path = Path(args.config)
@@ -51,48 +48,17 @@ def _gather_raw(args, model: str) -> dict[str, str]:
         raw[key.strip()] = value.strip()
     if args.out:
         raw["out"] = args.out
-    raw.setdefault("model", model)
-    if raw["model"] != model:
-        raise ConfigInvalid(
-            [f"config model {raw['model']!r} conflicts with subcommand {args.command!r}"]
-        )
-    return raw
-
-
-def _run_scenario_command(command: str, args) -> int:
-    config = harness.build_config(_gather_raw(args, command))
-    result = harness.run_scenario(config)
-    if config.out:
-        Path(config.out).write_text(harness.rows_to_csv(result.rows), encoding="utf-8")
-    print(harness.summary_to_json(result.summary))
-    return 0 if result.passed else 1
-
-
-def _run_sweep(args) -> int:
-    raw = _gather_raw(args, "decay")
-    # the acceptance battery's sweep (check C4): at the global default
-    # delta_e = 0.05 the N = 2000 error sits above the 0.01 tolerance
-    raw.setdefault("levels", ",".join(map(str, checks.SWEEP_LEVELS)))
-    raw.setdefault("delta_e", str(checks.SWEEP_DELTA_E))
-    raw.setdefault("t_end", "4.0")
-    raw.setdefault("t_f", raw.get("t_end", "4.0"))
-    config = harness.build_config(raw)
-    result = harness.convergence_sweep(config, config.levels)
+    model = raw.get("model", args.command)
+    if model != args.command:
+        raise ConfigInvalid([f"config model {model!r} conflicts with subcommand {args.command!r}"])
+    config = harness.build_config({**raw, "model": model})
+    # looked up on the module at each call, so a patched runner is the one run
+    run = harness.convergence_sweep if config.model == "sweep" else harness.run_scenario
+    result = run(config)
     if config.out:
         Path(config.out).write_text(result.to_csv(), encoding="utf-8")
-    usable = [r.max_abs_error for r in result.rows if r.max_abs_error is not None]
-    summary = {
-        "levels": list(config.levels),
-        "max_abs_errors": usable,
-        "markers": {r.n_half: r.marker for r in result.rows if r.marker},
-        "trend": result.trend,
-        "tolerance": config.tolerance,
-        "passed": bool(
-            usable and usable[-1] <= config.tolerance and result.trend != "not-decreasing"
-        ),
-    }
-    print(harness.summary_to_json(summary))
-    return 0 if summary["passed"] else 1
+    print(harness.summary_to_json(result.summary))
+    return 0 if result.passed else 1
 
 
 def _run_check(args) -> int:
@@ -118,11 +84,7 @@ def _run_check(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in _SCENARIO_COMMANDS:
-            return _run_scenario_command(args.command, args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        return _run_check(args)
+        return _run_check(args) if args.command == "check" else _run_model(args)
     except ConfigInvalid as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -21,7 +21,7 @@ Natural units (hbar = 1) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,6 +137,15 @@ def check_window(t_i: float, t: float | np.ndarray, t_f: float) -> None:
     """Raise ValueError unless ``t_i <= t <= t_f`` for every time in ``t``."""
     if not np.all((t_i <= t) & (t <= t_f)):
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+
+
+def window_problem(t_i: float, t_f: float) -> Optional[str]:
+    """What keeps ``(t_i, t_f)`` from being a window: finite ``t_i < t_f`` and length; or None."""
+    if not (np.isfinite(t_i) and np.isfinite(t_f) and t_i < t_f):
+        return f"t_i/t_f: need finite t_i < t_f, got ({t_i}, {t_f})"
+    if not np.isfinite(t_f - t_i):
+        return f"t_i/t_f: window t_f - t_i overflows at ({t_i}, {t_f})"
+    return None
 
 
 @dataclass(frozen=True, eq=False)

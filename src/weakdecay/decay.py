@@ -114,6 +114,11 @@ class BathSpec:
         """Largest time at which limit-law comparisons remain meaningful."""
         return 0.5 * self.recurrence_time
 
+    def check_recurrence(self, span: float) -> None:
+        """Raise BeyondRecurrence unless the time span stays below the recurrence guard."""
+        if span >= self.recurrence_guard:
+            raise BeyondRecurrence(f"time {span} >= recurrence guard {self.recurrence_guard:.3g}")
+
     def bath_atoms(self) -> np.ndarray:
         """Bath atom indices in slot order (slots 1..2N)."""
         n = self.n_half
@@ -408,10 +413,7 @@ def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.nd
     """``|U00(t)|^2`` from the numeric propagator, guarded against recurrence."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    if np.any(np.asarray(t) >= bath.recurrence_guard):
-        raise BeyondRecurrence(
-            f"t = {np.max(t)} >= half the recurrence time {bath.recurrence_time:.3g}"
-        )
+    bath.check_recurrence(np.max(t))
     return np.abs(propagator_element(bath, 0, t)) ** 2
 
 
@@ -532,10 +534,7 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     """
     bath = q.bath
     window = q.t_f - q.t_i
-    if window >= bath.recurrence_guard:
-        raise BeyondRecurrence(
-            f"window {window} >= half the recurrence time {bath.recurrence_time:.3g}"
-        )
+    bath.check_recurrence(window)
     overlap = _post_overlap(bath, q.post, np.append(window, q.t_f - np.asarray(q.t)))
     denom = overlap[0]
     if abs(denom) <= DENOM_FLOOR:
@@ -575,8 +574,7 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
     columns over their sum, the window's survival amplitude.
     """
     check_window(t_i, t, t_f)
-    if (t_f - t_i) >= bath.recurrence_guard:
-        raise BeyondRecurrence("selection window beyond the recurrence guard")
+    bath.check_recurrence(t_f - t_i)
     paths = np.prod(propagator_column(bath, np.array([t_f - t, t - t_i])), axis=0)
     denom = complex(np.sum(paths))
     if abs(denom) <= DENOM_FLOOR:

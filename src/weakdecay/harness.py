@@ -6,6 +6,7 @@ absolute difference.  Identical configs produce byte-identical output.  Every
 model evaluates its grid in one call, held as arrays; a numerical failure (a
 vanishing post-selection, a window or grid beyond the recurrence guard) does
 not depend on the probe time, so it is one error name that marks every row.
+The ``sweep`` model is the survival law over bath sizes, one row per level.
 
 Config files are flat ``key = value`` lines with ``#`` comments; every key
 can also be overridden on the command line with ``--set key=value``.
@@ -24,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import decay, spin, sums
+from .core import window_problem
 from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDecayError
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
@@ -86,11 +88,28 @@ class ScenarioConfig:
     def sum_params(self) -> sums.SumParams:
         return sums.SumParams(self.gamma, self.delta_e, self.k_max)
 
+    @functools.cached_property
+    def level_baths(self) -> tuple[decay.BathSpec, ...]:
+        """One bath per sweep level; ``fixed_band`` keeps the band ``n_half * delta_e``."""
+        fixed_band = self.scaling == "fixed_band"
+        # gamma and delta_e would fail alike at every level, so they are checked once,
+        # unprefixed: on the band's bath under fixed_band, else on a one-atom bath
+        shared = self.bath if fixed_band else decay.BathSpec.from_gamma(1, self.gamma, self.delta_e)
+        band = shared.delta_e * shared.n_half
+        try:
+            return tuple(
+                decay.BathSpec.from_gamma(n, self.gamma, band / n if fixed_band else self.delta_e)
+                for n in self.levels
+            )
+        except ValueError as exc:
+            raise ValueError(f"levels: {exc}") from None
+
 
 _MODEL_OBJECTS = {
     "spin": ("spin_params",),
     "decay": ("bath", "decay_post"),
     "sums": ("sum_params",),
+    "sweep": ("level_baths",),
 }
 
 
@@ -127,7 +146,15 @@ _DEFAULTS: dict[str, str] = {
     "scaling": "fixed_spacing",
 }
 
-_DEFAULT_POST = {"spin": "xplus", "decay": "photon:1", "sums": ""}
+# Each model's own defaults over _DEFAULTS, also for a key left empty.  Else an
+# empty t_start / t_end is t_i / t_f, and decay and sums derive their tolerance.
+_MODEL_DEFAULTS: dict[str, dict[str, str]] = {
+    "spin": {"post": "xplus", "tolerance": "1e-10"},
+    "decay": {"post": "photon:1"},
+    "sums": {"t_start": "0.0", "t_end": "3.0"},
+    # check C4: at delta_e = 0.05 the N = 2000 error exceeds the tolerance
+    "sweep": {"levels": "250,500,1000,2000", "delta_e": "0.1", "t_end": "4.0", "tolerance": "0.01"},
+}
 
 
 def build_config(raw: dict[str, str]) -> ScenarioConfig:
@@ -139,13 +166,13 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     unknown = sorted(set(raw) - set(_DEFAULTS))
     if unknown:
         problems.append(f"unknown keys: {', '.join(unknown)}")
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in raw.items() if k in _DEFAULTS})
-
-    model = merged["model"]
-    if model not in _EVALUATORS:
-        problems.append(f"model must be one of {tuple(_EVALUATORS)}, got {model!r}")
+    model = raw.get("model", _DEFAULTS["model"])
+    if model not in _MODEL_DEFAULTS:
+        problems.append(f"model must be one of {tuple(_MODEL_DEFAULTS)}, got {model!r}")
         raise ConfigInvalid(problems)
+    own = _MODEL_DEFAULTS[model]
+    merged = {**_DEFAULTS, **own}
+    merged.update((k, v) for k, v in raw.items() if k in _DEFAULTS and (v or k not in own))
 
     def number(key: str, default: Optional[float] = None) -> float:
         text = merged[key]
@@ -170,46 +197,45 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     t_i = number("t_i")
     t_f = number("t_f")
     n_points = integer("n_points")
-    t_start = number("t_start", default=t_i if model != "sums" else 0.0)
-    t_end = number("t_end", default=t_f if model != "sums" else 3.0)
-    post = merged["post"] or _DEFAULT_POST[model]
+    t_start = number("t_start", default=t_i)
+    t_end = number("t_end", default=t_f)
+    post = merged["post"]
 
     if not 2 <= n_points <= MAX_POINTS:
         problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {n_points}")
-    if model == "decay" and not (math.isfinite(t_i) and math.isfinite(t_f) and t_i < t_f):
-        problems.append(f"t_i/t_f: need finite t_i < t_f, got ({t_i}, {t_f})")
-    elif model == "decay" and not math.isfinite(t_f - t_i):
-        problems.append(f"t_i/t_f: window t_f - t_i overflows at ({t_i}, {t_f})")
+    if model == "decay" and (window := window_problem(t_i, t_f)):
+        problems.append(window)
     if model in ("spin", "decay"):
         if not (t_i <= t_start <= t_end <= t_f):
             problems.append(
                 f"time grid [{t_start}, {t_end}] must lie within the selection window [{t_i}, {t_f}]"
             )
-    elif not (0.0 <= t_start <= t_end < math.inf):
+    elif not (0.0 <= t_start <= t_end < math.inf):  # sums and sweep: survival times
         problems.append(
-            f"time grid: sums need finite 0 <= t_start <= t_end, got ({t_start}, {t_end})"
+            f"time grid: {model} needs finite 0 <= t_start <= t_end, got ({t_start}, {t_end})"
         )
     if model == "spin" and post not in _SPIN_POSTS:
         problems.append(f"post: spin accepts {sorted(_SPIN_POSTS)}, got {post!r}")
 
     levels: tuple[int, ...] = ()
-    if merged["levels"]:
-        try:
-            levels = tuple(int(x.strip()) for x in merged["levels"].split(",") if x.strip())
-        except ValueError:
-            problems.append(f"levels: not a comma-separated integer list: {merged['levels']!r}")
-        if levels and list(levels) != sorted(levels):
+    try:
+        levels = tuple(int(x.strip()) for x in merged["levels"].split(",") if x.strip())
+    except ValueError:
+        problems.append(f"levels: not a comma-separated integer list: {merged['levels']!r}")
+    else:
+        if list(levels) != sorted(levels):
             problems.append("levels: must be ascending")
+        elif model == "sweep" and not levels:
+            problems.append("levels: need a nonempty ascending list")
     scaling = merged["scaling"]
     if scaling not in ("fixed_spacing", "fixed_band"):
         problems.append(f"scaling: must be fixed_spacing or fixed_band, got {scaling!r}")
 
     gamma = number("gamma")
     default_tol = {
-        "spin": 1e-10,
         "decay": 0.05 if post == "undecayed" else 0.01,
         "sums": 0.005 * math.pi / gamma if gamma > 0 else 0.01,
-    }[model]
+    }.get(model)
     tolerance = number("tolerance", default=default_tol)
     if not (0.0 < tolerance < math.inf):
         problems.append(f"tolerance: need a finite value > 0, got {tolerance}")
@@ -330,6 +356,9 @@ class ScenarioResult:
     def passed(self) -> bool:
         return bool(self.summary["passed"])
 
+    def to_csv(self) -> str:
+        return rows_to_csv(self.rows)
+
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Evaluate the configured model over its grid; a numerical failure marks every row."""
@@ -380,10 +409,12 @@ class SweepRow:
     marker: str = ""
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-    trend: str  # "decreasing" | "not-decreasing" | "n/a"
+class SweepResult(ScenarioResult):
+    """A sweep's rows are SweepRows, one per level."""
+
+    @property
+    def trend(self) -> str:
+        return self.summary["trend"]  # "decreasing" | "not-decreasing" | "n/a"
 
     def to_csv(self) -> str:
         lines = ["n_half,max_abs_error,seconds,marker"]
@@ -393,12 +424,13 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def convergence_sweep(base: ScenarioConfig, levels: tuple[int, ...]) -> SweepResult:
-    """Survival-law error versus bath size at fixed gamma.
+def convergence_sweep(config: ScenarioConfig) -> SweepResult:
+    """Survival-law error versus bath size at fixed gamma, over ``config.level_baths``.
 
     Each level reports the max over the grid of ``| |U00(t)|^2 - e^{-2 gamma t} |``;
     levels whose grid extends beyond the recurrence guard are marked and
-    skipped rather than failing the whole sweep.
+    skipped rather than failing the whole sweep.  The sweep passes when the
+    finest usable level meets the tolerance and the errors do not grow.
 
     ``scaling = "fixed_spacing"`` keeps ``delta_e`` at the configured value
     for every level, so the bath band widens with N and the error shrinks.
@@ -406,29 +438,17 @@ def convergence_sweep(base: ScenarioConfig, levels: tuple[int, ...]) -> SweepRes
     product instead; the band-width transient then stays put (instructive,
     but not a convergent sequence) and small levels hit the recurrence guard.
     """
-    if list(levels) != sorted(levels) or not levels:
-        raise ConfigInvalid(["levels: need a nonempty ascending list"])
-    grid = np.linspace(base.t_start, base.t_end, base.n_points)
-    band = base.delta_e * base.n_half
-    fixed_band = base.scaling == "fixed_band"
-    try:  # every level is checked before the first spectrum solve
-        baths = [
-            decay.BathSpec.from_gamma(n, base.gamma, band / n if fixed_band else base.delta_e)
-            for n in levels
-        ]
-    except ValueError as exc:
-        raise ConfigInvalid([f"levels: {exc}"]) from None
+    grid = np.linspace(config.t_start, config.t_end, config.n_points)
     rows: list[SweepRow] = []
-    for bath in baths:
+    for bath in config.level_baths:
         start = time.perf_counter()
-        if grid[-1] >= bath.recurrence_guard:
-            rows.append(
-                SweepRow(bath.n_half, None, time.perf_counter() - start, "beyond_recurrence")
-            )
-            continue
-        survival = decay.survival_probability(bath, grid)
-        err = float(np.max(np.abs(survival - np.exp(-2.0 * base.gamma * grid))))
-        rows.append(SweepRow(bath.n_half, err, time.perf_counter() - start))
+        try:
+            survival = decay.survival_probability(bath, grid)
+            err = float(np.max(np.abs(survival - np.exp(-2.0 * config.gamma * grid))))
+            marker = ""
+        except BeyondRecurrence:
+            err, marker = None, "beyond_recurrence"
+        rows.append(SweepRow(bath.n_half, err, time.perf_counter() - start, marker))
     usable = [r.max_abs_error for r in rows if r.max_abs_error is not None]
     if len(usable) < 2:
         trend = "n/a"
@@ -436,4 +456,12 @@ def convergence_sweep(base: ScenarioConfig, levels: tuple[int, ...]) -> SweepRes
         trend = "decreasing"
     else:
         trend = "not-decreasing"
-    return SweepResult(rows, trend)
+    summary = {
+        "levels": list(config.levels),
+        "max_abs_errors": usable,
+        "markers": {r.n_half: r.marker for r in rows if r.marker},
+        "trend": trend,
+        "tolerance": config.tolerance,
+        "passed": bool(usable and usable[-1] <= config.tolerance and trend != "not-decreasing"),
+    }
+    return SweepResult(rows, summary)

@@ -27,6 +27,7 @@ from .core import (
     check_window,
     projector_from_state,
     weak_value,
+    window_problem,
 )
 from .errors import ClosedFormSingular
 
@@ -63,10 +64,8 @@ class SpinParams:
         problems = []
         if not math.isfinite(self.omega):
             problems.append(f"omega: need a finite value, got {self.omega}")
-        if not (math.isfinite(self.t_i) and math.isfinite(self.t_f) and self.t_i < self.t_f):
-            problems.append(f"t_i/t_f: need finite t_i < t_f, got ({self.t_i}, {self.t_f})")
-        elif not math.isfinite(self.t_f - self.t_i):
-            problems.append(f"t_i/t_f: window t_f - t_i overflows at ({self.t_i}, {self.t_f})")
+        if window := window_problem(self.t_i, self.t_f):
+            problems.append(window)
         elif 0.5 * abs(self.omega) > MAX_PHASE / (self.t_f - self.t_i):
             problems.append(
                 f"omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds {MAX_PHASE:g}"

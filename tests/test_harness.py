@@ -100,7 +100,7 @@ _RAW_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    model=st.one_of(st.none(), st.sampled_from(["spin", "decay", "sums", "bogus"])),
+    model=st.one_of(st.none(), st.sampled_from(["spin", "decay", "sums", "sweep", "bogus"])),
     raw=st.dictionaries(
         st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=8)), _RAW_VALUES, max_size=8
     ),
@@ -113,7 +113,7 @@ def test_any_raw_config_builds_or_raises_config_invalid(model, raw):
     except ConfigInvalid as exc:
         assert exc.problems
         return
-    assert config.model in ("spin", "decay", "sums")
+    assert config.model in ("spin", "decay", "sums", "sweep")
     assert config.n_points >= 2 and math.isfinite(config.tolerance)
 
 
@@ -223,20 +223,20 @@ def test_summary_json_is_single_line():
 
 # ---------------------------------------------------------------- sweep
 
+def _sweep_config(levels, **sets):
+    return harness.build_config({"model": "sweep", "levels": levels, **sets})
+
+
 def test_sweep_single_level_has_no_trend():
-    cfg = harness.build_config(
-        {"model": "decay", "delta_e": "0.2", "t_f": "3.0", "t_end": "3.0", "n_points": "31"}
-    )
-    result = harness.convergence_sweep(cfg, (100,))
+    cfg = _sweep_config("100", delta_e="0.2", t_end="3.0", n_points="31")
+    result = harness.convergence_sweep(cfg)
     assert result.trend == "n/a"
     assert len(result.rows) == 1
 
 
 def test_sweep_errors_decrease_with_fixed_spacing():
-    cfg = harness.build_config(
-        {"model": "decay", "delta_e": "0.2", "t_f": "3.0", "t_end": "3.0", "n_points": "31"}
-    )
-    result = harness.convergence_sweep(cfg, (100, 200, 400))
+    cfg = _sweep_config("100,200,400", delta_e="0.2", t_end="3.0", n_points="31")
+    result = harness.convergence_sweep(cfg)
     errs = [r.max_abs_error for r in result.rows]
     assert result.trend == "decreasing"
     assert errs[-1] < errs[0]
@@ -245,18 +245,10 @@ def test_sweep_errors_decrease_with_fixed_spacing():
 def test_sweep_marks_recurrence_violations_per_level():
     # fixed-band scaling gives small levels a coarse spacing and an early
     # recurrence, so they are marked while larger levels still report
-    cfg = harness.build_config(
-        {
-            "model": "decay",
-            "scaling": "fixed_band",
-            "n_half": "200",
-            "delta_e": "0.1",
-            "t_f": "4.0",
-            "t_end": "4.0",
-            "n_points": "21",
-        }
+    cfg = _sweep_config(
+        "2,200", scaling="fixed_band", n_half="200", delta_e="0.1", t_end="4.0", n_points="21"
     )
-    result = harness.convergence_sweep(cfg, (2, 200))
+    result = harness.convergence_sweep(cfg)
     assert result.rows[0].marker == "beyond_recurrence"
     assert result.rows[0].max_abs_error is None
     assert result.rows[1].marker == ""
@@ -264,9 +256,8 @@ def test_sweep_marks_recurrence_violations_per_level():
 
 
 def test_sweep_rejects_unsorted_levels():
-    cfg = harness.build_config({"model": "decay"})
-    with pytest.raises(ConfigInvalid):
-        harness.convergence_sweep(cfg, (200, 100))
+    with pytest.raises(ConfigInvalid, match="levels: must be ascending"):
+        _sweep_config("200,100")
 
 
 # ---------------------------------------------------------------- CLI
@@ -368,6 +359,9 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
          "omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds 4.5e+15"),
         (["decay", "--set", "gamma=10", "--set", "delta_e=1e-308"],
          "coupling/delta_e: (coupling / delta_e)**2 overflows"),
+        (["sweep", "--set", "t_i=-1", "--set", "levels=10,20"], "time grid"),
+        (["sweep", "--set", "model=decay"],
+         "config model 'decay' conflicts with subcommand 'sweep'"),
     ],
 )
 def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
@@ -515,22 +509,36 @@ def test_cli_sweep_rejects_nonpositive_level(capsys):
     assert "config error: levels: n_half" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "sets, delta_e", [([], checks.SWEEP_DELTA_E), (["--set", "delta_e=0.2"], 0.2)]
-)
+def _recording_sweep(seen):
+    def fake_sweep(config):
+        seen.append(config)
+        rows = [harness.SweepRow(n, 1e-3, 0.0) for n in config.levels]
+        return harness.SweepResult(rows, {"trend": "decreasing", "passed": True})
+
+    return fake_sweep
+
+
+@pytest.mark.parametrize("sets, delta_e", [([], 0.1), (["--set", "delta_e=0.2"], 0.2)])
 def test_cli_sweep_defaults_to_the_acceptance_config(monkeypatch, capsys, sets, delta_e):
     seen = []
-
-    def fake_sweep(config, levels):
-        seen.append(config)
-        return harness.SweepResult([harness.SweepRow(n, 1e-3, 0.0) for n in levels], "decreasing")
-
-    monkeypatch.setattr(harness, "convergence_sweep", fake_sweep)
+    monkeypatch.setattr(harness, "convergence_sweep", _recording_sweep(seen))
     assert cli.main(["sweep", *sets]) == 0
     (config,) = seen
     assert config.delta_e == delta_e
-    assert config.levels == checks.SWEEP_LEVELS
-    assert (config.t_start, config.t_end, config.t_f) == (0.0, 4.0, 4.0)
+    assert config.levels == (250, 500, 1000, 2000)
+    assert (config.t_start, config.t_end) == (0.0, 4.0)
+
+
+def test_check_c4_sweeps_the_bare_sweep_config(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(harness, "convergence_sweep", _recording_sweep(seen))
+    assert checks.check_exponential_law_recovery().passed
+    assert cli.main(["sweep"]) == 0
+    c4, bare = [
+        (c.levels, c.delta_e, c.gamma, c.t_start, c.t_end, c.n_points, c.scaling, c.tolerance)
+        for c in seen
+    ]
+    assert c4 == bare
 
 
 def test_cli_sweep_writes_table(tmp_path, capsys):
