@@ -454,9 +454,11 @@ def check_harness_determinism() -> CheckResult:
     decay_cfg = harness.build_config(
         {"model": "decay", "n_half": "50", "delta_e": "0.5", "t_f": "2.0", "post": "photon:1"}
     )
+    # the lattice sum's matrix products run in BLAS, like the bath's
+    sums_cfg = harness.build_config({"model": "sums", "k_max": "20000", "n_points": "11"})
     ok = True
     details = []
-    for cfg in (spin_cfg, decay_cfg):
+    for cfg in (spin_cfg, decay_cfg, sums_cfg):
         first = harness.rows_to_csv(harness.run_scenario(cfg).rows)
         second = harness.rows_to_csv(harness.run_scenario(cfg).rows)
         identical = first == second

@@ -33,7 +33,8 @@ CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 # Largest time grid: at this size a spin run peaks near 480 MB and writes an 80 MB CSV.
 MAX_POINTS = 1_000_000
 
-# Largest lattice-sum job (n_points * k_max terms): ~20 s at ~5e7 terms/s.
+# Largest lattice-sum job (n_points * k_max terms): ~5 s on one core at 2 points,
+# where forming the k_max weights dominates; ~1 s at 10 points.
 MAX_SUM_TERMS = 10**9
 
 _SPIN_POSTS = {
@@ -312,10 +313,9 @@ def _decay_values(config: ScenarioConfig, grid: np.ndarray):
 
 
 def _sums_values(config: ScenarioConfig, grid: np.ndarray):
-    # the lattice sum revives with period 2 pi / delta_e: guard half of it
-    guard = math.pi / config.delta_e
-    if grid[-1] >= guard:
-        raise BeyondRecurrence(f"t = {grid[-1]} >= half the lattice recurrence {2 * guard:.3g}")
+    period = config.sum_params.recurrence_time
+    if grid[-1] >= 0.5 * period:
+        raise BeyondRecurrence(f"t = {grid[-1]} >= half the lattice recurrence {period:.3g}")
     gamma = config.gamma
     references = [math.pi / gamma * math.exp(-gamma * t) for t in grid]
     return sums.phased_lorentzian_sum(config.sum_params, grid), references
@@ -362,6 +362,10 @@ class ScenarioResult:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Evaluate the configured model over its grid; a numerical failure marks every row."""
+    if config.model not in _EVALUATORS:
+        raise ConfigInvalid(
+            [f"model: run a {config.model!r} config with convergence_sweep, not run_scenario"]
+        )
     grid = np.linspace(config.t_start, config.t_end, config.n_points)
     try:
         values, references = _EVALUATORS[config.model](config, grid)
@@ -385,6 +389,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         summary["recurrence_time"] = config.bath.recurrence_time
         if config.post == "asymptotic":
             summary["truncation_bound"] = decay.asymptotic_truncation_bound(config.bath)
+    elif config.model == "sums":
+        summary["recurrence_time"] = config.sum_params.recurrence_time
+        summary["truncation_bound"] = (
+            sums.tail_bound(config.k_max, config.delta_e) if config.k_max else None
+        )
     return ScenarioResult(rows, summary)
 
 

@@ -202,6 +202,14 @@ def test_sums_scenario_sums_the_grid_in_one_call(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k_max, bound", [("20000", 2 / (20000 * 0.05)), ("0", None)])
+def test_sums_summary_reports_its_error_budget(k_max, bound):
+    cfg = harness.build_config({"model": "sums", "k_max": k_max, "n_points": "5"})
+    summary = json.loads(harness.summary_to_json(harness.run_scenario(cfg).summary))
+    assert summary["truncation_bound"] == bound
+    assert summary["recurrence_time"] == 2 * math.pi / 0.05
+
+
 # ---------------------------------------------------------------- output format
 
 def test_csv_header_and_determinism():
@@ -253,6 +261,12 @@ def test_sweep_marks_recurrence_violations_per_level():
     assert result.rows[0].max_abs_error is None
     assert result.rows[1].marker == ""
     assert result.rows[1].max_abs_error is not None
+
+
+def test_run_scenario_sends_a_sweep_config_to_convergence_sweep():
+    cfg = _sweep_config("10")
+    with pytest.raises(ConfigInvalid, match="convergence_sweep"):
+        harness.run_scenario(cfg)
 
 
 def test_sweep_rejects_unsorted_levels():

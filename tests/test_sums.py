@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weakdecay import (
     phased_lorentzian_sum,
     tail_bound,
 )
+from weakdecay import sums
 
 
 def test_params_validation():
@@ -114,3 +116,44 @@ def test_center_term_is_the_first_order_deficit():
 
 def test_tail_bound():
     assert tail_bound(1000, 0.01) == pytest.approx(0.2)
+
+
+def _term_by_term(g, de, k_max, t):
+    """The centre plus ``2 delta_e cos(k delta_e t) / (gamma^2 + k^2 delta_e^2)``, by fsum."""
+    pairs = [2 * de * math.cos(k * de * t) / (g * g + k * k * de * de) for k in range(1, k_max + 1)]
+    return math.fsum([de / g**2, *pairs])
+
+
+@pytest.mark.parametrize(
+    "k_max, chunk",
+    # the last case splits into two chunks, the second padded, that meet in fsum
+    [(k, sums._CHUNK) for k in (0, 1, 1023, 1024, 1025, 5000)] + [(5000, 1 << 12)],
+)
+def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, monkeypatch):
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    g, de = 0.7, 0.2
+    times = np.array([0.0, 0.3, 1.7, 2.9, 7.0, math.pi / de * (1 - 1e-9)])
+    values = phased_lorentzian_sum(SumParams(g, de, k_max), times)
+    reference = np.array([_term_by_term(g, de, k_max, t) for t in times])
+    # relative to the sum of the terms' magnitudes (the t = 0 value): near
+    # t = pi / delta_e the terms cancel to 3e-5 of it
+    assert np.all(values.imag == 0.0)
+    assert np.max(np.abs(values.real - reference)) <= 1e-14 * reference[0]
+
+
+def test_phased_sum_repeats_bit_for_bit():
+    p = SumParams(0.9, 0.05, k_max=10**5)
+    times = np.linspace(0.0, 3.0, 11)
+    assert np.array_equal(phased_lorentzian_sum(p, times), phased_lorentzian_sum(p, times))
+
+
+def test_phased_sum_memory_does_not_grow_with_the_grid():
+    # the output alone takes 16 MB; one table over the whole grid, 256 MB
+    times = np.linspace(0.0, 3.0, 10**6)
+    tracemalloc.start()
+    try:
+        phased_lorentzian_sum(SumParams(1.0, 0.05, k_max=1000), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
