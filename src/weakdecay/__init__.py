@@ -14,7 +14,6 @@ from .core import (
     Operator,
     Propagator,
     StateVector,
-    WeakValueQuery,
     decompose_expectation,
     projector_from_state,
     strong_expectation,

@@ -20,7 +20,6 @@ from . import decay, harness, spin, sums
 from .core import (
     Operator,
     StateVector,
-    WeakValueQuery,
     decompose_expectation,
     projector_from_state,
     strong_expectation,
@@ -88,10 +87,9 @@ def check_spin_closed_forms_vs_kernel() -> CheckResult:
         # so the -x projector's weak value is its strong expectation
         t_f28 = t_i + math.pi / abs(omega)
         t28 = t_i + frac * (t_f28 - t_i)
-        q = WeakValueQuery(spin.X_PLUS, spin.X_MINUS, p_xm, t_i, t28, t_f28)
-        w28 = weak_value(
-            q, spin.spin_propagator(omega, t28 - t_i), spin.spin_propagator(omega, t_f28 - t28)
-        )
+        u_mid28 = spin.spin_propagator(omega, t28 - t_i)
+        u_late28 = spin.spin_propagator(omega, t_f28 - t28)
+        w28 = weak_value(spin.X_PLUS, spin.X_MINUS, p_xm, u_mid28, u_late28)
         ref28 = 0.5 * (1.0 - math.cos(omega * (t28 - t_i)))
         worst = max(worst, abs(w28 - ref28))
         # positively-oriented quarter-cycle window: +x post-selection gives
@@ -165,8 +163,7 @@ def check_weak_equals_strong() -> CheckResult:
         u_late = spin.spin_propagator(omega, t_f - t)
         post = StateVector(spin.spin_propagator(omega, t_f - t_i).matrix @ pre.amplitudes)
         obs = _random_hermitian(rng, 2)
-        q = WeakValueQuery(pre, post, obs, t_i, t, t_f)
-        w = weak_value(q, u_mid, u_late)
+        w = weak_value(pre, post, obs, u_mid, u_late)
         s = strong_expectation(pre, obs, u_mid)
         worst = max(worst, abs(w - s))
     # small bath, dim 21
@@ -180,8 +177,7 @@ def check_weak_equals_strong() -> CheckResult:
         u_late = decay.bath_propagator(bath, t_f - t)
         post = StateVector(decay.bath_propagator(bath, t_f - t_i).matrix @ pre.amplitudes)
         obs = _random_hermitian(rng, bath.dim)
-        q = WeakValueQuery(pre, post, obs, t_i, t, t_f)
-        w = weak_value(q, u_mid, u_late)
+        w = weak_value(pre, post, obs, u_mid, u_late)
         s = strong_expectation(pre, obs, u_mid)
         worst = max(worst, abs(w - s))
     return CheckResult(
@@ -274,14 +270,12 @@ def check_complement_rule() -> CheckResult:
     comp_xp = Operator(np.eye(2) - p_xp.entries)
     for _ in range(COMPLEMENT_DRAWS):
         omega, t_i, t, t_f = _random_spin_draw(rng)
-        params = spin.SpinParams(omega, t_i, t_f)
         u_mid = spin.spin_propagator(omega, t - t_i)
         u_late = spin.spin_propagator(omega, t_f - t)
         for choice in spin.PostChoice:
-            q1 = WeakValueQuery(spin.X_PLUS, choice.value, p_xp, t_i, t, t_f)
-            q2 = WeakValueQuery(spin.X_PLUS, choice.value, comp_xp, t_i, t, t_f)
-            total = weak_value(q1, u_mid, u_late) + weak_value(q2, u_mid, u_late)
-            worst = max(worst, abs(total - 1.0))
+            w = weak_value(spin.X_PLUS, choice.value, p_xp, u_mid, u_late)
+            w_comp = weak_value(spin.X_PLUS, choice.value, comp_xp, u_mid, u_late)
+            worst = max(worst, abs(w + w_comp - 1.0))
     bath = decay.BathSpec.from_gamma(5, 1.0, 0.2)
     eye = np.eye(bath.dim)
     for _ in range(50):
@@ -296,10 +290,9 @@ def check_complement_rule() -> CheckResult:
             continue
         proj = projector_from_state(_random_state(rng, bath.dim))
         comp = Operator(eye - proj.entries)
-        q1 = WeakValueQuery(pre, post, proj, 0.0, t, t_f)
-        q2 = WeakValueQuery(pre, post, comp, 0.0, t, t_f)
-        total = weak_value(q1, u_mid, u_late) + weak_value(q2, u_mid, u_late)
-        worst = max(worst, abs(total - 1.0))
+        w = weak_value(pre, post, proj, u_mid, u_late)
+        w_comp = weak_value(pre, post, comp, u_mid, u_late)
+        worst = max(worst, abs(w + w_comp - 1.0))
     return CheckResult(
         "complement_rule",
         worst <= 1e-10,

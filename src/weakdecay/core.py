@@ -3,13 +3,15 @@
 A weak value generalizes an expectation value to an ensemble that is both
 pre-selected in a state ``|i>`` at time ``t_i`` and post-selected in a state
 ``|f>`` at time ``t_f``.  For an observable ``A`` probed at an intermediate
-time ``t`` the kernel computes
+time ``t`` the kernel ``weak_value(pre, post, observable, u_mid, u_late)``
+computes
 
     w = <f| U(t_f - t) A U(t - t_i) |i>  /  <f| U(t_f - t) U(t - t_i) |i>
 
-with ``U`` the unitary evolution operator.  ``w`` is complex in general and
-may lie outside the observable's eigenvalue range; callers take the real
-part explicitly when they want one.
+with ``U`` the unitary evolution operator; the times enter only through
+``u_mid = U(t - t_i)`` and ``u_late = U(t_f - t)``.  ``w`` is complex in
+general and may lie outside the observable's eigenvalue range; callers take
+the real part explicitly when they want one.
 
 Everything here is a pure function of immutable values: state vectors,
 operators and propagators wrap read-only arrays, so any value can be shared
@@ -148,54 +150,31 @@ def window_problem(t_i: float, t_f: float) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class WeakValueQuery:
-    """Pre/post selection states, observable and the three times of a weak value."""
-
-    pre: StateVector
-    post: StateVector
-    observable: Operator
-    t_i: float
-    t: float | np.ndarray
-    t_f: float
-
-    def __post_init__(self):
-        check_window(self.t_i, self.t, self.t_f)
-        dims = {self.pre.dim, self.post.dim, self.observable.dim}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"pre/post/observable dimensions differ: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.pre.dim
-
-
 def weak_value(
-    query: WeakValueQuery, u_mid: Propagator, u_late: Propagator
+    pre: StateVector, post: StateVector, observable: Operator, u_mid: Propagator, u_late: Propagator
 ) -> complex | np.ndarray:
-    """Weak value of ``query.observable`` at the intermediate time.
+    """Weak value of ``observable`` between pre-selection ``pre`` and post-selection ``post``.
 
     ``u_mid`` propagates over ``t - t_i`` and ``u_late`` over ``t_f - t``.
     The denominator is evaluated through the same propagator product as the
-    numerator so both share rounding behavior.  With a time axis on ``t`` and
-    on both propagators the result is one weak value per time.
+    numerator so both share rounding behavior.  With a time axis on both
+    propagators the result is one weak value per time.
 
     Raises PostSelectionNull when any post-selection overlap magnitude is at
     or below DENOM_FLOOR.
     """
-    if u_mid.dim != query.dim or u_late.dim != query.dim:
-        raise DimensionMismatch(
-            f"propagator dimensions ({u_mid.dim}, {u_late.dim}) != query dimension {query.dim}"
-        )
-    post_c = query.post.amplitudes.conj()
-    evolved = _apply(u_mid.matrix, query.pre.amplitudes)
+    dims = (pre.dim, post.dim, observable.dim, u_mid.dim, u_late.dim)
+    if len(set(dims)) != 1:
+        raise DimensionMismatch(f"pre/post/observable/u_mid/u_late dimensions differ: {dims}")
+    post_c = post.amplitudes.conj()
+    evolved = _apply(u_mid.matrix, pre.amplitudes)
     denom = _apply(u_late.matrix, evolved) @ post_c
     smallest = float(np.min(np.abs(denom), initial=np.inf))
     if smallest <= DENOM_FLOOR:
         raise PostSelectionNull(
             f"post-selection overlap magnitude {smallest:.3e} <= {DENOM_FLOOR:.0e}"
         )
-    numer = _apply(u_late.matrix, _apply(query.observable.entries, evolved)) @ post_c
+    numer = _apply(u_late.matrix, _apply(observable.entries, evolved)) @ post_c
     return numer / denom
 
 

@@ -33,8 +33,8 @@ CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 # Largest time grid: at this size a spin run peaks near 480 MB and writes an 80 MB CSV.
 MAX_POINTS = 1_000_000
 
-# Largest lattice-sum job (n_points * k_max terms): ~5 s on one core at 2 points,
-# where forming the k_max weights dominates; ~1 s at 10 points.
+# Largest lattice-sum job (n_points * k_max terms): ~4 s on one core at 2 points,
+# where forming the k_max weights dominates; ~0.8 s at 10 points.
 MAX_SUM_TERMS = 10**9
 
 _SPIN_POSTS = {

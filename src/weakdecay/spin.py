@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     Propagator,
     StateVector,
-    WeakValueQuery,
     check_window,
     projector_from_state,
     weak_value,
@@ -124,12 +123,9 @@ def spin_weak_kernel(
 
     ``t`` is one time or a 1-D array of times; an array gives one value per time.
     """
-    query = WeakValueQuery(X_PLUS, post, projector_from_state(X_PLUS), p.t_i, t, p.t_f)
-    return weak_value(
-        query,
-        spin_propagator(p.omega, t - p.t_i),
-        spin_propagator(p.omega, p.t_f - t),
-    )
+    check_window(p.t_i, t, p.t_f)
+    u_mid, u_late = spin_propagator(p.omega, t - p.t_i), spin_propagator(p.omega, p.t_f - t)
+    return weak_value(X_PLUS, post, projector_from_state(X_PLUS), u_mid, u_late)
 
 
 def spin_weak_closed(

@@ -12,8 +12,10 @@ independent so each can check the other.
 
 Accumulation details: terms are combined in (k, -k) pairs so the phased
 sum's imaginary part cancels exactly, partial sums are taken over fixed-size
-chunks of k, and chunk totals are combined with exact compensated summation
-(math.fsum); million-term sums lose several digits if accumulated naively.
+chunks of k, and chunk totals are combined per time with compensated
+(TwoSum) summation (Ogita, Rump & Oishi 2005), which for a single chunk
+gives the correctly rounded sum with the center term; million-term sums
+lose several digits if accumulated naively.
 Within a chunk, k = b + m splits into bases b and offsets m < W, and
 cos(k a) = cos(b a) cos(m a) - sin(b a) sin(m a) with a = delta_e t: the
 chunk's weights, one row per base, meet the exact offset tables cos(m a) and
@@ -107,18 +109,23 @@ def phased_lorentzian_sum(
     # offsets m < width, the smallest power of two >= sqrt(k_max) up to _WIDTH,
     # so that the base and offset tables are about equally costly
     width = min(_WIDTH, 1 << math.isqrt(max(p.k_max - 1, 0)).bit_length())
-    starts = range(1, p.k_max + 1, _CHUNK)
-    center = [p.delta_e / p.gamma**2] if include_center else []
+    center = p.delta_e / p.gamma**2 if include_center else 0.0
     values = np.empty(len(times), dtype=complex)
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(times), step):
         angle = p.delta_e * times[lo : lo + step]
         offset = np.multiply.outer(angle, np.arange(width, dtype=float))
         tables = np.cos(offset), np.sin(offset)
-        totals = np.empty((len(angle), len(starts)))
-        for j, start in enumerate(starts):
-            totals[:, j] = _chunk_sum(p, start, width, angle, tables)
-        values[lo : lo + step] = [math.fsum(row + center) for row in totals.tolist()]
+        total = np.full(len(angle), center)
+        error = np.zeros(len(angle))
+        for start in range(1, p.k_max + 1, _CHUNK):
+            part = _chunk_sum(p, start, width, angle, tables)
+            # TwoSum: the rounding error of total + part, exactly
+            new = total + part
+            seen = new - total
+            error += (total - (new - seen)) + (part - seen)
+            total = new
+        values[lo : lo + step] = total + error
     return values if np.ndim(t) else complex(values[0])
 
 
@@ -131,7 +138,10 @@ def _chunk_sum(p: SumParams, start: int, width: int, angle: np.ndarray, tables) 
     """
     size = min(_CHUNK, -(-(p.k_max + 1 - start) // width) * width)
     k = np.arange(start, start + size, dtype=float)
-    weights = 2.0 * p.delta_e / (p.gamma**2 + k * k * p.delta_e**2)
+    weights = k * k  # formed in place: 2 delta_e / (gamma^2 + k^2 delta_e^2)
+    weights *= p.delta_e**2
+    weights += p.gamma**2
+    np.divide(2.0 * p.delta_e, weights, out=weights)
     weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
     rows = weights.reshape(-1, width).T
     base = np.multiply.outer(angle, k[::width])

@@ -13,7 +13,6 @@ from weakdecay import (
     PostSelectionNull,
     Propagator,
     StateVector,
-    WeakValueQuery,
     decompose_expectation,
     projector_from_state,
     strong_expectation,
@@ -79,14 +78,6 @@ def test_propagator_adjoint_reverses_time():
     assert np.max(np.abs(u.conj().T - reference)) <= 1e-10
 
 
-def test_query_validates_times_and_dims():
-    obs = Operator.identity(2)
-    with pytest.raises(ValueError):
-        WeakValueQuery(X_PLUS, X_PLUS, obs, 0.0, 2.0, 1.0)
-    with pytest.raises(DimensionMismatch):
-        WeakValueQuery(X_PLUS, StateVector(np.array([1.0, 0, 0])), obs, 0.0, 0.5, 1.0)
-
-
 @settings(deadline=None, max_examples=60)
 @given(finite_omegas, finite_times, finite_times, finite_times)
 def test_propagator_composition(omega, t1, t2, t3):
@@ -97,13 +88,13 @@ def test_propagator_composition(omega, t1, t2, t3):
 
 # ---------------------------------------------------------------- weak_value
 
-def _spin_query(pre, post, obs, omega, t_i, t, t_f):
-    q = WeakValueQuery(pre, post, obs, t_i, t, t_f)
-    return weak_value(q, spin_propagator(omega, t - t_i), spin_propagator(omega, t_f - t))
+def _spin_weak_value(pre, post, obs, omega, t_i, t, t_f):
+    u_mid, u_late = spin_propagator(omega, t - t_i), spin_propagator(omega, t_f - t)
+    return weak_value(pre, post, obs, u_mid, u_late)
 
 
 def test_weak_value_identity_observable_is_one():
-    w = _spin_query(Y_PLUS, X_PLUS, Operator.identity(2), 2.0, 0.0, 0.3, 1.0)
+    w = _spin_weak_value(Y_PLUS, X_PLUS, Operator.identity(2), 2.0, 0.0, 0.3, 1.0)
     assert w == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
@@ -112,22 +103,26 @@ def test_weak_value_trivial_post_selection_matches_strong_form():
     omega, t_i = 1.0, 0.0
     t_f = 2.0 * math.pi
     t = math.pi
-    w = _spin_query(X_PLUS, X_PLUS, projector_from_state(X_PLUS), omega, t_i, t, t_f)
+    w = _spin_weak_value(X_PLUS, X_PLUS, projector_from_state(X_PLUS), omega, t_i, t, t_f)
     assert w == pytest.approx(0.5 * (1.0 + math.cos(omega * (t - t_i))), abs=1e-12)
     assert w == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weak_value_raises_on_null_post_selection():
     ident = Propagator(np.eye(2, dtype=complex))
-    q = WeakValueQuery(Z_PLUS, Z_MINUS, Operator.identity(2), 0.0, 0.0, 0.0)
     with pytest.raises(PostSelectionNull):
-        weak_value(q, ident, ident)
+        weak_value(Z_PLUS, Z_MINUS, Operator.identity(2), ident, ident)
 
 
-def test_weak_value_dimension_check():
-    q = WeakValueQuery(X_PLUS, X_PLUS, Operator.identity(2), 0.0, 0.5, 1.0)
+@pytest.mark.parametrize("mismatched", ["propagator", "post"])
+def test_weak_value_dimension_check(mismatched):
+    post, u_mid = X_PLUS, spin_propagator(1.0, 0.5)
+    if mismatched == "propagator":
+        u_mid = Propagator(np.eye(3, dtype=complex))
+    else:
+        post = StateVector(np.array([1.0, 0, 0]))
     with pytest.raises(DimensionMismatch):
-        weak_value(q, Propagator(np.eye(3, dtype=complex)), spin_propagator(1.0, 0.5))
+        weak_value(X_PLUS, post, Operator.identity(2), u_mid, spin_propagator(1.0, 0.5))
 
 
 @settings(deadline=None, max_examples=60)
@@ -141,10 +136,9 @@ def test_complement_rule(omega, window, frac):
     denom = Y_PLUS.amplitudes.conj() @ (u_late.matrix @ (u_mid.matrix @ X_PLUS.amplitudes))
     if abs(denom) < 1e-3:
         return
-    q1 = WeakValueQuery(X_PLUS, Y_PLUS, p, 0.0, t, window)
-    q2 = WeakValueQuery(X_PLUS, Y_PLUS, comp, 0.0, t, window)
-    total = weak_value(q1, u_mid, u_late) + weak_value(q2, u_mid, u_late)
-    assert abs(total - 1.0) <= 1e-10
+    w1 = weak_value(X_PLUS, Y_PLUS, p, u_mid, u_late)
+    w2 = weak_value(X_PLUS, Y_PLUS, comp, u_mid, u_late)
+    assert abs(w1 + w2 - 1.0) <= 1e-10
 
 
 def test_weak_value_linear_in_observable(rng):
@@ -154,8 +148,7 @@ def test_weak_value_linear_in_observable(rng):
     u_mid, u_late = spin_propagator(0.9, 0.4), spin_propagator(0.9, 0.6)
 
     def w(matrix):
-        q = WeakValueQuery(X_PLUS, Y_PLUS, Operator(matrix), 0.0, 0.4, 1.0)
-        return weak_value(q, u_mid, u_late)
+        return weak_value(X_PLUS, Y_PLUS, Operator(matrix), u_mid, u_late)
 
     combined = w(alpha * a + beta * b)
     assert abs(combined - (alpha * w(a) + beta * w(b))) <= 1e-10
@@ -169,11 +162,7 @@ def test_weak_equals_strong_when_post_is_evolved_state(rng):
     obs = Operator(0.5 * (m + m.conj().T))
     for t in np.linspace(t_i, t_f, 7):
         u_mid = spin_propagator(omega, t - t_i)
-        w = weak_value(
-            WeakValueQuery(pre, post, obs, t_i, t, t_f),
-            u_mid,
-            spin_propagator(omega, t_f - t),
-        )
+        w = weak_value(pre, post, obs, u_mid, spin_propagator(omega, t_f - t))
         assert abs(w - strong_expectation(pre, obs, u_mid)) <= 1e-10
 
 

@@ -13,7 +13,6 @@ from weakdecay import (
     PostSelectionNull,
     PostSpec,
     StateVector,
-    WeakValueQuery,
     asymptotic_truncation_bound,
     bath_propagator,
     bath_weak_projector_scan,
@@ -367,8 +366,8 @@ def test_dense_kernel_matches_numeric_weak_value(atom):
     t_i, t, t_f = 0.0, 0.7, 1.8
     reference = StateVector(np.eye(bath.dim)[0])
     post = StateVector(np.eye(bath.dim)[slot_of_atom(bath.n_half, atom)])
-    query = WeakValueQuery(reference, post, projector_from_state(reference), t_i, t, t_f)
-    w_kernel = weak_value(query, bath_propagator(bath, t - t_i), bath_propagator(bath, t_f - t))
+    u_mid, u_late = bath_propagator(bath, t - t_i), bath_propagator(bath, t_f - t)
+    w_kernel = weak_value(reference, post, projector_from_state(reference), u_mid, u_late)
     spec = PostSpec.single_photon(atom) if atom else PostSpec.undecayed()
     w_numeric = weak_survival_numeric(DecayQuery(bath, t_i, t, t_f, spec))
     phase = np.exp(1j * atom * bath.delta_e * (t - t_i))

@@ -11,7 +11,6 @@ from weakdecay import (
     SpinAxis,
     SpinParams,
     StateVector,
-    WeakValueQuery,
     projector_from_state,
     spin_propagator,
     spin_strong_closed,
@@ -154,12 +153,8 @@ def test_complement_rule_every_post_choice(rng):
         u_mid = spin_propagator(omega, t - t_i)
         u_late = spin_propagator(omega, t_f - t)
         for choice in PostChoice:
-            w1 = weak_value(
-                WeakValueQuery(X_PLUS, choice.value, p_xp, t_i, t, t_f), u_mid, u_late
-            )
-            w2 = weak_value(
-                WeakValueQuery(X_PLUS, choice.value, comp, t_i, t, t_f), u_mid, u_late
-            )
+            w1 = weak_value(X_PLUS, choice.value, p_xp, u_mid, u_late)
+            w2 = weak_value(X_PLUS, choice.value, comp, u_mid, u_late)
             assert abs(w1 + w2 - 1.0) <= 1e-10
 
 
@@ -185,3 +180,5 @@ def test_out_of_window_time_rejected():
     params = SpinParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         spin_weak_closed(PostChoice.X_PLUS, params, 1.5)
+    with pytest.raises(ValueError):
+        spin_weak_kernel(X_PLUS, params, 1.5)

@@ -126,7 +126,7 @@ def _term_by_term(g, de, k_max, t):
 
 @pytest.mark.parametrize(
     "k_max, chunk",
-    # the last case splits into two chunks, the second padded, that meet in fsum
+    # the last case splits into two chunks, the second padded, whose totals meet
     [(k, sums._CHUNK) for k in (0, 1, 1023, 1024, 1025, 5000)] + [(5000, 1 << 12)],
 )
 def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, monkeypatch):
@@ -139,6 +139,16 @@ def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, mo
     # t = pi / delta_e the terms cancel to 3e-5 of it
     assert np.all(values.imag == 0.0)
     assert np.max(np.abs(values.real - reference)) <= 1e-14 * reference[0]
+
+
+@pytest.mark.parametrize("g, de", [(1.0, 0.05), (2.0, 0.001)])
+def test_chunk_totals_meet_in_a_compensated_sum(g, de, monkeypatch):
+    # 1024 chunk totals: added one by one they drift by up to 2.5e-15 here,
+    # the compensated (TwoSum) cascade stays within about one rounding
+    monkeypatch.setattr(sums, "_CHUNK", 1024)
+    k = np.arange(1, (1 << 20) + 1, dtype=float)
+    exact = math.fsum([de / g**2, *(2 * de / (g * g + k * k * de * de))])
+    assert abs(lorentzian_sum(SumParams(g, de, 1 << 20)) - exact) <= 4e-16 * exact
 
 
 def test_phased_sum_repeats_bit_for_bit():
