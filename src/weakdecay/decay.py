@@ -53,9 +53,10 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
-# Largest N.  The spectrum (~20 ms here) and survival (O(N) per time) would
-# allow far more, but columns, emission overlaps and projector scans are
-# O(N^2) per time: one 101-point emission grid takes ~0.3 s at this cap.
+# Largest N.  The spectrum (~18 ms at this cap, the first solve in a process
+# too) and survival (O(N) per time) would allow far more, but columns,
+# emission overlaps and projector scans are O(N^2) per time: one 101-point
+# emission grid takes ~0.3 s at this cap.
 MAX_N_HALF = 4000
 
 
@@ -185,6 +186,65 @@ def _bisect(secular, hi: np.ndarray) -> np.ndarray:
     return hi
 
 
+# Digamma and trigamma for arguments >= 1 (the secular equation's range).
+# Arguments below _SHIFT are first raised by _SHIFT steps of the recurrence;
+# from there the asymptotic series (Abramowitz & Stegun 6.3.18 and 6.4.12),
+# cut after the Bernoulli terms below, errs by under 3e-17 relative.  The
+# constants are 0-d arrays: numpy converts a Python float operand anew on
+# every call, and the bisection calls the digamma once per step.
+_SHIFT = np.array(16.0)
+_LATTICE = np.arange(_SHIFT)
+_HALF = np.array(0.5)
+# B_2k / 2k for k = 1..5 (digamma) and B_2k for k = 1..6 (trigamma)
+_DIGAMMA_SERIES = tuple(np.array(c) for c in (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132))
+_TRIGAMMA_SERIES = tuple(np.array(c) for c in (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730))
+
+
+def _recurrence(a: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a`` with its entries below _SHIFT raised by _SHIFT, the mask of those, and their sums.
+
+    The sums are ``sum_{j<_SHIFT} (a + j)^-power`` over the raised entries
+    only; in the secular equation those are the last few cells.
+    """
+    low = a < _SHIFT
+    steps = np.add.reduce(np.add.outer(a[low], _LATTICE) ** -power, axis=1)
+    return np.where(low, a + _SHIFT, a), low, steps
+
+
+def _series(w: np.ndarray, coeffs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``sum_k coeffs[k-1] w^k`` by Horner's rule."""
+    total = coeffs[-1] * w
+    for c in coeffs[-2::-1]:
+        total += c
+        total *= w
+    return total
+
+
+def _digamma(a: np.ndarray) -> np.ndarray:
+    """Digamma: ``psi(a) = psi(a + n) - sum_{j<n} 1/(a + j)`` with n = _SHIFT, then
+
+        psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k).
+    """
+    z, low, steps = _recurrence(a, 1)
+    r = np.reciprocal(z)
+    psi = np.log(z) - _HALF * r - _series(r * r, _DIGAMMA_SERIES)
+    psi[low] -= steps
+    return psi
+
+
+def _trigamma(a: np.ndarray) -> np.ndarray:
+    """Trigamma: ``psi1(a) = psi1(a + n) + sum_{j<n} 1/(a + j)^2`` with n = _SHIFT, then
+
+        psi1(z) ~ 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1).
+    """
+    z, low, steps = _recurrence(a, 2)
+    r = np.reciprocal(z)
+    w = r * r
+    psi1 = r * (1.0 + _series(w, _TRIGAMMA_SERIES)) + _HALF * w
+    psi1[low] += steps
+    return psi1
+
+
 @functools.lru_cache(maxsize=8)
 def _spectrum(bath: BathSpec) -> _Spectrum:
     """Eigenvalues and reference weights of the arrowhead from its secular equation, O(dim).
@@ -195,16 +255,14 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
     outer root beyond ``N``, and their mirror images.  Inside a cell
     ``x = n + s`` and
 
-        S = pi cot(pi s) - 1/x - [psi(N+1-x) - psi(N+1+x)],
+        S = pi cot(pi s) - 1/x - [digamma(N+1-x) - digamma(N+1+x)],
 
     so the cotangent keeps full precision; the outer root uses the direct
     sum.  The weights are ``1 / (1 + g sum_n 1/(x - n)^2)``, whose sum has
-    the closed form ``pi^2 csc^2(pi s) - 1/x^2 - psi1(N+1-x) - psi1(N+1+x)``
-    and is ``2 sum_{n<=N} 1/n^2`` at ``x = 0``.
+    the closed form ``pi^2 csc^2(pi s) - 1/x^2 - trigamma(N+1-x) -
+    trigamma(N+1+x)`` and is ``2 sum_{n<=N} 1/n^2`` at ``x = 0``.  The
+    digamma and trigamma are the numpy :func:`_digamma` and :func:`_trigamma`.
     """
-    # imported here: at module level scipy.special would slow every process down
-    from scipy.special import psi, zeta
-
     n_half = bath.n_half
     scale = bath.coupling / bath.delta_e
     g = scale * scale
@@ -215,10 +273,14 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
 
     inner = cell[:-1]
     below, above = (n_half + 1.0) - inner, (n_half + 1.0) + inner
+    # rows N+1-x and N+1+x, so that one digamma call per step takes both:
+    # at small N a call costs mostly its fixed overhead
+    poles, sides = np.stack((below, above)), np.array([[-1.0], [1.0]])
 
     def inner_secular(s):
         x = inner + s
-        return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi(below - s) - psi(above + s)))
+        psi = _digamma(poles + sides * s)
+        return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi[0] - psi[1]))
 
     # outer root x = N + s: x - n and x + n for n = 1..N are these gaps plus s
     gaps = np.concatenate([np.arange(float(n_half)), np.arange(n_half + 1.0, 2.0 * n_half + 1.0)])
@@ -232,11 +294,10 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
         # S(x) <= 2 N x / (x^2 - N^2) bounds the outer root by sqrt(N^2 + 2 N g)
         r = math.sqrt(2.0 * n_half) * math.sqrt(g)
         s_out = _bisect(outer_secular, np.array([r * (r / (math.hypot(n_half, r) + n_half))]))
-        # g / d^2 as (scale / d)^2, so a tiny offset does not underflow;
-        # the Hurwitz zeta(2, a) is psi1(a)
+        # g / d^2 as (scale / d)^2, so a tiny offset does not underflow
         x_in = inner + s_in
         gsq_in = (scale * math.pi / np.sin(math.pi * s_in)) ** 2
-        gsq_in -= g * (1.0 / x_in**2 + zeta(2, below - s_in) + zeta(2, above + s_in))
+        gsq_in -= g * (1.0 / x_in**2 + _trigamma(below - s_in) + _trigamma(above + s_in))
         gsq_out = np.sum((scale / (gaps + s_out)) ** 2)
     offset = np.append(s_in, s_out)
     weight = 1.0 / (1.0 + np.append(gsq_in, gsq_out))

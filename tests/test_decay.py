@@ -192,6 +192,32 @@ def test_secular_spectrum_matches_dense_eigh(n_half, gamma):
         assert np.max(np.abs(propagator_column(bath, t) - dense_column)) <= 1e-12
 
 
+def test_digamma_and_trigamma_match_scipy_and_keep_the_weight_sum_rule():
+    from scipy.special import psi, zeta
+
+    # the secular equation's arguments N+1-x and N+1+x span [1, 2 N + 1]
+    top = 2.0 * decay.MAX_N_HALF + 1.0
+    shift = float(decay._SHIFT)
+    rng = np.random.default_rng(7)
+    a = np.concatenate(
+        [
+            rng.uniform(1.0, top, 4000),
+            rng.uniform(1.0, 2.0 * shift, 4000),
+            1.0 + np.logspace(-16, 0, 60),
+            shift - np.logspace(-15, 0, 30),
+            shift + np.logspace(-15, 0, 30),
+            np.arange(1.0, top + 1.0),
+        ]
+    )
+    assert np.max(np.abs(decay._digamma(a) - psi(a))) <= 4e-15
+    assert np.max(np.abs(decay._trigamma(a) / zeta(2, a) - 1.0)) <= 2e-15
+    # a route free of scipy: the reference weights of the arrowhead sum to 1
+    for n_half in (250, 2000, decay.MAX_N_HALF):
+        for gamma in (1e-6, 1.0, 1e3):
+            spec = decay._spectrum(BathSpec.from_gamma(n_half, gamma, 0.05))
+            assert abs(spec.weight0 + 2.0 * np.sum(spec.weight) - 1.0) <= 1e-15
+
+
 def test_ode_oracle_small_bath():
     bath = BathSpec.from_gamma(40, 1.0, 0.2)
     t = 0.8
