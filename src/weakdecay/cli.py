@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import checks, harness
+from . import harness
 from .errors import ConfigInvalid, WeakDecayError
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,6 +62,9 @@ def _run_model(args) -> int:
 
 
 def _run_check(args) -> int:
+    # imported here, so model commands do not load the battery
+    from . import checks
+
     if problems := harness.out_problems(args.out):
         raise ConfigInvalid(problems)
     results = checks.run_battery()

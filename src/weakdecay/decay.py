@@ -53,7 +53,7 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
-# Largest N.  The spectrum (~18 ms at this cap, the first solve in a process
+# Largest N.  The spectrum (~6 ms at this cap, the first solve in a process
 # too) and survival (O(N) per time) would allow far more, but columns,
 # emission overlaps and projector scans are O(N^2) per time: one 101-point
 # emission grid takes ~0.3 s at this cap.
@@ -164,18 +164,20 @@ class _Spectrum(NamedTuple):
     scale: float
 
 
-# Cap on bisection steps; about 64 reach the last bit of any offset.
+# Cap on bisection steps: about 64 reach the last bit of an offset from its
+# whole cell, about 4 from the 16-unit bracket around a start.
 _MAX_BISECTIONS = 128
 
 
-def _bisect(secular, hi: np.ndarray) -> np.ndarray:
-    """Offsets in ``(0, hi]`` where the increasing ``secular`` changes sign, to the last bit.
+def _bisect(secular, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Offsets in ``(lo, hi]`` where the increasing ``secular`` changes sign, to the last bit.
 
-    Midpoints are geometric while a bracket spans more than a factor 4, so an
-    offset far below 1 (a root next to its pole at weak coupling) still comes
-    out to full relative precision.
+    ``secular`` must be < 0 at each ``lo`` and >= 0 at each ``hi``; a whole
+    cell ``(tiny, hi]`` needs no check at its ends.  Midpoints are geometric
+    while a bracket spans more than a factor 4, so an offset far below 1 (a
+    root next to its pole at weak coupling) still comes out to full relative
+    precision.
     """
-    lo = np.full_like(hi, np.finfo(float).tiny)
     for _ in range(_MAX_BISECTIONS):
         mid = np.where(hi > 4.0 * lo, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
         if np.all((mid == lo) | (mid == hi)):
@@ -186,12 +188,28 @@ def _bisect(secular, hi: np.ndarray) -> np.ndarray:
     return hi
 
 
+def _refine(secular, start: np.ndarray, unit: np.ndarray, top) -> np.ndarray:
+    """Offsets in ``(0, top]`` where ``secular`` changes sign, from starts a few ``unit`` away.
+
+    Each start widens to a bracket 8 units to either side, which
+    :func:`_bisect` finishes where ``secular`` is < 0 at its low end and
+    >= 0 at its high end; any other offset is bisected over its whole cell
+    ``(tiny, top]``.
+    """
+    tiny = np.finfo(float).tiny
+    lo = np.maximum(start - 8.0 * unit, tiny)
+    hi = np.minimum(start + 8.0 * unit, top)
+    ends = secular(np.stack((lo, hi)))
+    held = (ends[0] < 0.0) & (ends[1] >= 0.0)
+    return _bisect(secular, np.where(held, lo, tiny), np.where(held, hi, top))
+
+
 # Digamma and trigamma for arguments >= 1 (the secular equation's range).
 # Arguments below _SHIFT are first raised by _SHIFT steps of the recurrence;
 # from there the asymptotic series (Abramowitz & Stegun 6.3.18 and 6.4.12),
 # cut after the Bernoulli terms below, errs by under 3e-17 relative.  The
 # constants are 0-d arrays: numpy converts a Python float operand anew on
-# every call, and the bisection calls the digamma once per step.
+# every call, and a solve calls the digamma about 15 times.
 _SHIFT = np.array(16.0)
 _LATTICE = np.arange(_SHIFT)
 _HALF = np.array(0.5)
@@ -245,6 +263,89 @@ def _trigamma(a: np.ndarray) -> np.ndarray:
     return psi1
 
 
+# Cap on the start iterations: the inner fixed point settles in at most ~20
+# passes, the outer Newton in ~10.  A start that has not settled fails its
+# bracket.
+_MAX_ITERATIONS = 64
+
+
+def _inner_parts(n_half: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-cell ``x = n + s``, and the digamma at ``N+1-x`` (row 0) and ``N+1+x`` (row 1).
+
+    One digamma call takes both rows: at small N a call costs mostly its
+    fixed overhead.
+    """
+    cell = np.arange(1.0, n_half)
+    psi = _digamma(np.stack(((n_half + 1.0 - cell) - s, (n_half + 1.0 + cell) + s)))
+    return cell + s, psi
+
+
+def _inner_secular(n_half: int, g: float, s: np.ndarray) -> np.ndarray:
+    """``x - g S(x)`` in the inner cells, its pole term ``pi cot(pi s)`` exact."""
+    x, psi = _inner_parts(n_half, s)
+    return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi[0] - psi[1]))
+
+
+def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Inner offsets a few ulps from their roots, their bracket's unit (an ulp) and cells' end.
+
+    The secular equation solved for its cotangent reads
+    ``s = atan2(g pi, x + g (1/x + digamma(N+1-x) - digamma(N+1+x))) / pi``,
+    which maps each cell into itself and contracts; it starts from the
+    infinite lattice's ``atan2(g pi, n + 1/2) / pi``.
+    """
+    g_pi = g * math.pi
+    s = np.arctan2(g_pi, np.arange(1.5, n_half)) / math.pi
+    for _ in range(_MAX_ITERATIONS):
+        x, psi = _inner_parts(n_half, s)
+        last, s = s, np.arctan2(g_pi, x + g * (1.0 / x + (psi[0] - psi[1]))) / math.pi
+        if np.all(np.abs(s - last) <= 4.0 * np.spacing(s)):
+            break
+    return s, np.spacing(s), 1.0
+
+
+def _outer_gaps(n_half: int) -> np.ndarray:
+    """``x - n`` and ``x + n`` (``n = 1..N``) at the outer root ``x = N + s``, less ``s``."""
+    return np.concatenate([np.arange(float(n_half)), np.arange(n_half + 1.0, 2.0 * n_half + 1.0)])
+
+
+def _outer_terms(n_half: int, s: np.ndarray) -> np.ndarray:
+    """The direct sum's terms ``1 / (x - n)`` at ``x = N + s``, one row per offset."""
+    return 1.0 / (_outer_gaps(n_half) + s[..., None])
+
+
+def _outer_secular(n_half: int, g: float, s: np.ndarray) -> np.ndarray:
+    """``x - g S(x)`` at the outer root's ``x = N + s``, by the direct sum."""
+    return (n_half + s) - g * np.sum(_outer_terms(n_half, s), axis=-1)
+
+
+def _outer_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outer offset near its root, its bracket's unit and the end of its cell.
+
+    ``S(x) <= 2 N x / (x^2 - N^2)`` bounds the root by ``sqrt(N^2 + 2 N g)``
+    (sharp at N = 1); the cell ends at twice that, beyond its rounding.
+    Newton on ``s (x - g S(x))``, which has no pole, is negative at ``s = 0``
+    and convex, falls from the bound onto the root until a step stops
+    falling.  The secular function rounds like ``x``, which blurs its sign
+    change over ``spacing(x) / slope`` in ``s``: the bracket's unit, or one
+    ulp of ``s`` if larger.
+    """
+    r = math.sqrt(2.0 * n_half) * math.sqrt(g)
+    s = np.array([r * (r / (math.hypot(n_half, r) + n_half))])
+    top = 2.0 * s
+    # at a subnormal offset 1/s overflows: the start turns nan and fails its bracket
+    with np.errstate(invalid="ignore"):
+        for _ in range(_MAX_ITERATIONS):
+            terms = _outer_terms(n_half, s)
+            secular = (n_half + s) - g * np.sum(terms, axis=-1)
+            slope = 1.0 + g * np.sum(terms * terms, axis=-1)
+            step = s * secular / (secular + s * slope)
+            s = s - step
+            if not np.any(step > 2.0 * np.spacing(s)):
+                break
+    return s, np.maximum(np.spacing(s), np.spacing(n_half + s) / slope), top
+
+
 @functools.lru_cache(maxsize=8)
 def _spectrum(bath: BathSpec) -> _Spectrum:
     """Eigenvalues and reference weights of the arrowhead from its secular equation, O(dim).
@@ -258,7 +359,11 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
         S = pi cot(pi s) - 1/x - [digamma(N+1-x) - digamma(N+1+x)],
 
     so the cotangent keeps full precision; the outer root uses the direct
-    sum.  The weights are ``1 / (1 + g sum_n 1/(x - n)^2)``, whose sum has
+    sum.  Each root is first reached to within a few ulps without meeting a
+    pole (:func:`_inner_start`, :func:`_outer_start`), then :func:`_refine`
+    bisects a small bracket around it, whose signs it checks, to the last
+    bit; a root whose bracket fails the check is bisected over its whole
+    cell.  The weights are ``1 / (1 + g sum_n 1/(x - n)^2)``, whose sum has
     the closed form ``pi^2 csc^2(pi s) - 1/x^2 - trigamma(N+1-x) -
     trigamma(N+1+x)`` and is ``2 sum_{n<=N} 1/n^2`` at ``x = 0``.  The
     digamma and trigamma are the numpy :func:`_digamma` and :func:`_trigamma`.
@@ -273,32 +378,15 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
 
     inner = cell[:-1]
     below, above = (n_half + 1.0) - inner, (n_half + 1.0) + inner
-    # rows N+1-x and N+1+x, so that one digamma call per step takes both:
-    # at small N a call costs mostly its fixed overhead
-    poles, sides = np.stack((below, above)), np.array([[-1.0], [1.0]])
-
-    def inner_secular(s):
-        x = inner + s
-        psi = _digamma(poles + sides * s)
-        return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi[0] - psi[1]))
-
-    # outer root x = N + s: x - n and x + n for n = 1..N are these gaps plus s
-    gaps = np.concatenate([np.arange(float(n_half)), np.arange(n_half + 1.0, 2.0 * n_half + 1.0)])
-
-    def outer_secular(s):
-        return (n_half + s) - g * np.sum(1.0 / (gaps + s[:, None]), axis=-1)
-
     # overflow to inf near a pole keeps the sign the bisection needs
     with np.errstate(over="ignore"):
-        s_in = _bisect(inner_secular, np.ones(n_half - 1))
-        # S(x) <= 2 N x / (x^2 - N^2) bounds the outer root by sqrt(N^2 + 2 N g)
-        r = math.sqrt(2.0 * n_half) * math.sqrt(g)
-        s_out = _bisect(outer_secular, np.array([r * (r / (math.hypot(n_half, r) + n_half))]))
+        s_in = _refine(functools.partial(_inner_secular, n_half, g), *_inner_start(n_half, g))
+        s_out = _refine(functools.partial(_outer_secular, n_half, g), *_outer_start(n_half, g))
         # g / d^2 as (scale / d)^2, so a tiny offset does not underflow
         x_in = inner + s_in
         gsq_in = (scale * math.pi / np.sin(math.pi * s_in)) ** 2
         gsq_in -= g * (1.0 / x_in**2 + _trigamma(below - s_in) + _trigamma(above + s_in))
-        gsq_out = np.sum((scale / (gaps + s_out)) ** 2)
+        gsq_out = np.sum((scale / (_outer_gaps(n_half) + s_out)) ** 2)
     offset = np.append(s_in, s_out)
     weight = 1.0 / (1.0 + np.append(gsq_in, gsq_out))
     weight0 = 1.0 / (1.0 + g * 2.0 * np.sum(1.0 / cell**2))

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -216,6 +217,103 @@ def test_digamma_and_trigamma_match_scipy_and_keep_the_weight_sum_rule():
         for gamma in (1e-6, 1.0, 1e3):
             spec = decay._spectrum(BathSpec.from_gamma(n_half, gamma, 0.05))
             assert abs(spec.weight0 + 2.0 * np.sum(spec.weight) - 1.0) <= 1e-15
+
+
+def _secular_g(bath: BathSpec) -> float:
+    scale = bath.coupling / bath.delta_e
+    return scale * scale  # as the solve forms it: scale**2 can differ in the last bit
+
+
+def _secular_functions(bath: BathSpec):
+    g = _secular_g(bath)
+    return (
+        functools.partial(decay._inner_secular, bath.n_half, g),
+        functools.partial(decay._outer_secular, bath.n_half, g),
+    )
+
+
+def _whole_cell_offsets(bath: BathSpec) -> np.ndarray:
+    """Every offset bisected over its whole cell, with no start."""
+    inner, outer = _secular_functions(bath)
+    tiny = np.finfo(float).tiny
+    top = decay._outer_start(bath.n_half, _secular_g(bath))[2]
+    with np.errstate(over="ignore"):
+        s_in = decay._bisect(inner, np.full(bath.n_half - 1, tiny), np.ones(bath.n_half - 1))
+        s_out = decay._bisect(outer, np.array([tiny]), top)
+    return np.append(s_in, s_out)
+
+
+# the README default bath and the default sweep's four levels
+_DEFAULT_BATHS = [(2000, 1.0, 0.05)] + [(n_half, 1.0, 0.1) for n_half in (250, 500, 1000, 2000)]
+
+
+@pytest.mark.parametrize("delta_e", [0.005, 0.05, 1.0])
+@pytest.mark.parametrize("gamma", [1e-12, 1e-6, 1.0, 30.0, 1e3])
+@pytest.mark.parametrize("n_half", [1, 2, 3, 10, 250, 2000, decay.MAX_N_HALF])
+def test_every_offset_is_a_sign_change_to_the_last_bit(n_half, gamma, delta_e):
+    bath = BathSpec.from_gamma(n_half, gamma, delta_e)
+    offset = decay._spectrum.__wrapped__(bath).offset
+    inner, outer = _secular_functions(bath)
+    for secular, s in ((inner, offset[:-1]), (outer, offset[-1:])):
+        assert np.all(secular(np.nextafter(s, 0.0)) < 0.0)
+        assert np.all(secular(s) >= 0.0)
+
+
+@pytest.mark.parametrize("n_half, gamma, delta_e", _DEFAULT_BATHS)
+def test_started_offsets_equal_whole_cell_bisection(n_half, gamma, delta_e):
+    bath = BathSpec.from_gamma(n_half, gamma, delta_e)
+    offset = decay._spectrum.__wrapped__(bath).offset
+    assert np.array_equal(offset, _whole_cell_offsets(bath))
+
+
+def test_a_start_outside_its_bracket_falls_back_to_the_whole_cell(monkeypatch):
+    bath = BathSpec.from_gamma(250, 1.0, 0.1)
+    inner_start, outer_start = decay._inner_start, decay._outer_start
+
+    def off_every_other(n_half, g):
+        s, unit, top = inner_start(n_half, g)
+        return np.where(np.arange(len(s)) % 2 == 0, s * (1.0 + 1e-9), s), unit, top
+
+    def off_outer(n_half, g):
+        s, unit, top = outer_start(n_half, g)
+        return 0.5 * s, unit, top
+
+    brackets = []
+
+    def recording_bisect(secular, lo, hi, run=decay._bisect):
+        brackets.append(lo)
+        return run(secular, lo, hi)
+
+    monkeypatch.setattr(decay, "_inner_start", off_every_other)
+    monkeypatch.setattr(decay, "_outer_start", off_outer)
+    monkeypatch.setattr(decay, "_bisect", recording_bisect)
+    offset = decay._spectrum.__wrapped__(bath).offset
+    tiny = np.finfo(float).tiny
+    # the shifted starts fell back to their whole cells, the others did not
+    assert np.all(brackets[0][::2] == tiny) and np.all(brackets[0][1::2] > tiny)
+    assert np.all(brackets[1] == tiny)
+    assert np.array_equal(offset, _whole_cell_offsets(bath))
+
+
+@pytest.mark.parametrize("n_half, gamma, delta_e", _DEFAULT_BATHS)
+def test_a_cold_solve_bisects_only_the_last_bits(n_half, gamma, delta_e, monkeypatch):
+    # counts, unlike timings, do not depend on the host: a whole-cell
+    # bisection takes ~63 digamma calls and ~63 direct sums, the starts
+    # measured 15-16 and 10-11 on these baths
+    calls = {"digamma": 0, "outer": 0}
+
+    def counted(name, run):
+        def wrapper(*args):
+            calls[name] += 1
+            return run(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(decay, "_digamma", counted("digamma", decay._digamma))
+    monkeypatch.setattr(decay, "_outer_terms", counted("outer", decay._outer_terms))
+    decay._spectrum.__wrapped__(BathSpec.from_gamma(n_half, gamma, delta_e))
+    assert 0 < calls["digamma"] <= 20
+    assert 0 < calls["outer"] <= 15
 
 
 def test_ode_oracle_small_bath():

@@ -410,7 +410,7 @@ def test_bath_free_runs_never_import_scipy(tmp_path):
 
 def test_bath_runs_never_import_scipy(tmp_path):
     # the bath spectrum takes its digamma and trigamma from numpy, so solving
-    # one costs no scipy import
+    # one costs no scipy import; the check battery is imported by `check` alone
     code = (
         "import sys\n"
         "import weakdecay.cli as cli\n"
@@ -421,13 +421,13 @@ def test_bath_runs_never_import_scipy(tmp_path):
         "    cli.main(['sweep', '--set', 'levels=20,40', '--set', 'n_points=5',"
         f" '--set', 'tolerance=0.5', '--out', {str(tmp_path / 'sweep.csv')!r}]),\n"
         "]\n"
-        "print(codes, 'scipy' in sys.modules)\n"
+        "print(codes, 'scipy' in sys.modules, 'weakdecay.checks' in sys.modules)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[0, 0] False"
+    assert run.stdout.splitlines()[-1] == "[0, 0] False False"
 
 
 def test_cli_sums_beyond_the_term_budget_exits_2_before_summing(monkeypatch, capsys):
