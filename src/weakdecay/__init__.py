@@ -1,6 +1,6 @@
 """Time-dependent weak values for pre/post-selected two-level systems.
 
-Library plus CLI harness covering three connected pieces:
+Library plus CLI harness, in five modules:
 
 - :mod:`weakdecay.core` - state/operator algebra and the weak-value kernel;
 - :mod:`weakdecay.spin` - spin precession with closed-form weak values;
@@ -21,7 +21,6 @@ from .core import (
 )
 from .decay import (
     BathSpec,
-    DecayQuery,
     PostSpec,
     asymptotic_truncation_bound,
     bath_propagator,

@@ -215,8 +215,8 @@ def check_generalized_decay_laws() -> CheckResult:
     grid = np.linspace(t_i, t_f, 101)
     post_photon = decay.PostSpec.single_photon(1)
     post_asym = decay.PostSpec.asymptotic_emission()
-    wp = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, grid, t_f, post_photon))
-    wa = decay.weak_survival_numeric(decay.DecayQuery(bath, t_i, grid, t_f, post_asym))
+    wp = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_photon)
+    wa = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_asym)
     ref_res = decay.weak_survival_single_photon(g, 0.0, t_i, grid, t_f)
     ref_det = decay.weak_survival_single_photon(g, bath.delta_e, t_i, grid, t_f)
     ref_asym = decay.weak_survival_asymptotic_post(g, t_i, grid, t_f)
@@ -320,9 +320,7 @@ def check_undecayed_identity() -> CheckResult:
         )
         worst = max(worst, abs(ratio - 1.0))
     bath = decay.default_bath()
-    finite = decay.weak_survival_numeric(
-        decay.DecayQuery(bath, 0.0, 1.0, 2.0, decay.PostSpec.undecayed())
-    )
+    finite = decay.weak_survival_numeric(bath, 0.0, 1.0, 2.0, decay.PostSpec.undecayed())
     return CheckResult(
         "undecayed_identity",
         worst <= 1e-8,

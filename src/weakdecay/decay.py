@@ -639,22 +639,6 @@ class PostSpec:
         return cls(PostKind.UNDECAYED)
 
 
-@dataclass(frozen=True)
-class DecayQuery:
-    """Bath, selection window and post-selection for a numeric weak value."""
-
-    bath: BathSpec
-    t_i: float
-    t: float | np.ndarray
-    t_f: float
-    post: PostSpec
-
-    def __post_init__(self):
-        _check_window(self.t_i, self.t, self.t_f)
-        if self.post.kind is PostKind.SINGLE_PHOTON:
-            slot_of_atom(self.bath.n_half, self.post.photon_atom)
-
-
 def _post_overlap(bath: BathSpec, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """Overlap of the post-selected state with the reference evolved for ``t``.
 
@@ -669,7 +653,9 @@ def _post_overlap(bath: BathSpec, post: PostSpec, t: float | np.ndarray) -> comp
     return propagator_element(bath, 0, t)
 
 
-def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
+def weak_survival_numeric(
+    bath: BathSpec, t_i: float, t: float | np.ndarray, t_f: float, post: PostSpec
+) -> complex | np.ndarray:
     """Finite-bath weak survival value from propagator elements.
 
     Every post-selection gives the ratio
@@ -678,28 +664,37 @@ def weak_survival_numeric(q: DecayQuery) -> complex | np.ndarray:
     of an identity that is exactly 1 in the scaling limit; at finite N it
     deviates at the band-width level.
 
-    ``q.t`` may be a 1-D array of times, giving one value per time; the
+    ``t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated with the grid and checked once.
+    The window and a photon atom outside the bath are rejected before the
+    bath spectrum is solved.
     """
-    bath = q.bath
-    window = q.t_f - q.t_i
+    _check_window(t_i, t, t_f)
+    window = t_f - t_i
     bath.check_recurrence(window)
-    overlap = _post_overlap(bath, q.post, np.append(window, q.t_f - np.asarray(q.t)))
+    overlap = _post_overlap(bath, post, np.append(window, t_f - np.asarray(t)))
     denom = overlap[0]
     if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull(f"overlap with the {q.post.kind.value} post-selection below floor")
-    return overlap[1:].reshape(np.shape(q.t)) * propagator_element(bath, 0, q.t - q.t_i) / denom
+        raise PostSelectionNull(f"overlap with the {post.kind.value} post-selection below floor")
+    return overlap[1:].reshape(np.shape(t)) * propagator_element(bath, 0, t - t_i) / denom
 
 
-def weak_survival_closed(q: DecayQuery) -> complex | np.ndarray:
-    """Scaling-limit law for the query's post-selection; the undecayed one is identically 1."""
-    gamma = q.bath.gamma
-    if q.post.kind is PostKind.SINGLE_PHOTON:
-        e_diff = q.post.photon_atom * q.bath.delta_e
-        return weak_survival_single_photon(gamma, e_diff, q.t_i, q.t, q.t_f)
-    if q.post.kind is PostKind.ASYMPTOTIC_EMISSION:
-        return weak_survival_asymptotic_post(gamma, q.t_i, q.t, q.t_f)
-    return np.ones(np.shape(q.t), dtype=complex)[()]
+def weak_survival_closed(
+    bath: BathSpec, t_i: float, t: float | np.ndarray, t_f: float, post: PostSpec
+) -> complex | np.ndarray:
+    """Scaling-limit law for the post-selection ``post``; the undecayed one is identically 1.
+
+    It checks the same operands as :func:`weak_survival_numeric`: the window,
+    and for a photon post that its atom lies in ``bath``.
+    """
+    if post.kind is PostKind.SINGLE_PHOTON:
+        slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch outside the bath
+        e_diff = post.photon_atom * bath.delta_e
+        return weak_survival_single_photon(bath.gamma, e_diff, t_i, t, t_f)
+    if post.kind is PostKind.ASYMPTOTIC_EMISSION:
+        return weak_survival_asymptotic_post(bath.gamma, t_i, t, t_f)
+    _check_window(t_i, t, t_f)
+    return np.ones(np.shape(t), dtype=complex)[()]
 
 
 def asymptotic_truncation_bound(bath: BathSpec) -> float:

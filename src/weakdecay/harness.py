@@ -161,7 +161,8 @@ _MODEL_DEFAULTS: dict[str, dict[str, str]] = {
 def build_config(raw: dict[str, str]) -> ScenarioConfig:
     """Validate raw key/value pairs into a ScenarioConfig.
 
-    Raises ConfigInvalid carrying one diagnostic per offending field.
+    Raises ConfigInvalid carrying one diagnostic per offending field.  Values
+    that do not parse are reported with any unknown keys, without range checks.
     """
     problems: list[str] = []
     unknown = sorted(set(raw) - set(_DEFAULTS))
@@ -195,12 +196,28 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
             problems.append(f"{key}: not an integer: {merged[key]!r}")
             return 0
 
+    unknown_only = len(problems)
     t_i = number("t_i")
     t_f = number("t_f")
     n_points = integer("n_points")
     t_start = number("t_start", default=t_i)
     t_end = number("t_end", default=t_f)
     post = merged["post"]
+    gamma = number("gamma")
+    default_tol = {
+        "decay": 0.05 if post == "undecayed" else 0.01,
+        "sums": 0.005 * math.pi / gamma if gamma > 0 else 0.01,
+    }.get(model)
+    tolerance = number("tolerance", default=default_tol)
+    omega, delta_e = number("omega"), number("delta_e")
+    n_half, k_max = integer("n_half"), integer("k_max")
+    levels: tuple[int, ...] = ()
+    try:
+        levels = tuple(int(x.strip()) for x in merged["levels"].split(",") if x.strip())
+    except ValueError:
+        problems.append(f"levels: not a comma-separated integer list: {merged['levels']!r}")
+    if len(problems) > unknown_only:  # a value did not parse: its placeholder is no input
+        raise ConfigInvalid(problems)
 
     if not 2 <= n_points <= MAX_POINTS:
         problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {n_points}")
@@ -218,26 +235,14 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     if model == "spin" and post not in _SPIN_POSTS:
         problems.append(f"post: spin accepts {sorted(_SPIN_POSTS)}, got {post!r}")
 
-    levels: tuple[int, ...] = ()
-    try:
-        levels = tuple(int(x.strip()) for x in merged["levels"].split(",") if x.strip())
-    except ValueError:
-        problems.append(f"levels: not a comma-separated integer list: {merged['levels']!r}")
-    else:
-        if list(levels) != sorted(levels):
-            problems.append("levels: must be ascending")
-        elif model == "sweep" and not levels:
-            problems.append("levels: need a nonempty ascending list")
+    if list(levels) != sorted(levels):
+        problems.append("levels: must be ascending")
+    elif model == "sweep" and not levels:
+        problems.append("levels: need a nonempty ascending list")
     scaling = merged["scaling"]
     if scaling not in ("fixed_spacing", "fixed_band"):
         problems.append(f"scaling: must be fixed_spacing or fixed_band, got {scaling!r}")
 
-    gamma = number("gamma")
-    default_tol = {
-        "decay": 0.05 if post == "undecayed" else 0.01,
-        "sums": 0.005 * math.pi / gamma if gamma > 0 else 0.01,
-    }.get(model)
-    tolerance = number("tolerance", default=default_tol)
     if not (0.0 < tolerance < math.inf):
         problems.append(f"tolerance: need a finite value > 0, got {tolerance}")
     problems += out_problems(merged["out"])
@@ -249,14 +254,14 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         n_points=n_points,
         tolerance=tolerance,
         out=merged["out"] or None,
-        omega=number("omega"),
+        omega=omega,
         t_i=t_i,
         t_f=t_f,
         post=post,
-        n_half=integer("n_half"),
+        n_half=n_half,
         gamma=gamma,
-        delta_e=number("delta_e"),
-        k_max=integer("k_max"),
+        delta_e=delta_e,
+        k_max=k_max,
         levels=levels,
         scaling=scaling,
     )
@@ -308,8 +313,8 @@ def _spin_values(config: ScenarioConfig, grid: np.ndarray):
 
 
 def _decay_values(config: ScenarioConfig, grid: np.ndarray):
-    q = decay.DecayQuery(config.bath, config.t_i, grid, config.t_f, config.decay_post)
-    return decay.weak_survival_numeric(q), decay.weak_survival_closed(q)
+    operands = (config.bath, config.t_i, grid, config.t_f, config.decay_post)
+    return decay.weak_survival_numeric(*operands), decay.weak_survival_closed(*operands)
 
 
 def _sums_values(config: ScenarioConfig, grid: np.ndarray):

@@ -8,7 +8,6 @@ import pytest
 from weakdecay import (
     BathSpec,
     BeyondRecurrence,
-    DecayQuery,
     DegenerateWindow,
     DimensionMismatch,
     PostSelectionNull,
@@ -113,9 +112,8 @@ def test_decoupled_bath_amplitudes_stay_in_the_reference():
     assert np.array_equal(propagator_column(bath, times), np.tile(np.eye(bath.dim)[0], (3, 1)))
     for atom in (-3, -1, 1, 3):
         assert np.all(interaction_element(bath, atom, times) == 0.0)
-    query = DecayQuery(bath, 0.0, times, 2.0, PostSpec.asymptotic_emission())
     with pytest.raises(PostSelectionNull):
-        weak_survival_numeric(query)
+        weak_survival_numeric(bath, 0.0, times, 2.0, PostSpec.asymptotic_emission())
 
 
 # ---------------------------------------------------------------- propagator
@@ -159,7 +157,7 @@ def test_weak_value_and_scan_form_the_kernel_once(small_bath, monkeypatch):
 
     monkeypatch.setattr(decay, "_pair_kernel", counted)
     times = np.linspace(0.0, 1.5, 7)
-    weak_survival_numeric(DecayQuery(small_bath, 0.0, times, 1.5, PostSpec.asymptotic_emission()))
+    weak_survival_numeric(small_bath, 0.0, times, 1.5, PostSpec.asymptotic_emission())
     assert calls == [small_bath.n_half]
     calls.clear()
     bath_weak_projector_scan(small_bath, 0.0, 0.6, 1.5)
@@ -426,7 +424,7 @@ def test_closed_law_follows_the_post_selection(post, x):
     bath = BathSpec.from_gamma(5, 1.0, 0.2)
     t_i, t_f = 0.2, 1.7
     for t in (0.2, 0.9, 1.7):
-        law = weak_survival_closed(DecayQuery(bath, t_i, t, t_f, post))
+        law = weak_survival_closed(bath, t_i, t, t_f, post)
         expected = 1.0
         if x is not None:
             window = (1 - cmath.exp(x * (t_f - t))) / (1 - cmath.exp(x * (t_f - t_i)))
@@ -441,15 +439,16 @@ def test_post_spec_rejects_reference_slot():
         PostSpec.single_photon(0)
 
 
-def test_query_validates_photon_range(small_bath):
-    with pytest.raises(DimensionMismatch):
-        DecayQuery(small_bath, 0.0, 0.5, 1.0, PostSpec.single_photon(11))
+def test_query_validates_photon_range(small_bath, no_spectrum):
+    for route in (weak_survival_numeric, weak_survival_closed):
+        with pytest.raises(DimensionMismatch):
+            route(small_bath, 0.0, 0.5, 1.0, PostSpec.single_photon(11))
 
 
 def test_numeric_single_photon_boundaries(small_bath):
     post = PostSpec.single_photon(1)
-    w_i = weak_survival_numeric(DecayQuery(small_bath, 0.0, 0.0, 1.5, post))
-    w_f = weak_survival_numeric(DecayQuery(small_bath, 0.0, 1.5, 1.5, post))
+    w_i = weak_survival_numeric(small_bath, 0.0, 0.0, 1.5, post)
+    w_f = weak_survival_numeric(small_bath, 0.0, 1.5, 1.5, post)
     assert w_i == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert w_f == pytest.approx(0.0 + 0.0j, abs=1e-12)
 
@@ -458,25 +457,28 @@ def test_numeric_matches_closed_forms_at_default_bath():
     bath = default_bath()
     t_i, t_f = 0.0, 2.0
     for t in (0.5, 1.0, 1.7):
-        wp = weak_survival_numeric(DecayQuery(bath, t_i, t, t_f, PostSpec.single_photon(1)))
+        wp = weak_survival_numeric(bath, t_i, t, t_f, PostSpec.single_photon(1))
         assert abs(wp - weak_survival_single_photon(1.0, 0.0, t_i, t, t_f)) <= 0.01
-        wa = weak_survival_numeric(DecayQuery(bath, t_i, t, t_f, PostSpec.asymptotic_emission()))
+        wa = weak_survival_numeric(bath, t_i, t, t_f, PostSpec.asymptotic_emission())
         assert abs(wa - weak_survival_asymptotic_post(1.0, t_i, t, t_f)) <= 0.01
 
 
 def test_numeric_undecayed_near_one_at_default_bath():
     bath = default_bath()
-    w = weak_survival_numeric(DecayQuery(bath, 0.0, 1.0, 2.0, PostSpec.undecayed()))
+    w = weak_survival_numeric(bath, 0.0, 1.0, 2.0, PostSpec.undecayed())
     assert abs(w - 1.0) <= 0.05  # finite-band deviation; exactly 1 in the limit
 
 
-def test_numeric_recurrence_and_degenerate_guards(small_bath):
+def test_numeric_recurrence_and_degenerate_guards(small_bath, no_spectrum):
     post = PostSpec.undecayed()
-    with pytest.raises(DegenerateWindow):
-        weak_survival_numeric(DecayQuery(small_bath, 1.0, 1.0, 1.0, post))
     long_window = small_bath.recurrence_guard + 1.0
+    for route in (weak_survival_numeric, weak_survival_closed):
+        with pytest.raises(DegenerateWindow):
+            route(small_bath, 1.0, 1.0, 1.0, post)
+    with pytest.raises(ValueError, match=r"^need t_i <= t <= t_f"):
+        weak_survival_closed(small_bath, 0.0, 2.5, 2.0, post)
     with pytest.raises(BeyondRecurrence):
-        weak_survival_numeric(DecayQuery(small_bath, 0.0, 1.0, long_window, post))
+        weak_survival_numeric(small_bath, 0.0, 1.0, long_window, post)
 
 
 @pytest.mark.parametrize(
@@ -493,7 +495,7 @@ def test_dense_kernel_matches_numeric_weak_value(atom):
     u_mid, u_late = bath_propagator(bath, t - t_i), bath_propagator(bath, t_f - t)
     w_kernel = weak_value(reference, post, projector_from_state(reference), u_mid, u_late)
     spec = PostSpec.single_photon(atom) if atom else PostSpec.undecayed()
-    w_numeric = weak_survival_numeric(DecayQuery(bath, t_i, t, t_f, spec))
+    w_numeric = weak_survival_numeric(bath, t_i, t, t_f, spec)
     phase = np.exp(1j * atom * bath.delta_e * (t - t_i))
     assert abs(w_kernel - w_numeric * phase) <= 1e-10
 
@@ -532,9 +534,7 @@ def test_scan_interior_signs_and_unitarity_closure():
     assert np.max(w[1:].real) > 1e-9
     assert abs(np.sum(w) - 1.0) <= 1e-10
     # the bath-only sum equals one minus the undecayed weak value, exactly
-    w_undecayed = weak_survival_numeric(
-        DecayQuery(bath, 0.0, 0.6, 1.5, PostSpec.undecayed())
-    )
+    w_undecayed = weak_survival_numeric(bath, 0.0, 0.6, 1.5, PostSpec.undecayed())
     assert abs(np.sum(w[1:]) - (1.0 - w_undecayed)) <= 1e-10
 
 

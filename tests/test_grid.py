@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weakdecay import (
-    DecayQuery,
     PostChoice,
     PostSpec,
     SpinParams,
@@ -26,7 +25,7 @@ SPIN = SpinParams(1.3, -0.2, 1.9)
 
 
 def _weak(post, law=weak_survival_numeric):
-    return lambda bath, t: law(DecayQuery(bath, 0.0, t, 1.5, post))
+    return lambda bath, t: law(bath, 0.0, t, 1.5, post)
 
 
 CASES = {

@@ -85,6 +85,17 @@ def test_config_keys_are_the_documented_ones():
     assert set(harness._DEFAULTS) == set(CONFIG_KEYS)
 
 
+def test_readme_quick_start_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    # the values the block's comments give, to the digits they show
+    assert "# 1.207..." in block and "0.26898... - 0.00362...j" in block
+    assert names["w"] == pytest.approx(1.2071, abs=5e-5)
+    assert names["w_closed"] == pytest.approx(0.26898 - 0.00362j, abs=5e-6)
+
+
 _RAW_VALUES = st.one_of(
     st.sampled_from(
         ["", "0", "1", "-1", "2", "0.5", "3.0", "1e400", "-1e400", "nan", "inf", "-inf",
@@ -297,6 +308,23 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     code = cli.main(["spin", "--set", "t_end=9.0"])  # grid beyond the window
     assert code == 2
     assert "within the selection window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("decay", "n_half", "2.5"),
+        ("decay", "gamma", "abc"),
+        ("decay", "t_f", "abc"),
+        ("spin", "omega", "abc"),
+        ("spin", "tolerance", "abc"),
+    ],
+)
+def test_cli_unparseable_value_is_reported_once(command, key, value, no_spectrum, capsys):
+    assert cli.main([command, "--set", f"{key}={value}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {key}: not a") and repr(value) in lines[0]
 
 
 def test_cli_model_conflict_exits_2(capsys):
