@@ -42,7 +42,6 @@ from .decay import (
 from .errors import (
     BasisNotComplete,
     BeyondRecurrence,
-    ClosedFormSingular,
     ConfigInvalid,
     DegenerateWindow,
     DimensionMismatch,
@@ -54,7 +53,6 @@ from .errors import (
 from .spin import (
     PostChoice,
     SpinAxis,
-    SpinParams,
     spin_propagator,
     spin_strong_closed,
     spin_weak_closed,

@@ -77,10 +77,9 @@ def check_spin_closed_forms_vs_kernel() -> CheckResult:
     worst = 0.0
     for _ in range(SPIN_DRAWS):
         omega, t_i, t, t_f = _random_spin_draw(rng)
-        params = spin.SpinParams(omega, t_i, t_f)
-        for choice in spin.PostChoice:
-            closed = spin.spin_weak_closed(choice, params, t)
-            kernel = spin.spin_weak_kernel(choice.value, params, t)
+        for post in spin.PostChoice:
+            closed = spin.spin_weak_closed(omega, t_i, t, t_f, post)
+            kernel = spin.spin_weak_kernel(omega, t_i, t, t_f, post)
             worst = max(worst, abs(closed - kernel))
         frac = (t - t_i) / (t_f - t_i)
         # half-cycle window: post-selection along -x equals the evolved state,
@@ -97,8 +96,7 @@ def check_spin_closed_forms_vs_kernel() -> CheckResult:
         om = abs(omega)
         t_f32 = t_i + 0.5 * math.pi / om
         t32 = t_i + frac * (t_f32 - t_i)
-        params32 = spin.SpinParams(om, t_i, t_f32)
-        w32 = spin.spin_weak_kernel(spin.X_PLUS, params32, t32)
+        w32 = spin.spin_weak_kernel(om, t_i, t32, t_f32, spin.PostChoice.X_PLUS)
         a = om * (t32 - t_i)
         ref32 = 0.5 * (1.0 + math.sin(a) + math.cos(a))
         worst = max(worst, abs(w32 - ref32))
@@ -113,19 +111,19 @@ def check_reduction_identities() -> CheckResult:
     """C2: whole-cycle and half-cycle windows collapse weak values to strong ones."""
     omega, t_i = 1.0, 0.0
     # whole precession cycle: trivial +x post-selection
-    params_full = spin.SpinParams(omega, t_i, 2.0 * math.pi)
-    grid = np.linspace(t_i, params_full.t_f, 101)
+    t_f = 2.0 * math.pi
+    grid = np.linspace(t_i, t_f, 101)
     worst_full = np.max(
         np.abs(
-            spin.spin_weak_closed(spin.PostChoice.X_PLUS, params_full, grid)
+            spin.spin_weak_closed(omega, t_i, grid, t_f, spin.PostChoice.X_PLUS)
             - spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
         )
     )
     # half cycle: -x post-selection matches the evolved state, so the -x
     # projector's weak value reduces to its strong expectation
-    params_half = spin.SpinParams(omega, t_i, math.pi)
-    grid = np.linspace(t_i, params_half.t_f, 101)
-    w_xplus = spin.spin_weak_closed(spin.PostChoice.X_MINUS, params_half, grid)
+    t_f = math.pi
+    grid = np.linspace(t_i, t_f, 101)
+    w_xplus = spin.spin_weak_closed(omega, t_i, grid, t_f, spin.PostChoice.X_MINUS)
     strong_xm = spin.spin_strong_closed(spin.SpinAxis.X_MINUS, omega, t_i, grid)
     strong_xp = spin.spin_strong_closed(spin.SpinAxis.X_PLUS, omega, t_i, grid)
     worst_half = max(

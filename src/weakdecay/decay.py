@@ -126,15 +126,15 @@ class BathSpec:
         return np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
 
 
-def default_bath(n_half: int = 2000, gamma: float = 1.0, delta_e: float = 0.05) -> BathSpec:
-    """Desk-scale bath: 4001 levels, whose spectrum takes milliseconds.
+def default_bath() -> BathSpec:
+    """Desk-scale bath: N = 2000 (4001 levels), gamma = 1, delta_e = 0.05.
 
-    The default spacing keeps the band width ``2 N delta_e`` at 200 gamma so
-    that finite-band transients sit well below the percent level, while the
-    recurrence guard (~62 time units) leaves ample room for windows up to
-    t_f ~ 10.
+    Its spectrum takes milliseconds.  The spacing keeps the band width
+    ``2 N delta_e`` at 200 gamma so that finite-band transients sit well
+    below the percent level, while the recurrence guard (~62 time units)
+    leaves ample room for windows up to t_f ~ 10.
     """
-    return BathSpec.from_gamma(n_half, gamma, delta_e)
+    return BathSpec.from_gamma(2000, 1.0, 0.05)
 
 
 def slot_of_atom(n_half: int, atom: int) -> int:
@@ -534,20 +534,22 @@ def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.nda
     return overlap.reshape(np.shape(t))[()]
 
 
-def u00_limit(gamma: float, t: float) -> complex:
-    """Scaling-limit survival amplitude of the excited reference atom."""
-    if t < 0:
+def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:
+    """Scaling-limit survival amplitude of the excited reference atom, per time in ``t``."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    return complex(math.exp(-gamma * t))
+    return np.exp(-gamma * t) + 0j
 
 
-def un0_limit(gamma: float, delta_e: float, n: int, t: float) -> complex:
-    """Scaling-limit amplitude on the bath atom detuned by ``n * delta_e``.
+def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> complex | np.ndarray:
+    """Scaling-limit amplitude on the bath atom detuned by ``n * delta_e``, per time in ``t``.
 
     Interaction picture, with the coupling eliminated through
     ``H = sqrt(gamma * delta_e / pi)``.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     if not delta_e > 0:
         raise ValueError("delta_e must be positive")

@@ -29,10 +29,6 @@ class BasisNotComplete(WeakDecayError):
     """A post-selection basis is not complete and orthonormal."""
 
 
-class ClosedFormSingular(WeakDecayError):
-    """A closed-form weak value hits a vanishing post-selection denominator."""
-
-
 class BeyondRecurrence(WeakDecayError):
     """Requested time is beyond the finite bath's recurrence guard.
 

@@ -74,10 +74,6 @@ class ScenarioConfig:
     # ValueErrors they raise as config problems.
 
     @functools.cached_property
-    def spin_params(self) -> spin.SpinParams:
-        return spin.SpinParams(self.omega, self.t_i, self.t_f)
-
-    @functools.cached_property
     def bath(self) -> decay.BathSpec:
         return decay.BathSpec.from_gamma(self.n_half, self.gamma, self.delta_e)
 
@@ -107,7 +103,6 @@ class ScenarioConfig:
 
 
 _MODEL_OBJECTS = {
-    "spin": ("spin_params",),
     "decay": ("bath", "decay_post"),
     "sums": ("sum_params",),
     "sweep": ("level_baths",),
@@ -268,7 +263,9 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     terms = config.n_points * config.k_max
     if model == "sums" and terms > MAX_SUM_TERMS:
         problems.append(f"k_max: n_points * k_max = {terms} terms, need <= {MAX_SUM_TERMS}")
-    for name in _MODEL_OBJECTS[model]:
+    if model == "spin" and (problem := spin.params_problem(omega, t_i, t_f)):
+        problems.append(problem)
+    for name in _MODEL_OBJECTS.get(model, ()):
         try:
             getattr(config, name)
         except ValueError as exc:
@@ -304,12 +301,8 @@ def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
 
 
 def _spin_values(config: ScenarioConfig, grid: np.ndarray):
-    choice = _SPIN_POSTS[config.post]
-    params = config.spin_params
-    return (
-        spin.spin_weak_kernel(choice.value, params, grid),
-        spin.spin_weak_closed(choice, params, grid),
-    )
+    operands = (config.omega, config.t_i, grid, config.t_f, _SPIN_POSTS[config.post])
+    return spin.spin_weak_kernel(*operands), spin.spin_weak_closed(*operands)
 
 
 def _decay_values(config: ScenarioConfig, grid: np.ndarray):

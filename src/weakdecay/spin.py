@@ -9,18 +9,22 @@ the +x projector's strong expectation is ``(1 + cos w(t-t_i))/2`` and the
 For pre-selection along +x and post-selection along +y, -x or +x, the weak
 value of the +x projector has closed forms (implemented below) that the
 test suite cross-checks against the numeric kernel in :mod:`weakdecay.core`;
-the kernel is the ground truth for these expressions.
+the kernel is the ground truth for these expressions.  Both routes take the
+operands of the decay routes, ``(omega, t_i, t, t_f, post)`` with ``post`` a
+:class:`PostChoice`, check them once per call, and raise PostSelectionNull
+when the post-selection overlap falls to the kernel's denominator floor.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import (
+    DENOM_FLOOR,
     Propagator,
     StateVector,
     check_window,
@@ -28,9 +32,8 @@ from .core import (
     weak_value,
     window_problem,
 )
-from .errors import ClosedFormSingular
+from .errors import PostSelectionNull
 
-_SINGULAR_TOL = 1e-12
 # Largest half-window phase: near 2**52 the spacing of floats reaches one
 # radian, so the closed forms' cos and sin of it mean nothing.
 MAX_PHASE = 4.5e15
@@ -51,27 +54,29 @@ class SpinAxis(enum.Enum):
     Y_MINUS = "y-"
 
 
-@dataclass(frozen=True)
-class SpinParams:
-    """Precession frequency and selection window."""
+def params_problem(omega: float, t_i: float, t_f: float) -> Optional[str]:
+    """What keeps ``omega`` and the window ``(t_i, t_f)`` from a spin run, or None.
 
-    omega: float
-    t_i: float
-    t_f: float
+    Needs a finite ``omega``, a window as :func:`weakdecay.core.window_problem`
+    accepts it, and a half-window phase within :data:`MAX_PHASE`.
+    """
+    problems = []
+    if not math.isfinite(omega):
+        problems.append(f"omega: need a finite value, got {omega}")
+    if window := window_problem(t_i, t_f):
+        problems.append(window)
+    elif 0.5 * abs(omega) > MAX_PHASE / (t_f - t_i):
+        problems.append(
+            f"omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds {MAX_PHASE:g}"
+            f" at omega={omega}, window {t_f - t_i}"
+        )
+    return "; ".join(problems) or None
 
-    def __post_init__(self):
-        problems = []
-        if not math.isfinite(self.omega):
-            problems.append(f"omega: need a finite value, got {self.omega}")
-        if window := window_problem(self.t_i, self.t_f):
-            problems.append(window)
-        elif 0.5 * abs(self.omega) > MAX_PHASE / (self.t_f - self.t_i):
-            problems.append(
-                f"omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds {MAX_PHASE:g}"
-                f" at omega={self.omega}, window {self.t_f - self.t_i}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
+
+def _check_operands(omega: float, t_i: float, t, t_f: float) -> None:
+    if problem := params_problem(omega, t_i, t_f):
+        raise ValueError(problem)
+    check_window(t_i, t, t_f)
 
 
 class PostChoice(enum.Enum):
@@ -111,25 +116,26 @@ def spin_strong_closed(
 
 
 def _nonsingular(den: float) -> float:
-    if abs(den) <= _SINGULAR_TOL:
-        raise ClosedFormSingular("post-selection orthogonal to the evolved state")
+    if abs(den) <= DENOM_FLOOR:
+        raise PostSelectionNull("post-selection orthogonal to the evolved state")
     return den
 
 
 def spin_weak_kernel(
-    post: StateVector, p: SpinParams, t: float | np.ndarray
+    omega: float, t_i: float, t: float | np.ndarray, t_f: float, post: PostChoice
 ) -> complex | np.ndarray:
     """Weak value of the +x projector via the numeric kernel (ground truth).
 
     ``t`` is one time or a 1-D array of times; an array gives one value per time.
+    The operands are checked before any propagator is built.
     """
-    check_window(p.t_i, t, p.t_f)
-    u_mid, u_late = spin_propagator(p.omega, t - p.t_i), spin_propagator(p.omega, p.t_f - t)
-    return weak_value(X_PLUS, post, projector_from_state(X_PLUS), u_mid, u_late)
+    _check_operands(omega, t_i, t, t_f)
+    u_mid, u_late = spin_propagator(omega, t - t_i), spin_propagator(omega, t_f - t)
+    return weak_value(X_PLUS, post.value, projector_from_state(X_PLUS), u_mid, u_late)
 
 
 def spin_weak_closed(
-    choice: PostChoice, p: SpinParams, t: float | np.ndarray
+    omega: float, t_i: float, t: float | np.ndarray, t_f: float, post: PostChoice
 ) -> complex | np.ndarray:
     """Closed-form weak value of the +x projector, pre-selected along +x.
 
@@ -138,13 +144,13 @@ def spin_weak_closed(
     on the window only, so it is checked once for every time in ``t`` (one
     time or a 1-D array).
     """
-    check_window(p.t_i, t, p.t_f)
-    a = 0.5 * p.omega * (t - p.t_i)
-    b = 0.5 * p.omega * (p.t_f - t)
-    h = 0.5 * p.omega * (p.t_f - p.t_i)
-    if choice is PostChoice.X_PLUS:
+    _check_operands(omega, t_i, t, t_f)
+    a = 0.5 * omega * (t - t_i)
+    b = 0.5 * omega * (t_f - t)
+    h = 0.5 * omega * (t_f - t_i)
+    if post is PostChoice.X_PLUS:
         value = np.cos(a) * np.cos(b) / _nonsingular(math.cos(h))
-    elif choice is PostChoice.X_MINUS:
+    elif post is PostChoice.X_MINUS:
         value = 0.5 - np.sin(a - b) / (2.0 * _nonsingular(math.sin(h)))
     else:
         value = np.cos(a) * (np.cos(b) - np.sin(b)) / _nonsingular(math.cos(h) - math.sin(h))

@@ -156,15 +156,17 @@ def lorentzian_closed_form(gamma: float, delta_e: float) -> float:
     return (math.pi / gamma) * (1.0 + e) / (1.0 - e)
 
 
-def phased_closed_form(gamma: float, delta_e: float, t: float) -> float:
+def phased_closed_form(gamma: float, delta_e: float, t: float | np.ndarray) -> float | np.ndarray:
     """Exact full-lattice value of the phased sum for ``0 <= t <= 2 pi / delta_e``.
 
     Equals ``(pi/gamma) cosh((pi - delta_e t) gamma / delta_e) / sinh(pi gamma / delta_e)``,
     evaluated in overflow-safe exponential form.  Within half a recurrence
-    period it is exponentially close to ``(pi/gamma) e^{-gamma t}``.
+    period it is exponentially close to ``(pi/gamma) e^{-gamma t}``.  An
+    array ``t`` gives one value per time.
     """
-    if not 0.0 <= delta_e * t <= 2.0 * math.pi:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= delta_e * t) & (delta_e * t <= 2.0 * math.pi)):
         raise ValueError("closed form valid for 0 <= delta_e * t <= 2 pi")
     a = math.pi * gamma / delta_e
     b = gamma * t
-    return (math.pi / gamma) * (math.exp(-b) + math.exp(b - 2.0 * a)) / (1.0 - math.exp(-2.0 * a))
+    return (math.pi / gamma) * (np.exp(-b) + np.exp(b - 2.0 * a)) / (1.0 - math.exp(-2.0 * a))

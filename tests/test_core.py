@@ -50,6 +50,21 @@ def test_operator_must_be_square():
         Operator(np.zeros((2, 3)))
 
 
+def test_shapes_and_dimensions_are_checked():
+    with pytest.raises(DimensionMismatch, match="at least one amplitude"):
+        StateVector([])
+    with pytest.raises(DimensionMismatch, match="square matrix"):
+        Propagator(np.zeros((2, 3)))
+    three = StateVector.normalized([1.0, 0.0, 0.0])
+    u2, u3 = spin_propagator(1.0, 0.3), Propagator(np.eye(3))
+    obs2, obs3 = Operator.identity(2), Operator.identity(3)
+    for pre, obs, u in ((three, obs2, u3), (three, obs3, u2), (X_PLUS, obs3, u3)):
+        with pytest.raises(DimensionMismatch):
+            strong_expectation(pre, obs, u)
+        with pytest.raises(DimensionMismatch):
+            decompose_expectation(pre, obs, u, [Z_PLUS, Z_MINUS])
+
+
 def test_operator_predicates():
     p = projector_from_state(X_PLUS)
     assert p.is_hermitian()

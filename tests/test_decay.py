@@ -340,6 +340,8 @@ def test_u00_limit_values():
     assert u00_limit(0.0, 7.0) == 1.0
     with pytest.raises(ValueError):
         u00_limit(1.0, -0.1)
+    with pytest.raises(ValueError):
+        u00_limit(1.0, np.array([0.5, -0.1]))
 
 
 def test_un0_limit_values():
@@ -347,6 +349,15 @@ def test_un0_limit_values():
     h = math.sqrt(1.0 * 0.05 / math.pi)
     late = un0_limit(1.0, 0.05, 0, 60.0)
     assert late == pytest.approx(-1j * h, abs=1e-12)  # late-time resonant amplitude
+    for args, message in (
+        ((1.0, 0.05, 3, -0.1), "t must be nonnegative"),
+        ((1.0, 0.05, 3, np.array([0.5, -0.1])), "t must be nonnegative"),
+        ((1.0, 0.0, 3, 1.0), "delta_e must be positive"),
+        ((1.0, -0.05, 3, 1.0), "delta_e must be positive"),
+        ((0.0, 0.05, 0, 1.0), "gamma and the detuning cannot both vanish"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            un0_limit(*args)
     assert abs(late) == pytest.approx(h, abs=1e-12)
 
 
@@ -402,6 +413,9 @@ def test_asymptotic_post_boundaries_and_value():
     # independent route: the window factors telescope to 1/(e + 1/e)
     assert mid == pytest.approx(1.0 / (math.e + math.exp(-1.0)), abs=1e-12)
     assert mid.real == pytest.approx(0.3240271368, abs=1e-9)
+    # without decay the emission window factor 1 - e^{-2 gamma (t_f - t_i)} vanishes
+    with pytest.raises(PostSelectionNull):
+        weak_survival_asymptotic_post(0.0, 0.0, 0.5, 1.0)
 
 
 def test_asymptotic_post_large_window_reduces_to_bare_decay():

@@ -1,15 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from weakdecay import (
-    ClosedFormSingular,
     Operator,
     PostChoice,
     PostSelectionNull,
     SpinAxis,
-    SpinParams,
     StateVector,
     projector_from_state,
     spin_propagator,
@@ -19,7 +18,7 @@ from weakdecay import (
     strong_expectation,
     weak_value,
 )
-from weakdecay.spin import X_MINUS, X_PLUS, Y_PLUS
+from weakdecay.spin import X_MINUS, X_PLUS, Y_PLUS, params_problem
 
 
 def test_propagator_special_angles():
@@ -30,12 +29,19 @@ def test_propagator_special_angles():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SpinParams(float("inf"), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        SpinParams(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="t_i/t_f: window t_f - t_i overflows"):
-        SpinParams(1.0, -1e308, 1e308)
+    for omega, t_i, t_f, message in (
+        (float("inf"), 0.0, 1.0, "omega: need a finite value, got inf"),
+        (1.0, 1.0, 1.0, "t_i/t_f: need finite t_i < t_f"),
+        (1.0, -1e308, 1e308, "t_i/t_f: window t_f - t_i overflows"),
+        (1e300, 0.0, 1e10, "omega: half-window phase"),
+        (float("inf"), 0.0, 0.0,
+         "omega: need a finite value, got inf; t_i/t_f: need finite t_i < t_f, got (0.0, 0.0)"),
+    ):
+        assert message in params_problem(omega, t_i, t_f)
+        # both routes raise it before building a propagator
+        for route in (spin_weak_closed, spin_weak_kernel):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                route(omega, t_i, t_i, t_f, PostChoice.X_PLUS)
 
 
 def test_post_choice_states():
@@ -47,23 +53,20 @@ def test_post_choice_states():
 
 def test_weak_closed_trivial_post_selection_value():
     # whole cycle, probed at a quarter of it
-    params = SpinParams(1.0, 0.0, 2.0 * math.pi)
-    w = spin_weak_closed(PostChoice.X_PLUS, params, 0.5 * math.pi)
+    w = spin_weak_closed(1.0, 0.0, 0.5 * math.pi, 2.0 * math.pi, PostChoice.X_PLUS)
     assert w == pytest.approx(0.5 + 0.0j, abs=1e-12)
 
 
 def test_weak_closed_quarter_cycle_exceeds_one():
-    params = SpinParams(1.0, 0.0, 0.5 * math.pi)
-    w = spin_weak_closed(PostChoice.X_PLUS, params, 0.25 * math.pi)
+    w = spin_weak_closed(1.0, 0.0, 0.25 * math.pi, 0.5 * math.pi, PostChoice.X_PLUS)
     assert w == pytest.approx(0.5 * (1.0 + math.sqrt(2.0)), abs=1e-12)
 
 
 def test_weak_closed_x_minus_matches_kernel_at_quarter_cycle():
     # the kernel is ground truth for this value (it evaluates to 1/2 here)
-    params = SpinParams(1.0, 0.0, 0.5 * math.pi)
-    t = 0.25 * math.pi
-    closed = spin_weak_closed(PostChoice.X_MINUS, params, t)
-    kernel = spin_weak_kernel(X_MINUS, params, t)
+    operands = (1.0, 0.0, 0.25 * math.pi, 0.5 * math.pi, PostChoice.X_MINUS)
+    closed = spin_weak_closed(*operands)
+    kernel = spin_weak_kernel(*operands)
     assert abs(closed - kernel) <= 1e-12
     assert closed == pytest.approx(0.5 + 0.0j, abs=1e-12)
 
@@ -73,6 +76,8 @@ def test_strong_closed_values():
     assert spin_strong_closed(SpinAxis.Y_PLUS, 1.0, 0.0, 0.5 * math.pi) == pytest.approx(0.0, abs=1e-12)
     assert spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
     assert spin_strong_closed(SpinAxis.X_MINUS, 1.0, 0.0, math.pi) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="need t >= t_i"):
+        spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.5, np.array([0.5, 0.4]))
 
 
 def test_strong_closed_y_minus_matches_numeric_expectation():
@@ -105,19 +110,18 @@ def test_closed_forms_match_kernel(rng):
     worst = 0.0
     for _ in range(200):
         omega, t_i, t, t_f = _nonsingular_draw(rng)
-        params = SpinParams(omega, t_i, t_f)
-        for choice in PostChoice:
-            closed = spin_weak_closed(choice, params, t)
-            kernel = spin_weak_kernel(choice.value, params, t)
+        for post in PostChoice:
+            closed = spin_weak_closed(omega, t_i, t, t_f, post)
+            kernel = spin_weak_kernel(omega, t_i, t, t_f, post)
             worst = max(worst, abs(closed - kernel))
     assert worst <= 1e-10
 
 
 def test_trivial_post_selection_reduction_multiple_cycles():
     for n in (1, 2, 3):
-        params = SpinParams(1.0, 0.0, 2.0 * math.pi * n)
-        for t in np.linspace(0.0, params.t_f, 41):
-            w = spin_weak_closed(PostChoice.X_PLUS, params, t)
+        t_f = 2.0 * math.pi * n
+        for t in np.linspace(0.0, t_f, 41):
+            w = spin_weak_closed(1.0, 0.0, t, t_f, PostChoice.X_PLUS)
             s = spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, t)
             assert abs(w - s) <= 1e-10
 
@@ -125,22 +129,21 @@ def test_trivial_post_selection_reduction_multiple_cycles():
 def test_half_cycle_reduction_to_strong_values():
     # post-selection along -x equals the freely evolved state after half a
     # cycle, so weak values collapse to strong expectations there
-    params = SpinParams(1.0, 0.0, math.pi)
     for t in np.linspace(0.0, math.pi, 41):
-        w_xplus = spin_weak_closed(PostChoice.X_MINUS, params, t)
+        w_xplus = spin_weak_closed(1.0, 0.0, t, math.pi, PostChoice.X_MINUS)
         assert abs(w_xplus - spin_strong_closed(SpinAxis.X_PLUS, 1.0, 0.0, t)) <= 1e-10
         assert abs((1.0 - w_xplus) - spin_strong_closed(SpinAxis.X_MINUS, 1.0, 0.0, t)) <= 1e-10
 
 
 def test_quarter_cycle_form_boundaries_and_excess():
-    params = SpinParams(1.0, 0.0, 0.5 * math.pi)
-    w_start = spin_weak_closed(PostChoice.X_PLUS, params, params.t_i)
-    w_end = spin_weak_closed(PostChoice.X_PLUS, params, params.t_f)
+    t_f = 0.5 * math.pi
+    w_start = spin_weak_closed(1.0, 0.0, 0.0, t_f, PostChoice.X_PLUS)
+    w_end = spin_weak_closed(1.0, 0.0, t_f, t_f, PostChoice.X_PLUS)
     assert w_start == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert w_end == pytest.approx(1.0 + 0.0j, abs=1e-12)
     interior = [
-        spin_weak_closed(PostChoice.X_PLUS, params, t).real
-        for t in np.linspace(0.1, params.t_f - 0.1, 21)
+        spin_weak_closed(1.0, 0.0, t, t_f, PostChoice.X_PLUS).real
+        for t in np.linspace(0.1, t_f - 0.1, 21)
     ]
     assert max(interior) > 1.0 + 1e-6
 
@@ -159,26 +162,22 @@ def test_complement_rule_every_post_choice(rng):
 
 
 def test_static_field_reduces_to_overlap_ratios():
-    params = SpinParams(0.0, 0.0, 2.0)
     for t in (0.0, 0.7, 2.0):
-        assert spin_weak_closed(PostChoice.X_PLUS, params, t) == pytest.approx(1.0, abs=1e-12)
-        assert spin_weak_closed(PostChoice.Y_PLUS, params, t) == pytest.approx(1.0, abs=1e-12)
-    # -x post-selection is orthogonal to a frozen +x state
-    with pytest.raises(ClosedFormSingular):
-        spin_weak_closed(PostChoice.X_MINUS, params, 1.0)
-    with pytest.raises(PostSelectionNull):
-        spin_weak_kernel(X_MINUS, params, 1.0)
+        assert spin_weak_closed(0.0, 0.0, t, 2.0, PostChoice.X_PLUS) == pytest.approx(1.0, abs=1e-12)
+        assert spin_weak_closed(0.0, 0.0, t, 2.0, PostChoice.Y_PLUS) == pytest.approx(1.0, abs=1e-12)
+    # -x post-selection is orthogonal to a frozen +x state: both routes say so alike
+    for route in (spin_weak_closed, spin_weak_kernel):
+        with pytest.raises(PostSelectionNull):
+            route(0.0, 0.0, 1.0, 2.0, PostChoice.X_MINUS)
 
 
 def test_singular_window_raises():
-    params = SpinParams(1.0, 0.0, math.pi)  # cos(h) = 0 for the +x form
-    with pytest.raises(ClosedFormSingular):
-        spin_weak_closed(PostChoice.X_PLUS, params, 0.5)
+    # cos(h) = 0 for the +x form over the window [0, pi]
+    with pytest.raises(PostSelectionNull):
+        spin_weak_closed(1.0, 0.0, 0.5, math.pi, PostChoice.X_PLUS)
 
 
 def test_out_of_window_time_rejected():
-    params = SpinParams(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        spin_weak_closed(PostChoice.X_PLUS, params, 1.5)
-    with pytest.raises(ValueError):
-        spin_weak_kernel(X_PLUS, params, 1.5)
+    for route in (spin_weak_closed, spin_weak_kernel):
+        with pytest.raises(ValueError, match="need t_i <= t <= t_f"):
+            route(1.0, 0.0, 1.5, 1.0, PostChoice.X_PLUS)

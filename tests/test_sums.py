@@ -22,6 +22,11 @@ def test_params_validation():
         SumParams(1.0, -0.1)
     with pytest.raises(ValueError, match=r"^delta_e: delta_e\*\*2 is not finite"):
         SumParams(1.0, 1e200)
+    with pytest.raises(ValueError, match="^k_max: need >= 0, got -1"):
+        SumParams(1.0, 0.1, k_max=-1)
+    for times in (2.0 * math.pi / 0.1 + 1e-9, np.array([0.5, 70.0]), -1.0):
+        with pytest.raises(ValueError, match="closed form valid for 0 <= delta_e"):
+            phased_closed_form(1.0, 0.1, times)
     for times in (-1.0, np.array([0.5, -1.0]), np.array([0.5, math.nan])):
         with pytest.raises(ValueError, match="^t: need finite times >= 0"):
             phased_lorentzian_sum(SumParams(1.0, 0.1), times)
@@ -116,6 +121,8 @@ def test_center_term_is_the_first_order_deficit():
 
 def test_tail_bound():
     assert tail_bound(1000, 0.01) == pytest.approx(0.2)
+    with pytest.raises(ValueError, match="k_max >= 1"):
+        tail_bound(0, 0.01)
 
 
 def _term_by_term(g, de, k_max, t):
