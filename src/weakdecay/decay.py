@@ -53,7 +53,7 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
-# Largest N.  The spectrum (~6 ms at this cap, the first solve in a process
+# Largest N.  The spectrum (~4.5 ms at this cap, the first solve in a process
 # too) and survival (O(N) per time) would allow far more, but columns,
 # emission overlaps and projector scans are O(N^2) per time: one 101-point
 # emission grid takes ~0.3 s at this cap.
@@ -269,20 +269,19 @@ def _trigamma(a: np.ndarray) -> np.ndarray:
 _MAX_ITERATIONS = 64
 
 
-def _inner_parts(n_half: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inner-cell ``x = n + s``, and the digamma at ``N+1-x`` (row 0) and ``N+1+x`` (row 1).
+def _inner_parts(n_half: int, cell: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-cell ``x = cell + s``, and the digamma at ``N+1-x`` (row 0) and ``N+1+x`` (row 1).
 
     One digamma call takes both rows: at small N a call costs mostly its
     fixed overhead.
     """
-    cell = np.arange(1.0, n_half)
     psi = _digamma(np.stack(((n_half + 1.0 - cell) - s, (n_half + 1.0 + cell) + s)))
     return cell + s, psi
 
 
 def _inner_secular(n_half: int, g: float, s: np.ndarray) -> np.ndarray:
     """``x - g S(x)`` in the inner cells, its pole term ``pi cot(pi s)`` exact."""
-    x, psi = _inner_parts(n_half, s)
+    x, psi = _inner_parts(n_half, np.arange(1.0, n_half), s)
     return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi[0] - psi[1]))
 
 
@@ -292,15 +291,21 @@ def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
     The secular equation solved for its cotangent reads
     ``s = atan2(g pi, x + g (1/x + digamma(N+1-x) - digamma(N+1+x))) / pi``,
     which maps each cell into itself and contracts; it starts from the
-    infinite lattice's ``atan2(g pi, n + 1/2) / pi``.
+    infinite lattice's ``atan2(g pi, n + 1/2) / pi``.  A pass takes only the
+    cells still moving: an offset whose step fell to a few ulps keeps it.
     """
     g_pi = g * math.pi
-    s = np.arctan2(g_pi, np.arange(1.5, n_half)) / math.pi
+    cell = np.arange(1.0, n_half)
+    s = np.arctan2(g_pi, cell + 0.5) / math.pi
+    moving = np.arange(len(cell))
     for _ in range(_MAX_ITERATIONS):
-        x, psi = _inner_parts(n_half, s)
-        last, s = s, np.arctan2(g_pi, x + g * (1.0 / x + (psi[0] - psi[1]))) / math.pi
-        if np.all(np.abs(s - last) <= 4.0 * np.spacing(s)):
+        if not len(moving):
             break
+        x, psi = _inner_parts(n_half, cell[moving], s[moving])
+        step = np.arctan2(g_pi, x + g * (1.0 / x + (psi[0] - psi[1]))) / math.pi
+        settled = np.abs(step - s[moving]) <= 4.0 * np.spacing(step)
+        s[moving] = step
+        moving = moving[~settled]
     return s, np.spacing(s), 1.0
 
 
@@ -455,34 +460,113 @@ def _blocks(count: int, width: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+# Most offsets per base in the angle-addition route of _phase_sums, which
+# bounds its offset tables at _WIDTH x N entries whatever the grid's size.
+_WIDTH = 1 << 8
+
+
+def _progression_step(times: np.ndarray) -> Optional[float]:
+    """The step ``h`` if ``times == times[0] + h * arange(T)`` bit for bit, ``T >= 3``; else None.
+
+    ``np.linspace`` grids usually pass, since it forms its points this way
+    and only sets its last one apart; the test has no tolerance.
+    """
+    if len(times) < 3:
+        return None
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    return step if np.array_equal(times, times[0] + step * np.arange(len(times))) else None
+
+
+def _phase_tables(times: np.ndarray, lam: np.ndarray, sine: bool):
+    """Blocks ``(rows, cos(lam_j t), sin(lam_j t))`` over ``times``, one library call per entry.
+
+    One table row per time; the sine table is None unless ``sine``.
+    """
+    for rows in _blocks(len(times), len(lam)):
+        phase = np.multiply.outer(times[rows], lam)
+        yield rows, np.cos(phase), np.sin(phase) if sine else None
+
+
+def _phase_sums(
+    times: np.ndarray, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(lam_j t) @ cos_weights`` and ``sin(lam_j t) @ sin_weights``, one row per time.
+
+    The weights hold one column per sum over the ``N`` roots.  A progression
+    grid (see :func:`_progression_step`) splits each time as ``t_(bW) + m h``
+    with ``W ~ sqrt(T)`` offsets ``m < W``, and
+    ``cos(lam (t_(bW) + m h)) = cos(lam t_(bW)) cos(lam m h) - sin(lam t_(bW)) sin(lam m h)``
+    (likewise the sine) turns each base's weights against the offset tables
+    into matrix products: ``(T/W + W) N`` sine-cosine pairs, not ``T N``
+    library calls, and no times x roots table.  The last bits then differ
+    from per-time calls, by ~2e-15 measured.  Any other grid takes one call
+    per entry (:func:`_phase_tables`).  Each base takes its own products, so
+    blocks of bases cannot change a value.
+    """
+    step = _progression_step(times)
+    if step is None:
+        cos_sums = np.empty((len(times), cos_weights.shape[1]))
+        sin_sums = np.empty((len(times), sin_weights.shape[1]))
+        for rows, cos, sin in _phase_tables(times, lam, sin_weights.size > 0):
+            cos_sums[rows] = cos @ cos_weights
+            if sin is not None:
+                sin_sums[rows] = sin @ sin_weights
+        return cos_sums, sin_sums
+    width = min(math.isqrt(len(times) - 1) + 1, _WIDTH)
+    offset = np.multiply.outer(step * np.arange(width), lam)
+    offset_cos, offset_sin = np.cos(offset), np.sin(offset)
+    bases = times[::width]
+    cos_sums = np.empty((len(bases), width, cos_weights.shape[1]))
+    sin_sums = np.empty((len(bases), width, sin_weights.shape[1]))
+    columns = max(cos_weights.shape[1], sin_weights.shape[1])
+    for group in _blocks(len(bases), len(lam) * columns):
+        phase = np.multiply.outer(bases[group], lam)[..., None]
+        base_cos, base_sin = np.cos(phase), np.sin(phase)
+        cos_sums[group] = offset_cos @ (base_cos * cos_weights)
+        cos_sums[group] -= offset_sin @ (base_sin * cos_weights)
+        if sin_weights.size:
+            sin_sums[group] = offset_cos @ (base_sin * sin_weights)
+            sin_sums[group] += offset_sin @ (base_cos * sin_weights)
+    rows = len(bases) * width
+    return tuple(sums.reshape(rows, sums.shape[2])[: len(times)] for sums in (cos_sums, sin_sums))
+
+
 def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
     """Amplitudes out of the reference onto atom 0 and ``+-m`` for the ``M`` magnitudes ``atoms``.
 
     One row per time, laid out like slots (the bath column for ``atoms = 1..N``).
     ``T`` times cost one real ``2T x N x M`` product with :func:`_pair_kernel`
-    for the halves ``U[+-m, 0] = +-re - i im``.  With ``interaction`` they are
-    ``e^{+i E_m t} U[m, 0]``: the free phases of ``+-m`` are conjugates, so one
-    real ``cos``/``sin`` pair over ``m delta_e t`` serves both.
+    for the halves ``U[+-m, 0] = +-re - i im``.  Survival and one atom pair
+    take their sums over the roots from :func:`_phase_sums`; a column's
+    ``N x N`` product dwarfs its phase tables, which keep one call per entry.
+    With ``interaction`` they are ``e^{+i E_m t} U[m, 0]``: the free phases
+    of ``+-m`` are conjugates, so one real ``cos``/``sin`` pair over
+    ``m delta_e t`` serves both.
     """
     spec = _spectrum(bath)
     times = np.asarray(t, dtype=float).reshape(-1)
     m = len(atoms)
-    sums = np.zeros((2, len(times), m))
     column = np.empty((len(times), 2 * m + 1), dtype=complex)
     weight = 2.0 * spec.scale * spec.weight
     root_weight = weight * (spec.cell + spec.offset)
-    for rows in _blocks(len(times), bath.n_half):
-        phase = np.multiply.outer(times[rows], spec.lam)
-        cos = np.cos(phase)
-        column[rows, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
-        if not (spec.scale and m):  # decoupled: U_m0 = 0
-            continue
-        waves = np.concatenate([cos * weight, np.sin(phase) * root_weight])
-        for cols in _blocks(m, bath.n_half):
-            block = waves @ _pair_kernel(spec, atoms[cols])
-            sums[:, rows, cols] = block.reshape(2, len(phase), -1)
-    re = atoms * sums[0] - spec.scale * spec.weight0 / atoms
-    im = sums[1]
+    if m <= 1:
+        # decoupled or no atom: U_m0 = 0 (a decoupled kernel may hold poles)
+        kernel = _pair_kernel(spec, atoms) if spec.scale and m else np.zeros((bath.n_half, m))
+        cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
+        cos_sums, im = _phase_sums(times, spec.lam, cos_weights, root_weight[:, None] * kernel)
+        column[:, REFERENCE_SLOT] = spec.weight0 + cos_sums[:, 0]
+        sums = cos_sums[:, 1:]
+    else:
+        sums, im = np.zeros((2, len(times), m))
+        for rows, cos, sin in _phase_tables(times, spec.lam, spec.scale != 0):
+            column[rows, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
+            if sin is None:  # decoupled: U_m0 = 0
+                continue
+            waves = np.concatenate([cos * weight, sin * root_weight])
+            for cols in _blocks(m, bath.n_half):
+                block = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, len(cos), -1)
+                sums[rows, cols], im[rows, cols] = block
+    re = atoms * sums - spec.scale * spec.weight0 / atoms
     if interaction:
         free = np.multiply.outer(times, atoms * bath.delta_e)
         cos, sin = np.cos(free), np.sin(free)

@@ -150,10 +150,13 @@ def _chunk_sum(p: SumParams, start: int, width: int, angle: np.ndarray, tables) 
 
 
 def lorentzian_closed_form(gamma: float, delta_e: float) -> float:
-    """Exact full-lattice value ``(pi/gamma) coth(pi gamma / delta_e)``."""
+    """Exact full-lattice value ``(pi/gamma) coth(pi gamma / delta_e)``.
+
+    Raises ValueError for a ``gamma`` or ``delta_e`` that :class:`SumParams` rejects.
+    """
+    SumParams(gamma, delta_e, k_max=0)
     a = math.pi * gamma / delta_e
-    e = math.exp(-2.0 * a)
-    return (math.pi / gamma) * (1.0 + e) / (1.0 - e)
+    return (math.pi / gamma) * (1.0 + math.exp(-2.0 * a)) / -math.expm1(-2.0 * a)
 
 
 def phased_closed_form(gamma: float, delta_e: float, t: float | np.ndarray) -> float | np.ndarray:
@@ -162,11 +165,13 @@ def phased_closed_form(gamma: float, delta_e: float, t: float | np.ndarray) -> f
     Equals ``(pi/gamma) cosh((pi - delta_e t) gamma / delta_e) / sinh(pi gamma / delta_e)``,
     evaluated in overflow-safe exponential form.  Within half a recurrence
     period it is exponentially close to ``(pi/gamma) e^{-gamma t}``.  An
-    array ``t`` gives one value per time.
+    array ``t`` gives one value per time.  Raises ValueError for a ``gamma``
+    or ``delta_e`` that :class:`SumParams` rejects.
     """
+    SumParams(gamma, delta_e, k_max=0)
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= delta_e * t) & (delta_e * t <= 2.0 * math.pi)):
         raise ValueError("closed form valid for 0 <= delta_e * t <= 2 pi")
     a = math.pi * gamma / delta_e
     b = gamma * t
-    return (math.pi / gamma) * (np.exp(-b) + np.exp(b - 2.0 * a)) / (1.0 - math.exp(-2.0 * a))
+    return (math.pi / gamma) * (np.exp(-b) + np.exp(b - 2.0 * a)) / -math.expm1(-2.0 * a)

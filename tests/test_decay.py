@@ -314,6 +314,30 @@ def test_a_cold_solve_bisects_only_the_last_bits(n_half, gamma, delta_e, monkeyp
     assert 0 < calls["outer"] <= 15
 
 
+def test_a_cold_solve_passes_few_digamma_arguments(monkeypatch):
+    # the start iterates only the roots still moving: iterating all of them
+    # on every pass took 67,966 arguments on the README bath
+    entries = []
+    run = decay._digamma
+    monkeypatch.setattr(decay, "_digamma", lambda a: entries.append(a.size) or run(a))
+    decay._spectrum.__wrapped__(default_bath())
+    assert 0 < sum(entries) <= 45_000
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision <= 15, reason="long double is double here")
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 4.0, 101), np.linspace(0.0, 60.0, 1001)])
+def test_survival_on_a_progression_matches_a_long_double_cosine_sum(grid):
+    bath = BathSpec.from_gamma(decay.MAX_N_HALF, 1.0, 0.05)
+    assert decay._progression_step(grid) is not None  # the angle-addition route
+    spec = decay._spectrum(bath)
+    lam = spec.lam.astype(np.longdouble)
+    weight = 2.0 * spec.weight.astype(np.longdouble)
+    expected = [spec.weight0 + np.sum(weight * np.cos(lam * np.longdouble(t))) for t in grid]
+    u00 = propagator_element(bath, 0, grid)
+    assert np.all(u00.imag == 0.0)
+    assert float(np.max(np.abs(u00.real - np.array(expected)))) <= 1e-14
+
+
 def test_ode_oracle_small_bath():
     bath = BathSpec.from_gamma(40, 1.0, 0.2)
     t = 0.8

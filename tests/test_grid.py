@@ -21,7 +21,7 @@ from weakdecay import (
     weak_survival_closed,
     weak_survival_numeric,
 )
-from weakdecay import decay
+from weakdecay import decay, harness
 
 TIMES = np.linspace(0.0, 1.5, 7)
 
@@ -66,8 +66,24 @@ def test_grid_call_matches_per_time_calls(name, small_bath):
     assert np.max(np.abs(grid - per_time)) <= 1e-14
 
 
+@pytest.mark.parametrize("model", ["spin", "decay", "sums", "sweep"])
+def test_harness_grids_are_progressions(model):
+    config = harness.build_config({"model": model})
+    grid = np.linspace(config.t_start, config.t_end, config.n_points)
+    assert decay._progression_step(grid) is not None
+    # a weak value's overlaps put the window ahead of their grid
+    window = config.t_f - config.t_i
+    assert decay._progression_step(np.append(window, config.t_f - grid)) is None
+
+
+def test_other_grids_are_not_progressions(rng):
+    for times in (np.sort(rng.uniform(0.0, 2.0, 50)), np.array([0.0, 0.5, 1.5]), np.array([0.7])):
+        assert decay._progression_step(times) is None
+
+
 BLOCKED = {
     "propagator_element": CASES["propagator_element"],
+    "progression_element": lambda bath, t: interaction_element(bath, -2, np.linspace(0.0, 1.5, 40)),
     "propagator_column": propagator_column,
     "interaction_column": interaction_column,
     "weak_asymptotic": CASES["weak_asymptotic"],
@@ -79,7 +95,8 @@ def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
     # four times or four atoms per block (the emission sum one time per
     # block), so both the grid and the bath split.  Narrower blocks reach
     # OpenBLAS's remainder kernels, which sum in another order and can move
-    # the last bit; the per-time test above bounds those at 1e-14.
+    # the last bit; the per-time test above bounds those at 1e-14.  On a
+    # progression grid each base takes its own products, at any width.
     monkeypatch.setattr(decay, "_BLOCK_ENTRIES", 4 * small_bath.n_half)
     for name, fn in BLOCKED.items():
         assert np.array_equal(fn(small_bath, TIMES), whole[name]), name

@@ -628,3 +628,24 @@ def test_cli_sweep_writes_table(tmp_path, capsys):
     assert len(lines) == 3
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["trend"] in ("decreasing", "n/a")
+
+
+def test_cli_sweep_at_its_defaults_converges(tmp_path, capsys, monkeypatch):
+    steps = []
+
+    def recorded(times, run=decay._progression_step):
+        steps.append(run(times))
+        return steps[-1]
+
+    monkeypatch.setattr(decay, "_progression_step", recorded)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [250, 500, 1000, 2000]
+    errors = [float(row[1]) for row in rows]
+    assert errors == summary["max_abs_errors"]
+    assert summary["trend"] == "decreasing"
+    assert errors[-1] <= 0.01
+    # each level's survival grid took the angle-addition route
+    assert len(steps) == 4 and None not in steps

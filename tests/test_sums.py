@@ -32,6 +32,28 @@ def test_params_validation():
             phased_lorentzian_sum(SumParams(1.0, 0.1), times)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: phased_closed_form(1.0, 0.0, 1.0),
+        lambda: phased_closed_form(0.0, 0.1, 1.0),
+        lambda: lorentzian_closed_form(1.0, 0.0),
+        lambda: lorentzian_closed_form(0.0, 0.1),
+        lambda: lorentzian_closed_form(math.nan, 0.1),
+        lambda: phased_closed_form(1.0, math.inf, 0.0),
+    ],
+)
+def test_closed_forms_reject_what_sum_params_rejects(call):
+    with pytest.raises(ValueError, match="^(gamma|delta_e): need a finite value > 0"):
+        call()
+
+
+def test_closed_forms_reach_the_center_term_at_tiny_gamma():
+    # 1 - e^{-2 pi gamma / delta_e} rounds to 0 here; its expm1 form does not
+    assert lorentzian_closed_form(1e-100, 0.05) == pytest.approx(0.05 / 1e-200, rel=1e-12)
+    assert phased_closed_form(1e-100, 0.05, 1.0) == pytest.approx(0.05 / 1e-200, rel=1e-12)
+
+
 @pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e200])
 def test_params_reject_a_gamma_whose_center_term_is_not_finite(gamma):
     # gamma**2 underflows to 0 (or delta_e / gamma**2 overflows), or gamma**2 overflows
