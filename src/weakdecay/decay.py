@@ -56,7 +56,7 @@ REFERENCE_SLOT = 0
 # Largest N.  The spectrum (~4.5 ms at this cap, the first solve in a process
 # too) and survival (O(N) per time) would allow far more, but columns,
 # emission overlaps and projector scans are O(N^2) per time: one 101-point
-# emission grid takes ~0.3 s at this cap.
+# emission grid, a real product and fold, takes ~0.2 s at this cap.
 MAX_N_HALF = 4000
 
 
@@ -466,25 +466,18 @@ _WIDTH = 1 << 8
 
 
 def _progression_step(times: np.ndarray) -> Optional[float]:
-    """The step ``h`` if ``times == times[0] + h * arange(T)`` bit for bit, ``T >= 3``; else None.
+    """The step ``h`` if ``times[k] == times[0] + h * k`` bit for bit for ``k < T - 1``, ``T >= 3``.
 
-    ``np.linspace`` grids usually pass, since it forms its points this way
-    and only sets its last one apart; the test has no tolerance.
+    ``h`` is ``(times[-1] - times[0]) / (T - 1)``; otherwise None.  The test
+    has no tolerance, and skips the last point: ``np.linspace`` forms its
+    points this way but sets its last one to its end, which then may leave
+    the progression by a bit.
     """
     if len(times) < 3:
         return None
     step = (times[-1] - times[0]) / (len(times) - 1)
-    return step if np.array_equal(times, times[0] + step * np.arange(len(times))) else None
-
-
-def _phase_tables(times: np.ndarray, lam: np.ndarray, sine: bool):
-    """Blocks ``(rows, cos(lam_j t), sin(lam_j t))`` over ``times``, one library call per entry.
-
-    One table row per time; the sine table is None unless ``sine``.
-    """
-    for rows in _blocks(len(times), len(lam)):
-        phase = np.multiply.outer(times[rows], lam)
-        yield rows, np.cos(phase), np.sin(phase) if sine else None
+    head = times[:-1]
+    return step if np.array_equal(head, times[0] + step * np.arange(len(head))) else None
 
 
 def _phase_sums(
@@ -499,19 +492,14 @@ def _phase_sums(
     (likewise the sine) turns each base's weights against the offset tables
     into matrix products: ``(T/W + W) N`` sine-cosine pairs, not ``T N``
     library calls, and no times x roots table.  The last bits then differ
-    from per-time calls, by ~2e-15 measured.  Any other grid takes one call
-    per entry (:func:`_phase_tables`).  Each base takes its own products, so
+    from per-time calls, by ~2e-15 measured.  A last point off the
+    progression keeps its own time and takes library calls, as any other
+    grid does (:func:`_direct_sums`).  Each base takes its own products, so
     blocks of bases cannot change a value.
     """
     step = _progression_step(times)
     if step is None:
-        cos_sums = np.empty((len(times), cos_weights.shape[1]))
-        sin_sums = np.empty((len(times), sin_weights.shape[1]))
-        for rows, cos, sin in _phase_tables(times, lam, sin_weights.size > 0):
-            cos_sums[rows] = cos @ cos_weights
-            if sin is not None:
-                sin_sums[rows] = sin @ sin_weights
-        return cos_sums, sin_sums
+        return _direct_sums(times, lam, cos_weights, sin_weights)
     width = min(math.isqrt(len(times) - 1) + 1, _WIDTH)
     offset = np.multiply.outer(step * np.arange(width), lam)
     offset_cos, offset_sin = np.cos(offset), np.sin(offset)
@@ -528,44 +516,86 @@ def _phase_sums(
             sin_sums[group] = offset_cos @ (base_sin * sin_weights)
             sin_sums[group] += offset_sin @ (base_cos * sin_weights)
     rows = len(bases) * width
-    return tuple(sums.reshape(rows, sums.shape[2])[: len(times)] for sums in (cos_sums, sin_sums))
+    cos_sums = cos_sums.reshape(rows, cos_sums.shape[2])[: len(times)]
+    sin_sums = sin_sums.reshape(rows, sin_sums.shape[2])[: len(times)]
+    if times[-1] != times[0] + step * (len(times) - 1):
+        cos_sums[-1:], sin_sums[-1:] = _direct_sums(times[-1:], lam, cos_weights, sin_weights)
+    return cos_sums, sin_sums
+
+
+def _direct_sums(
+    times: np.ndarray, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_phase_sums` by one library call per entry, on any grid."""
+    cos_sums = np.empty((len(times), cos_weights.shape[1]))
+    sin_sums = np.empty((len(times), sin_weights.shape[1]))
+    for rows in _blocks(len(times), len(lam)):
+        phase = np.multiply.outer(times[rows], lam)
+        cos_sums[rows] = np.cos(phase) @ cos_weights
+        if sin_weights.size:
+            sin_sums[rows] = np.sin(phase) @ sin_weights
+    return cos_sums, sin_sums
+
+
+def _pair_sums(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``U00``, ``sums`` and ``im`` at ``times`` for the ``M`` atom pairs ``+-m`` in ``atoms``.
+
+    The halves are ``U[+-m, 0] = +-re - i im`` with
+    ``re = m sums - scale weight0 / m`` (see :func:`_pair_kernel`); one row
+    per time.  The ``T`` times cost one real ``2T x N x M`` product with the
+    kernel, formed in blocks of atoms.  Its left operand holds the phase
+    tables ``cos(lam_j t)`` and ``sin(lam_j t)``, one library call per
+    entry, weighted in place.  A decoupled bath's sums are 0 (its kernel
+    may hold poles).
+    """
+    waves = np.empty((2, len(times), len(spec.lam)))
+    phase = np.multiply.outer(times, spec.lam)
+    np.cos(phase, out=waves[0])
+    survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
+    sums, im = np.zeros((2, len(times), len(atoms)))
+    if spec.scale:
+        np.sin(phase, out=waves[1])
+        del phase
+        weight = 2.0 * spec.scale * spec.weight
+        waves[0] *= weight
+        waves[1] *= weight * (spec.cell + spec.offset)
+        waves = waves.reshape(2 * len(times), -1)
+        for cols in _blocks(len(atoms), len(spec.lam)):
+            block = waves @ _pair_kernel(spec, atoms[cols])
+            sums[:, cols], im[:, cols] = block.reshape(2, len(times), -1)
+    return survival, sums, im
 
 
 def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
     """Amplitudes out of the reference onto atom 0 and ``+-m`` for the ``M`` magnitudes ``atoms``.
 
     One row per time, laid out like slots (the bath column for ``atoms = 1..N``).
-    ``T`` times cost one real ``2T x N x M`` product with :func:`_pair_kernel`
-    for the halves ``U[+-m, 0] = +-re - i im``.  Survival and one atom pair
-    take their sums over the roots from :func:`_phase_sums`; a column's
-    ``N x N`` product dwarfs its phase tables, which keep one call per entry.
-    With ``interaction`` they are ``e^{+i E_m t} U[m, 0]``: the free phases
-    of ``+-m`` are conjugates, so one real ``cos``/``sin`` pair over
-    ``m delta_e t`` serves both.
+    The halves ``U[+-m, 0] = +-re - i im`` are sums over the roots with the
+    paired kernel (see :func:`_pair_kernel`).  Survival and one atom pair
+    take them from :func:`_phase_sums`; a column's ``N x N`` product
+    (:func:`_pair_sums`) dwarfs its phase tables, which keep one call per
+    entry.  With ``interaction`` they are ``e^{+i E_m t} U[m, 0]``: the
+    free phases of ``+-m`` are conjugates, so one real ``cos``/``sin`` pair
+    over ``m delta_e t`` serves both.
     """
     spec = _spectrum(bath)
     times = np.asarray(t, dtype=float).reshape(-1)
     m = len(atoms)
     column = np.empty((len(times), 2 * m + 1), dtype=complex)
-    weight = 2.0 * spec.scale * spec.weight
-    root_weight = weight * (spec.cell + spec.offset)
     if m <= 1:
         # decoupled or no atom: U_m0 = 0 (a decoupled kernel may hold poles)
         kernel = _pair_kernel(spec, atoms) if spec.scale and m else np.zeros((bath.n_half, m))
+        weight = 2.0 * spec.scale * spec.weight
+        root_weight = weight * (spec.cell + spec.offset)
         cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
         cos_sums, im = _phase_sums(times, spec.lam, cos_weights, root_weight[:, None] * kernel)
         column[:, REFERENCE_SLOT] = spec.weight0 + cos_sums[:, 0]
         sums = cos_sums[:, 1:]
     else:
-        sums, im = np.zeros((2, len(times), m))
-        for rows, cos, sin in _phase_tables(times, spec.lam, spec.scale != 0):
-            column[rows, REFERENCE_SLOT] = spec.weight0 + cos @ (2.0 * spec.weight)
-            if sin is None:  # decoupled: U_m0 = 0
-                continue
-            waves = np.concatenate([cos * weight, sin * root_weight])
-            for cols in _blocks(m, bath.n_half):
-                block = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, len(cos), -1)
-                sums[rows, cols], im[rows, cols] = block
+        sums, im = np.empty((2, len(times), m))
+        for rows in _blocks(len(times), bath.n_half):
+            survival, sums[rows], im[rows] = _pair_sums(spec, atoms, times[rows])
+            column[rows, REFERENCE_SLOT] = survival
     re = atoms * sums - spec.scale * spec.weight0 / atoms
     if interaction:
         free = np.multiply.outer(times, atoms * bath.delta_e)
@@ -609,13 +639,31 @@ def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> com
 
 
 def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.ndarray:
-    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots."""
-    weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
+    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots.
+
+    The weight of atom ``n`` with its free phase is
+    ``z_n = e^{i n delta_e t} / (gamma + i n delta_e)``, and
+    ``z_{-m} = conj(z_m)``; so the Schroedinger halves
+    ``U[+-m, 0] = +-re - i im`` of :func:`_pair_sums` fold into
+    ``2i sum_m (re Im z_m - im Re z_m)``, purely imaginary.  That takes the
+    real ``2T x N x N`` product and one real fold per time over all ``m``,
+    after every block of atoms is in; no complex column is formed.
+    """
+    spec = _spectrum(bath)
+    atoms = np.arange(1.0, bath.n_half + 1.0)
+    energy = atoms * bath.delta_e
+    norm = bath.gamma**2 + energy**2  # |gamma + i m delta_e|^2
     times = np.asarray(t, dtype=float).reshape(-1)
-    overlap = np.empty(len(times), dtype=complex)
-    for rows in _blocks(len(times), bath.dim):
-        overlap[rows] = np.sum(weights * interaction_column(bath, times[rows])[:, 1:], axis=-1)
-    return overlap.reshape(np.shape(t))[()]
+    total = np.empty(len(times))
+    for rows in _blocks(len(times), bath.n_half):
+        _, sums, im = _pair_sums(spec, atoms, times[rows])
+        re = atoms * sums - spec.scale * spec.weight0 / atoms
+        free = np.multiply.outer(times[rows], energy)
+        cos, sin = np.cos(free), np.sin(free)
+        re_z = (bath.gamma * cos + energy * sin) / norm
+        im_z = (bath.gamma * sin - energy * cos) / norm
+        total[rows] = np.einsum("tm,tm->t", re, im_z) - np.einsum("tm,tm->t", im, re_z)
+    return (2j * total).reshape(np.shape(t))[()]
 
 
 def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:

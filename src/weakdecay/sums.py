@@ -137,14 +137,14 @@ def _chunk_sum(p: SumParams, start: int, width: int, angle: np.ndarray, tables) 
     the rows into two matrix products with the offset tables.
     """
     size = min(_CHUNK, -(-(p.k_max + 1 - start) // width) * width)
-    k = np.arange(start, start + size, dtype=float)
-    weights = k * k  # formed in place: 2 delta_e / (gamma^2 + k^2 delta_e^2)
+    weights = np.arange(start, start + size, dtype=float)  # k, then in place
+    weights *= weights  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
     weights *= p.delta_e**2
     weights += p.gamma**2
     np.divide(2.0 * p.delta_e, weights, out=weights)
     weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
     rows = weights.reshape(-1, width).T
-    base = np.multiply.outer(angle, k[::width])
+    base = np.multiply.outer(angle, np.arange(start, start + size, width, dtype=float))
     offset_cos, offset_sin = tables
     return np.sum(np.cos(base) * (offset_cos @ rows) - np.sin(base) * (offset_sin @ rows), axis=1)
 

@@ -66,6 +66,29 @@ def test_grid_call_matches_per_time_calls(name, small_bath):
     assert np.max(np.abs(grid - per_time)) <= 1e-14
 
 
+# np.linspace sets its last point to its end, which here is a bit off the
+# progression of the others; the grid keeps angle addition all the same
+OFF_END = np.linspace(0.0, 0.9, 7)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_grid_with_its_end_off_the_progression_matches_per_time_calls(name, small_bath):
+    step = decay._progression_step(OFF_END)
+    assert step is not None and OFF_END[-1] != OFF_END[0] + step * (len(OFF_END) - 1)
+    fn = CASES[name]
+    grid = fn(small_bath, OFF_END)
+    per_time = np.array([fn(small_bath, t) for t in OFF_END])
+    assert grid.shape == per_time.shape
+    assert np.max(np.abs(grid - per_time)) <= 1e-14
+
+
+def test_an_end_off_the_progression_keeps_its_time(small_bath):
+    # the last point takes its own library calls, not the progression's time
+    for atom in (0, 3, -2):
+        grid = propagator_element(small_bath, atom, OFF_END)
+        assert grid[-1] == propagator_element(small_bath, atom, OFF_END[-1])
+
+
 @pytest.mark.parametrize("model", ["spin", "decay", "sums", "sweep"])
 def test_harness_grids_are_progressions(model):
     config = harness.build_config({"model": model})
@@ -92,8 +115,8 @@ BLOCKED = {
 
 def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
     whole = {name: fn(small_bath, TIMES) for name, fn in BLOCKED.items()}
-    # four times or four atoms per block (the emission sum one time per
-    # block), so both the grid and the bath split.  Narrower blocks reach
+    # four times or four atoms per block (the emission fold too), so both
+    # the grid and the bath split.  Narrower blocks reach
     # OpenBLAS's remainder kernels, which sum in another order and can move
     # the last bit; the per-time test above bounds those at 1e-14.  On a
     # progression grid each base takes its own products, at any width.

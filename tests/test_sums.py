@@ -196,3 +196,15 @@ def test_phased_sum_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2**20
+
+
+def test_default_phased_sum_memory_holds_no_second_k_array():
+    # a chunk's 1M weights take 8 MiB; a k array beside them took the peak to 20.7 MiB
+    times = np.linspace(0.0, 3.0, 101)
+    tracemalloc.start()
+    try:
+        phased_lorentzian_sum(SumParams(1.0, 0.05), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
