@@ -53,10 +53,9 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
-# Largest N.  The spectrum (~4.5 ms at this cap, the first solve in a process
-# too) and survival (O(N) per time) would allow far more, but columns,
-# emission overlaps and projector scans are O(N^2) per time: one 101-point
-# emission grid, a real product and fold, takes ~0.2 s at this cap.
+# Largest N.  The O(N) spectrum and survival would allow far more, but
+# columns, emission overlaps and projector scans are O(N^2) per time: one
+# 101-point emission grid, a real product and fold, takes ~0.2 s at this cap.
 MAX_N_HALF = 4000
 
 
@@ -153,7 +152,7 @@ class _Spectrum(NamedTuple):
     eigenvalue ``lam_j = x_j * delta_e`` with reference weight
     ``weight_j = v_0j^2``, and ``-lam_j`` carries the same weight.  The
     exact root 0 carries ``weight0``.  ``scale`` is ``H / delta_e``, or 0
-    for a decoupled bath.
+    for a decoupled bath; ``bath`` is the bath it was solved for.
     """
 
     cell: np.ndarray
@@ -162,6 +161,7 @@ class _Spectrum(NamedTuple):
     weight: np.ndarray
     weight0: float
     scale: float
+    bath: BathSpec
 
 
 # Cap on bisection steps: about 64 reach the last bit of an offset from its
@@ -351,7 +351,6 @@ def _outer_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return s, np.maximum(np.spacing(s), np.spacing(n_half + s) / slope), top
 
 
-@functools.lru_cache(maxsize=8)
 def _spectrum(bath: BathSpec) -> _Spectrum:
     """Eigenvalues and reference weights of the arrowhead from its secular equation, O(dim).
 
@@ -372,6 +371,8 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
     the closed form ``pi^2 csc^2(pi s) - 1/x^2 - trigamma(N+1-x) -
     trigamma(N+1+x)`` and is ``2 sum_{n<=N} 1/n^2`` at ``x = 0``.  The
     digamma and trigamma are the numpy :func:`_digamma` and :func:`_trigamma`.
+    Nothing keeps a spectrum: each public routine checks its operands, then
+    solves its bath once (1-4 ms up to the cap) for every helper it calls.
     """
     n_half = bath.n_half
     scale = bath.coupling / bath.delta_e
@@ -379,7 +380,7 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
     cell = np.arange(1.0, n_half + 1.0)
     if g == 0.0:  # decoupled: U00 = 1 and U_n0 = 0
         none = np.zeros(n_half)
-        return _frozen(_Spectrum(cell, none, cell * bath.delta_e, none, 1.0, 0.0))
+        return _Spectrum(cell, none, cell * bath.delta_e, none, 1.0, 0.0, bath)
 
     inner = cell[:-1]
     below, above = (n_half + 1.0) - inner, (n_half + 1.0) + inner
@@ -395,13 +396,7 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
     offset = np.append(s_in, s_out)
     weight = 1.0 / (1.0 + np.append(gsq_in, gsq_out))
     weight0 = 1.0 / (1.0 + g * 2.0 * np.sum(1.0 / cell**2))
-    return _frozen(_Spectrum(cell, offset, (cell + offset) * bath.delta_e, weight, weight0, scale))
-
-
-def _frozen(spec: _Spectrum) -> _Spectrum:
-    for part in spec[:4]:
-        part.setflags(write=False)
-    return spec
+    return _Spectrum(cell, offset, (cell + offset) * bath.delta_e, weight, weight0, scale, bath)
 
 
 def _pair_kernel(spec: _Spectrum, atoms: np.ndarray) -> np.ndarray:
@@ -566,7 +561,7 @@ def _pair_sums(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray) -> tuple[n
     return survival, sums, im
 
 
-def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
+def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
     """Amplitudes out of the reference onto atom 0 and ``+-m`` for the ``M`` magnitudes ``atoms``.
 
     One row per time, laid out like slots (the bath column for ``atoms = 1..N``).
@@ -578,13 +573,12 @@ def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.n
     free phases of ``+-m`` are conjugates, so one real ``cos``/``sin`` pair
     over ``m delta_e t`` serves both.
     """
-    spec = _spectrum(bath)
     times = np.asarray(t, dtype=float).reshape(-1)
     m = len(atoms)
     column = np.empty((len(times), 2 * m + 1), dtype=complex)
     if m <= 1:
         # decoupled or no atom: U_m0 = 0 (a decoupled kernel may hold poles)
-        kernel = _pair_kernel(spec, atoms) if spec.scale and m else np.zeros((bath.n_half, m))
+        kernel = _pair_kernel(spec, atoms) if spec.scale and m else np.zeros((len(spec.lam), m))
         weight = 2.0 * spec.scale * spec.weight
         root_weight = weight * (spec.cell + spec.offset)
         cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
@@ -593,12 +587,12 @@ def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.n
         sums = cos_sums[:, 1:]
     else:
         sums, im = np.empty((2, len(times), m))
-        for rows in _blocks(len(times), bath.n_half):
+        for rows in _blocks(len(times), len(spec.lam)):
             survival, sums[rows], im[rows] = _pair_sums(spec, atoms, times[rows])
             column[rows, REFERENCE_SLOT] = survival
     re = atoms * sums - spec.scale * spec.weight0 / atoms
     if interaction:
-        free = np.multiply.outer(times, atoms * bath.delta_e)
+        free = np.multiply.outer(times, atoms * spec.bath.delta_e)
         cos, sin = np.cos(free), np.sin(free)
         re, im = cos * re + sin * im, cos * im - sin * re
     column[:, m + 1 :] = re - 1j * im  # +m, ascending
@@ -606,9 +600,8 @@ def _amplitudes(bath: BathSpec, atoms: np.ndarray, t, interaction: bool) -> np.n
     return column.reshape(np.shape(t) + (2 * m + 1,))
 
 
-def _element(bath: BathSpec, atom: int, t, interaction: bool) -> complex | np.ndarray:
-    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch outside the bath
-    pair = _amplitudes(bath, np.array([abs(atom)] if atom else [], dtype=float), t, interaction)
+def _element(spec: _Spectrum, atom: int, t, interaction: bool) -> complex | np.ndarray:
+    pair = _amplitudes(spec, np.array([abs(atom)] if atom else [], dtype=float), t, interaction)
     # the atom's slot among the reference, -|atom| and +|atom|
     return pair[..., slot_of_atom(1, int(np.sign(atom)))][()]
 
@@ -620,25 +613,27 @@ def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
     The ``T`` times cost one real ``2T x N x N`` product with the paired
     Cauchy kernel (see :func:`_pair_kernel`).
     """
-    return _amplitudes(bath, np.arange(1.0, bath.n_half + 1.0), t, interaction=False)
+    return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=False)
 
 
 def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
     """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per time in ``t``."""
-    return _amplitudes(bath, np.arange(1.0, bath.n_half + 1.0), t, interaction=True)
+    return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=True)
 
 
 def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per time."""
-    return _element(bath, atom, t, interaction=False)
+    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
+    return _element(_spectrum(bath), atom, t, interaction=False)
 
 
 def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``."""
-    return _element(bath, atom, t, interaction=True)
+    slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
+    return _element(_spectrum(bath), atom, t, interaction=True)
 
 
-def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.ndarray:
+def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.ndarray:
     """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots.
 
     The weight of atom ``n`` with its free phase is
@@ -649,7 +644,7 @@ def _emission_overlap(bath: BathSpec, t: float | np.ndarray) -> complex | np.nda
     real ``2T x N x N`` product and one real fold per time over all ``m``,
     after every block of atoms is in; no complex column is formed.
     """
-    spec = _spectrum(bath)
+    bath = spec.bath
     atoms = np.arange(1.0, bath.n_half + 1.0)
     energy = atoms * bath.delta_e
     norm = bath.gamma**2 + energy**2  # |gamma + i m delta_e|^2
@@ -773,7 +768,7 @@ class PostSpec:
         return cls(PostKind.UNDECAYED)
 
 
-def _post_overlap(bath: BathSpec, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
+def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """Overlap of the post-selected state with the reference evolved for ``t``.
 
     Bath states are read in the interaction picture, the convention of the
@@ -781,10 +776,10 @@ def _post_overlap(bath: BathSpec, post: PostSpec, t: float | np.ndarray) -> comp
     cancels between the numerator and the denominator of a weak value.
     """
     if post.kind is PostKind.SINGLE_PHOTON:
-        return interaction_element(bath, post.photon_atom, t)
+        return _element(spec, post.photon_atom, t, interaction=True)
     if post.kind is PostKind.ASYMPTOTIC_EMISSION:
-        return _emission_overlap(bath, t)
-    return propagator_element(bath, 0, t)
+        return _emission_overlap(spec, t)
+    return _element(spec, 0, t, interaction=False)
 
 
 def weak_survival_numeric(
@@ -801,16 +796,19 @@ def weak_survival_numeric(
     ``t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated with the grid and checked once.
     The window and a photon atom outside the bath are rejected before the
-    bath spectrum is solved.
+    bath spectrum is solved, once for both overlaps and ``U00``.
     """
     _check_window(t_i, t, t_f)
     window = t_f - t_i
     bath.check_recurrence(window)
-    overlap = _post_overlap(bath, post, np.append(window, t_f - np.asarray(t)))
+    if post.kind is PostKind.SINGLE_PHOTON:
+        slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch before the solve
+    spec = _spectrum(bath)
+    overlap = _post_overlap(spec, post, np.append(window, t_f - np.asarray(t)))
     denom = overlap[0]
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull(f"overlap with the {post.kind.value} post-selection below floor")
-    return overlap[1:].reshape(np.shape(t)) * propagator_element(bath, 0, t - t_i) / denom
+    return overlap[1:].reshape(np.shape(t)) * _element(spec, 0, t - t_i, interaction=False) / denom
 
 
 def weak_survival_closed(

@@ -367,7 +367,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     grid = np.linspace(config.t_start, config.t_end, config.n_points)
     try:
         values, references = _EVALUATORS[config.model](config, grid)
-        rows = Rows(grid, np.asarray(values, complex), np.asarray(references, complex))
+        # + 0.0 turns a signed zero into 0.0 and leaves every other bit, so no cell reads -0.0
+        rows = Rows(grid, np.asarray(values, complex) + 0.0, np.asarray(references, complex) + 0.0)
     except WeakDecayError as exc:
         value = np.full(grid.shape, complex(math.nan, 0.0))
         reference = np.full(grid.shape, complex(math.nan, math.nan))

@@ -149,20 +149,37 @@ def test_column_and_element_match_dense(small_bath):
 
 
 def test_weak_value_and_scan_form_the_kernel_once(small_bath, monkeypatch):
-    calls = []
-    kernel = decay._pair_kernel
+    # every call solves its bath once, a second call on the same bath object too
+    calls, solves = [], []
+    kernel, outer_start = decay._pair_kernel, decay._outer_start
 
     def counted(spec, atoms):
         calls.append(len(atoms))
         return kernel(spec, atoms)
 
+    def counted_start(n_half, g):
+        solves.append(n_half)
+        return outer_start(n_half, g)
+
     monkeypatch.setattr(decay, "_pair_kernel", counted)
+    monkeypatch.setattr(decay, "_outer_start", counted_start)
     times = np.linspace(0.0, 1.5, 7)
-    weak_survival_numeric(small_bath, 0.0, times, 1.5, PostSpec.asymptotic_emission())
-    assert calls == [small_bath.n_half]
-    calls.clear()
-    bath_weak_projector_scan(small_bath, 0.0, 0.6, 1.5)
-    assert calls == [small_bath.n_half]
+    n_half = small_bath.n_half
+    emission, photon = PostSpec.asymptotic_emission(), PostSpec.single_photon(-2)
+    routes = [
+        (lambda: weak_survival_numeric(small_bath, 0.0, times, 1.5, emission), [n_half]),
+        (lambda: weak_survival_numeric(small_bath, 0.0, times, 1.5, photon), [1]),
+        (lambda: bath_weak_projector_scan(small_bath, 0.0, 0.6, 1.5), [n_half]),
+        (lambda: survival_probability(small_bath, times), []),  # survival needs no kernel
+        (lambda: propagator_column(small_bath, times), [n_half]),
+    ]
+    for route, kernels in routes:
+        for _ in range(2):
+            calls.clear()
+            solves.clear()
+            route()
+            assert solves == [n_half]
+            assert calls == kernels
 
 
 # N = 10 is small_bath, N = 2000 the default bath
@@ -174,7 +191,7 @@ def test_emission_fold_matches_the_complex_column_sum(n_half):
     # the independent route: every bath slot of the interaction column times its weight
     weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
     reference = np.sum(weights * interaction_column(bath, times)[:, 1:], axis=-1)
-    fold = decay._emission_overlap(bath, times)
+    fold = decay._emission_overlap(decay._spectrum(bath), times)
     assert np.all(fold.real == 0.0)
     assert np.max(np.abs(fold - reference)) <= 1e-14 * np.max(np.abs(reference))
     weak = weak_survival_numeric(bath, 0.0, grid, 2.0, PostSpec.asymptotic_emission())
@@ -185,7 +202,6 @@ def test_asymptotic_weak_value_memory_forms_no_complex_column():
     # the complex route (interaction column, weights, their product) peaked
     # at 28.9 MiB here; the real fold peaks in the product, at 15.1 MiB
     bath = default_bath()
-    decay._spectrum(bath)  # a solve is not what this measures
     tracemalloc.start()
     try:
         grid = np.linspace(0.0, 2.0, 101)
@@ -282,7 +298,7 @@ _DEFAULT_BATHS = [(2000, 1.0, 0.05)] + [(n_half, 1.0, 0.1) for n_half in (250, 5
 @pytest.mark.parametrize("n_half", [1, 2, 3, 10, 250, 2000, decay.MAX_N_HALF])
 def test_every_offset_is_a_sign_change_to_the_last_bit(n_half, gamma, delta_e):
     bath = BathSpec.from_gamma(n_half, gamma, delta_e)
-    offset = decay._spectrum.__wrapped__(bath).offset
+    offset = decay._spectrum(bath).offset
     inner, outer = _secular_functions(bath)
     for secular, s in ((inner, offset[:-1]), (outer, offset[-1:])):
         assert np.all(secular(np.nextafter(s, 0.0)) < 0.0)
@@ -292,7 +308,7 @@ def test_every_offset_is_a_sign_change_to_the_last_bit(n_half, gamma, delta_e):
 @pytest.mark.parametrize("n_half, gamma, delta_e", _DEFAULT_BATHS)
 def test_started_offsets_equal_whole_cell_bisection(n_half, gamma, delta_e):
     bath = BathSpec.from_gamma(n_half, gamma, delta_e)
-    offset = decay._spectrum.__wrapped__(bath).offset
+    offset = decay._spectrum(bath).offset
     assert np.array_equal(offset, _whole_cell_offsets(bath))
 
 
@@ -317,7 +333,7 @@ def test_a_start_outside_its_bracket_falls_back_to_the_whole_cell(monkeypatch):
     monkeypatch.setattr(decay, "_inner_start", off_every_other)
     monkeypatch.setattr(decay, "_outer_start", off_outer)
     monkeypatch.setattr(decay, "_bisect", recording_bisect)
-    offset = decay._spectrum.__wrapped__(bath).offset
+    offset = decay._spectrum(bath).offset
     tiny = np.finfo(float).tiny
     # the shifted starts fell back to their whole cells, the others did not
     assert np.all(brackets[0][::2] == tiny) and np.all(brackets[0][1::2] > tiny)
@@ -341,7 +357,7 @@ def test_a_cold_solve_bisects_only_the_last_bits(n_half, gamma, delta_e, monkeyp
 
     monkeypatch.setattr(decay, "_digamma", counted("digamma", decay._digamma))
     monkeypatch.setattr(decay, "_outer_terms", counted("outer", decay._outer_terms))
-    decay._spectrum.__wrapped__(BathSpec.from_gamma(n_half, gamma, delta_e))
+    decay._spectrum(BathSpec.from_gamma(n_half, gamma, delta_e))
     assert 0 < calls["digamma"] <= 20
     assert 0 < calls["outer"] <= 15
 
@@ -352,7 +368,7 @@ def test_a_cold_solve_passes_few_digamma_arguments(monkeypatch):
     entries = []
     run = decay._digamma
     monkeypatch.setattr(decay, "_digamma", lambda a: entries.append(a.size) or run(a))
-    decay._spectrum.__wrapped__(default_bath())
+    decay._spectrum(default_bath())
     assert 0 < sum(entries) <= 45_000
 
 
@@ -432,7 +448,7 @@ def test_survival_examples():
     assert abs(survival_probability(bath, 1.0) - math.exp(-2.0)) <= 0.01
 
 
-def test_survival_recurrence_guard():
+def test_survival_recurrence_guard(no_spectrum):
     bath = BathSpec.from_gamma(5, 1.0, 1.0)  # recurrence at 2*pi
     with pytest.raises(BeyondRecurrence):
         survival_probability(bath, 0.6 * bath.recurrence_time)
@@ -513,6 +529,21 @@ def test_query_validates_photon_range(small_bath, no_spectrum):
     for route in (weak_survival_numeric, weak_survival_closed):
         with pytest.raises(DimensionMismatch):
             route(small_bath, 0.0, 0.5, 1.0, PostSpec.single_photon(11))
+
+
+@pytest.mark.parametrize(
+    "route, error",
+    [
+        (lambda bath: propagator_element(bath, 11, 0.5), DimensionMismatch),
+        (lambda bath: interaction_element(bath, -11, 0.5), DimensionMismatch),
+        (lambda bath: bath_weak_projector_scan(bath, 0.0, 2.0, 1.5), ValueError),
+    ],
+    ids=["propagator_element", "interaction_element", "scan_inverted_window"],
+)
+def test_elements_and_scan_check_before_the_solve(small_bath, no_spectrum, route, error):
+    # survival and the scan's recurrence guard are pinned by their guard tests below
+    with pytest.raises(error):
+        route(small_bath)
 
 
 def test_numeric_single_photon_boundaries(small_bath):
@@ -616,7 +647,7 @@ def test_scan_window_checks():
         bath_weak_projector_scan(bath, 0.0, 2.0, 1.5)
 
 
-def test_scan_respects_recurrence_guard():
+def test_scan_respects_recurrence_guard(no_spectrum):
     bath = BathSpec.from_gamma(5, 1.0, 1.0)
     with pytest.raises(BeyondRecurrence):
         bath_weak_projector_scan(bath, 0.0, 3.0, bath.recurrence_guard + 1.0)

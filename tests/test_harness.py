@@ -233,6 +233,20 @@ def test_csv_header_and_determinism():
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("post, row", [("asymptotic", -1), ("photon:-3", 0)])
+def test_decay_csv_writes_no_signed_zero(post, row):
+    # at the decay defaults the value_im of this row (t = t_f, t = 0) comes out -0.0
+    cfg = harness.build_config({"model": "decay", "post": post})
+    rows = harness.run_scenario(cfg).rows
+    cells = [line.split(",") for line in harness.rows_to_csv(rows).splitlines()[1:]]
+    assert cells[row][2] == "0.0"
+    assert all(cell != "-0.0" for line in cells for cell in line)
+    # every other cell holds the value of the decay route, bit for bit
+    numeric = decay.weak_survival_numeric(cfg.bath, cfg.t_i, rows.t, cfg.t_f, cfg.decay_post)
+    assert numeric[row].imag == 0.0
+    assert [complex(float(re), float(im)) for _, re, im, *_ in cells] == numeric.tolist()
+
+
 def test_summary_json_is_single_line():
     cfg = harness.build_config({"model": "spin", "n_points": "5"})
     text = harness.summary_to_json(harness.run_scenario(cfg).summary)
@@ -421,8 +435,8 @@ def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys
 
 
 def test_bath_free_runs_never_import_scipy(tmp_path):
-    # scipy.special is imported only when a bath spectrum is solved, so spin and
-    # sums processes do not pay for its import time and memory
+    # the library imports no scipy, and spin and sums touch no bath: a stray
+    # import would cost every such process scipy's import time and memory
     code = (
         "import sys\n"
         "import weakdecay.cli as cli\n"
