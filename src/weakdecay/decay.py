@@ -6,10 +6,11 @@ with spacing ``delta_e`` and symmetric about the reference energy (which is
 set to zero).  Restricted to the single-excitation sector the Hamiltonian is
 a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix.  Its spectrum comes
 from the secular equation in O(N) per bath (eigenvalues plus the weights
-``v_0k^2`` of the reference atom), and one routine turns it into every
-amplitude out of the reference at any set of times: ``T`` times onto ``M``
-atom pairs cost one real ``2T x N x M`` product with a paired Cauchy
-kernel, so an element costs O(N) and a whole bath column O(N^2) per time.
+``v_0k^2`` of the reference atom), and one generator turns it into blocks
+of every amplitude out of the reference, for columns, elements and the
+emission overlap alike: ``T`` times onto ``M`` atom pairs cost one real
+``2T x N x M`` product with a paired Cauchy kernel, so an element costs
+O(N) and a whole bath column O(N^2) per time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -90,6 +91,8 @@ class BathSpec:
                 "coupling/delta_e: (coupling / delta_e)**2 overflows at "
                 f"({self.coupling}, {self.delta_e})"
             )
+        if not math.isfinite(self.recurrence_time):
+            raise ValueError(f"delta_e: recurrence time 2 pi / delta_e overflows at {self.delta_e}")
         object.__setattr__(self, "gamma", math.pi * self.coupling**2 / self.delta_e)
 
     @classmethod
@@ -445,7 +448,7 @@ def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
 
 
 # Largest block of entries formed at once (times x roots phases, roots x atoms
-# kernels, times x slots emission columns): memory grows with neither grid nor bath.
+# kernels): memory grows with neither grid nor bath.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -476,127 +479,108 @@ def _progression_step(times: np.ndarray) -> Optional[float]:
 
 
 def _phase_sums(
-    times: np.ndarray, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
+    times: np.ndarray, step: float, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(lam_j t) @ cos_weights`` and ``sin(lam_j t) @ sin_weights``, one row per time.
+    """``cos(lam_j t) @ cos_weights`` and ``sin(lam_j t) @ sin_weights`` on a progression grid.
 
-    The weights hold one column per sum over the ``N`` roots.  A progression
-    grid (see :func:`_progression_step`) splits each time as ``t_(bW) + m h``
-    with ``W ~ sqrt(T)`` offsets ``m < W``, and
+    One row per time ``times[0] + step * k``; the weights hold one column
+    per sum over the ``N`` roots, ``cos_weights`` at least as many as
+    ``sin_weights``.  Each time splits as ``t_(bW) + m h`` with ``W ~ sqrt(T)``
+    offsets ``m < W``, and
     ``cos(lam (t_(bW) + m h)) = cos(lam t_(bW)) cos(lam m h) - sin(lam t_(bW)) sin(lam m h)``
     (likewise the sine) turns each base's weights against the offset tables
     into matrix products: ``(T/W + W) N`` sine-cosine pairs, not ``T N``
-    library calls, and no times x roots table.  The last bits then differ
-    from per-time calls, by ~2e-15 measured.  A last point off the
-    progression keeps its own time and takes library calls, as any other
-    grid does (:func:`_direct_sums`).  Each base takes its own products, so
-    blocks of bases cannot change a value.
+    library calls.  The last bits then differ from per-time calls, by ~2e-15
+    measured.  Each base takes its own products, so blocks of bases cannot
+    change a value.
     """
-    step = _progression_step(times)
-    if step is None:
-        return _direct_sums(times, lam, cos_weights, sin_weights)
     width = min(math.isqrt(len(times) - 1) + 1, _WIDTH)
     offset = np.multiply.outer(step * np.arange(width), lam)
     offset_cos, offset_sin = np.cos(offset), np.sin(offset)
     bases = times[::width]
     cos_sums = np.empty((len(bases), width, cos_weights.shape[1]))
     sin_sums = np.empty((len(bases), width, sin_weights.shape[1]))
-    columns = max(cos_weights.shape[1], sin_weights.shape[1])
-    for group in _blocks(len(bases), len(lam) * columns):
+    for group in _blocks(len(bases), len(lam) * cos_weights.shape[1]):
         phase = np.multiply.outer(bases[group], lam)[..., None]
         base_cos, base_sin = np.cos(phase), np.sin(phase)
         cos_sums[group] = offset_cos @ (base_cos * cos_weights)
         cos_sums[group] -= offset_sin @ (base_sin * cos_weights)
-        if sin_weights.size:
-            sin_sums[group] = offset_cos @ (base_sin * sin_weights)
-            sin_sums[group] += offset_sin @ (base_cos * sin_weights)
+        sin_sums[group] = offset_cos @ (base_sin * sin_weights)
+        sin_sums[group] += offset_sin @ (base_cos * sin_weights)
     rows = len(bases) * width
-    cos_sums = cos_sums.reshape(rows, cos_sums.shape[2])[: len(times)]
-    sin_sums = sin_sums.reshape(rows, sin_sums.shape[2])[: len(times)]
-    if times[-1] != times[0] + step * (len(times) - 1):
-        cos_sums[-1:], sin_sums[-1:] = _direct_sums(times[-1:], lam, cos_weights, sin_weights)
-    return cos_sums, sin_sums
+    return cos_sums.reshape(rows, -1)[: len(times)], sin_sums.reshape(rows, -1)[: len(times)]
 
 
-def _direct_sums(
-    times: np.ndarray, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_phase_sums` by one library call per entry, on any grid."""
-    cos_sums = np.empty((len(times), cos_weights.shape[1]))
-    sin_sums = np.empty((len(times), sin_weights.shape[1]))
-    for rows in _blocks(len(times), len(lam)):
-        phase = np.multiply.outer(times[rows], lam)
-        cos_sums[rows] = np.cos(phase) @ cos_weights
-        if sin_weights.size:
-            sin_sums[rows] = np.sin(phase) @ sin_weights
-    return cos_sums, sin_sums
+def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: bool):
+    """Blocks ``(rows, U00, re, im)``, with ``U[+-m, 0] = +-re - i im``, at ``times[rows]``.
 
-
-def _pair_sums(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``U00``, ``sums`` and ``im`` at ``times`` for the ``M`` atom pairs ``+-m`` in ``atoms``.
-
-    The halves are ``U[+-m, 0] = +-re - i im`` with
-    ``re = m sums - scale weight0 / m`` (see :func:`_pair_kernel`); one row
-    per time.  The ``T`` times cost one real ``2T x N x M`` product with the
-    kernel, formed in blocks of atoms.  Its left operand holds the phase
-    tables ``cos(lam_j t)`` and ``sin(lam_j t)``, one library call per
-    entry, weighted in place.  A decoupled bath's sums are 0 (its kernel
-    may hold poles).
+    The halves onto the atom pairs of magnitudes ``atoms`` are sums over the
+    roots with the paired kernel (see :func:`_pair_kernel`).  At most one
+    pair on a progression grid takes one block from :func:`_phase_sums`; a
+    last point off it, and any other grid or atoms, take time blocks of
+    per-entry tables ``cos(lam_j t)`` and ``sin(lam_j t)``, weighted in place
+    and multiplied by the kernel in blocks of atoms.  With ``interaction``
+    the halves turn in place into ``e^{+i E_m t} U[m, 0]``: the free phases
+    of ``+-m`` are conjugates, so one real pair ``cos``/``sin`` of
+    ``m delta_e t`` serves both.  A decoupled bath's halves are 0.
     """
-    waves = np.empty((2, len(times), len(spec.lam)))
-    phase = np.multiply.outer(times, spec.lam)
-    np.cos(phase, out=waves[0])
-    survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
-    sums, im = np.zeros((2, len(times), len(atoms)))
-    if spec.scale:
-        np.sin(phase, out=waves[1])
-        del phase
-        weight = 2.0 * spec.scale * spec.weight
-        waves[0] *= weight
-        waves[1] *= weight * (spec.cell + spec.offset)
-        waves = waves.reshape(2 * len(times), -1)
-        for cols in _blocks(len(atoms), len(spec.lam)):
-            block = waves @ _pair_kernel(spec, atoms[cols])
-            sums[:, cols], im[:, cols] = block.reshape(2, len(times), -1)
-    return survival, sums, im
+    weight = 2.0 * spec.scale * spec.weight
+    root_weight = weight * (spec.cell + spec.offset)
+    step = _progression_step(times) if len(atoms) <= 1 else None
+    done = 0 if step is None else len(times) - (times[-1] != times[0] + step * (len(times) - 1))
+    blocks = [slice(0, done)] if done else []
+    blocks += [slice(done + b.start, done + b.stop) for b in _blocks(len(times) - done, len(spec.lam))]
+    for rows in blocks:
+        if step is not None and rows.start == 0:
+            pair = spec.scale and len(atoms)  # a decoupled kernel may hold poles
+            kernel = _pair_kernel(spec, atoms) if pair else np.zeros((len(spec.lam), len(atoms)))
+            cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
+            cos_sums, im = _phase_sums(times, step, spec.lam, cos_weights, root_weight[:, None] * kernel)
+            survival, re, im = spec.weight0 + cos_sums[rows, 0], cos_sums[rows, 1:], im[rows]
+        else:
+            count = len(times[rows])
+            waves = np.empty((2, count, len(spec.lam)))
+            np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[1]), out=waves[0])
+            survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
+            halves = np.zeros((2, count, len(atoms)))
+            if spec.scale and len(atoms):
+                np.sin(waves[1], out=waves[1])
+                waves[0] *= weight
+                waves[1] *= root_weight
+                waves = waves.reshape(2 * count, -1)
+                for cols in _blocks(len(atoms), len(spec.lam)):
+                    halves[..., cols] = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, count, -1)
+            del waves
+            re, im = halves
+        re *= atoms  # the kernel sums times m
+        re -= spec.scale * spec.weight0 / atoms
+        if interaction:
+            free = np.multiply.outer(times[rows], atoms * spec.bath.delta_e)
+            cos, sin = np.cos(free), np.sin(free, out=free)
+            turn = sin * re
+            re *= cos
+            re += np.multiply(sin, im, out=sin)
+            im *= cos
+            im -= turn
+            del cos, sin, turn
+        yield rows, survival, re, im
 
 
 def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
-    """Amplitudes out of the reference onto atom 0 and ``+-m`` for the ``M`` magnitudes ``atoms``.
+    """Amplitudes out of the reference onto atom 0 and ``+-m`` for the magnitudes ``atoms``.
 
-    One row per time, laid out like slots (the bath column for ``atoms = 1..N``).
-    The halves ``U[+-m, 0] = +-re - i im`` are sums over the roots with the
-    paired kernel (see :func:`_pair_kernel`).  Survival and one atom pair
-    take them from :func:`_phase_sums`; a column's ``N x N`` product
-    (:func:`_pair_sums`) dwarfs its phase tables, which keep one call per
-    entry.  With ``interaction`` they are ``e^{+i E_m t} U[m, 0]``: the
-    free phases of ``+-m`` are conjugates, so one real ``cos``/``sin`` pair
-    over ``m delta_e t`` serves both.
+    One row per time, in slot order (the bath column for ``atoms = 1..N``).
     """
     times = np.asarray(t, dtype=float).reshape(-1)
     m = len(atoms)
     column = np.empty((len(times), 2 * m + 1), dtype=complex)
-    if m <= 1:
-        # decoupled or no atom: U_m0 = 0 (a decoupled kernel may hold poles)
-        kernel = _pair_kernel(spec, atoms) if spec.scale and m else np.zeros((len(spec.lam), m))
-        weight = 2.0 * spec.scale * spec.weight
-        root_weight = weight * (spec.cell + spec.offset)
-        cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
-        cos_sums, im = _phase_sums(times, spec.lam, cos_weights, root_weight[:, None] * kernel)
-        column[:, REFERENCE_SLOT] = spec.weight0 + cos_sums[:, 0]
-        sums = cos_sums[:, 1:]
-    else:
-        sums, im = np.empty((2, len(times), m))
-        for rows in _blocks(len(times), len(spec.lam)):
-            survival, sums[rows], im[rows] = _pair_sums(spec, atoms, times[rows])
-            column[rows, REFERENCE_SLOT] = survival
-    re = atoms * sums - spec.scale * spec.weight0 / atoms
-    if interaction:
-        free = np.multiply.outer(times, atoms * spec.bath.delta_e)
-        cos, sin = np.cos(free), np.sin(free)
-        re, im = cos * re + sin * im, cos * im - sin * re
-    column[:, m + 1 :] = re - 1j * im  # +m, ascending
-    column[:, m:0:-1] = -re - 1j * im  # -m, descending
+    for rows, survival, re, im in _halves(spec, atoms, times, interaction):
+        column[rows, REFERENCE_SLOT] = survival
+        plus, minus = column[rows, m + 1 :], column[rows, m:0:-1]  # +m ascending, -m descending
+        plus.real = re
+        np.negative(re, out=minus.real)
+        np.negative(im, out=plus.imag)
+        np.negative(im, out=minus.imag)
     return column.reshape(np.shape(t) + (2 * m + 1,))
 
 
@@ -636,13 +620,10 @@ def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> com
 def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.ndarray:
     """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots.
 
-    The weight of atom ``n`` with its free phase is
-    ``z_n = e^{i n delta_e t} / (gamma + i n delta_e)``, and
-    ``z_{-m} = conj(z_m)``; so the Schroedinger halves
-    ``U[+-m, 0] = +-re - i im`` of :func:`_pair_sums` fold into
-    ``2i sum_m (re Im z_m - im Re z_m)``, purely imaginary.  That takes the
-    real ``2T x N x N`` product and one real fold per time over all ``m``,
-    after every block of atoms is in; no complex column is formed.
+    The interaction halves ``+-re - i im`` of :func:`_halves` meet the
+    conjugate weights ``1 / (gamma +- i m delta_e)`` and fold, with weights
+    fixed in time and no complex column, into the purely imaginary
+    ``-2i sum_m (re m delta_e + im gamma) / (gamma^2 + m^2 delta_e^2)``.
     """
     bath = spec.bath
     atoms = np.arange(1.0, bath.n_half + 1.0)
@@ -650,15 +631,9 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
     norm = bath.gamma**2 + energy**2  # |gamma + i m delta_e|^2
     times = np.asarray(t, dtype=float).reshape(-1)
     total = np.empty(len(times))
-    for rows in _blocks(len(times), bath.n_half):
-        _, sums, im = _pair_sums(spec, atoms, times[rows])
-        re = atoms * sums - spec.scale * spec.weight0 / atoms
-        free = np.multiply.outer(times[rows], energy)
-        cos, sin = np.cos(free), np.sin(free)
-        re_z = (bath.gamma * cos + energy * sin) / norm
-        im_z = (bath.gamma * sin - energy * cos) / norm
-        total[rows] = np.einsum("tm,tm->t", re, im_z) - np.einsum("tm,tm->t", im, re_z)
-    return (2j * total).reshape(np.shape(t))[()]
+    for rows, _, re, im in _halves(spec, atoms, times, interaction=True):
+        total[rows] = re @ (energy / norm) + im @ (bath.gamma / norm)
+    return (-2j * total).reshape(np.shape(t))[()]
 
 
 def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:
@@ -691,7 +666,7 @@ def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.nd
     """``|U00(t)|^2`` from the numeric propagator, guarded against recurrence."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    bath.check_recurrence(np.max(t))
+    bath.check_recurrence(np.max(t, initial=0.0))  # an empty grid has no time to check
     return np.abs(propagator_element(bath, 0, t)) ** 2
 
 

@@ -71,6 +71,8 @@ class SumParams:
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
         elif not math.isfinite(self.delta_e * self.delta_e):  # the terms use delta_e**2
             problems.append(f"delta_e: delta_e**2 is not finite at {self.delta_e}")
+        elif not math.isfinite(self.recurrence_time):
+            problems.append(f"delta_e: recurrence time 2 pi / delta_e overflows at {self.delta_e}")
         if self.k_max < 0:
             problems.append(f"k_max: need >= 0, got {self.k_max}")
         if problems:

@@ -66,6 +66,12 @@ def test_grid_call_matches_per_time_calls(name, small_bath):
     assert np.max(np.abs(grid - per_time)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_an_empty_grid_gives_an_empty_result(name, small_bath):
+    fn = CASES[name]
+    assert np.shape(fn(small_bath, np.array([]))) == (0,) + np.shape(fn(small_bath, TIMES[1]))
+
+
 # np.linspace sets its last point to its end, which here is a bit off the
 # progression of the others; the grid keeps angle addition all the same
 OFF_END = np.linspace(0.0, 0.9, 7)

@@ -421,6 +421,10 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
         (["sweep", "--set", "levels=,"], "levels: need a nonempty ascending list"),
         (["spin", "--set", "omega=inf", "--set", "t_f=0"],
          "omega: need a finite value, got inf; t_i/t_f: need finite t_i < t_f, got (0.0, 0.0)"),
+        (["decay", "--set", "gamma=1e-300", "--set", "delta_e=1e-310", "--set", "n_half=2",
+          "--set", "n_points=3"], "delta_e: recurrence time 2 pi / delta_e overflows"),
+        (["sums", "--set", "delta_e=1e-310", "--set", "n_points=2", "--set", "k_max=10"],
+         "delta_e: recurrence time 2 pi / delta_e overflows"),
     ],
 )
 def test_cli_rejects_bad_input_before_solving(argv, message, monkeypatch, capsys):
