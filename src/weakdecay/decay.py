@@ -93,7 +93,13 @@ class BathSpec:
             )
         if not math.isfinite(self.recurrence_time):
             raise ValueError(f"delta_e: recurrence time 2 pi / delta_e overflows at {self.delta_e}")
-        object.__setattr__(self, "gamma", math.pi * self.coupling**2 / self.delta_e)
+        try:  # a product overflows to inf, but coupling**2 raises
+            gamma = math.pi * self.coupling**2 / self.delta_e
+        except OverflowError:
+            gamma = math.inf
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma: pi H^2 / delta_e overflows at ({self.coupling}, {self.delta_e})")
+        object.__setattr__(self, "gamma", gamma)
 
     @classmethod
     def from_gamma(cls, n_half: int, gamma: float, delta_e: float) -> "BathSpec":
@@ -266,49 +272,50 @@ def _trigamma(a: np.ndarray) -> np.ndarray:
     return psi1
 
 
-# Cap on the start iterations: the inner fixed point settles in at most ~20
-# passes, the outer Newton in ~10.  A start that has not settled fails its
-# bracket.
+# Cap on the start iterations: the inner and the outer Newton settle in ~5
+# and ~10 passes.  A start that has not settled fails its bracket.
 _MAX_ITERATIONS = 64
 
 
-def _inner_parts(n_half: int, cell: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inner-cell ``x = cell + s``, and the digamma at ``N+1-x`` (row 0) and ``N+1+x`` (row 1).
+def _inner_rows(n_half: int, cell: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``N+1-x`` (row 0) and ``N+1+x`` (row 1) at the inner-cell ``x = cell + s``.
 
-    One digamma call takes both rows: at small N a call costs mostly its
-    fixed overhead.
+    One digamma or trigamma call takes both rows: at small N a call costs
+    mostly its fixed overhead.
     """
-    psi = _digamma(np.stack(((n_half + 1.0 - cell) - s, (n_half + 1.0 + cell) + s)))
-    return cell + s, psi
+    return np.stack(((n_half + 1.0 - cell) - s, (n_half + 1.0 + cell) + s))
 
 
 def _inner_secular(n_half: int, g: float, s: np.ndarray) -> np.ndarray:
     """``x - g S(x)`` in the inner cells, its pole term ``pi cot(pi s)`` exact."""
-    x, psi = _inner_parts(n_half, np.arange(1.0, n_half), s)
+    cell = np.arange(1.0, n_half)
+    x, psi = cell + s, _digamma(_inner_rows(n_half, cell, s))
     return x - g * (math.pi / np.tan(math.pi * s) - 1.0 / x - (psi[0] - psi[1]))
 
 
 def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Inner offsets a few ulps from their roots, their bracket's unit (an ulp) and cells' end.
 
-    The secular equation solved for its cotangent reads
-    ``s = atan2(g pi, x + g (1/x + digamma(N+1-x) - digamma(N+1+x))) / pi``,
-    which maps each cell into itself and contracts; it starts from the
-    infinite lattice's ``atan2(g pi, n + 1/2) / pi``.  A pass takes only the
-    cells still moving: an offset whose step fell to a few ulps keeps it.
+    The secular equation solved for its cotangent reads ``s = F(s) =
+    atan2(g pi, b) / pi`` with ``b = x + g (1/x + digamma(N+1-x) -
+    digamma(N+1+x))``, which maps each cell into itself and contracts.
+    Newton steps on ``s - F(s)``, with ``F' = -g b' / ((g pi)^2 + b^2)`` and
+    ``b' = 1 - g (1/x^2 + trigamma(N+1-x) + trigamma(N+1+x))``, run from the
+    infinite lattice's ``atan2(g pi, n + 1/2) / pi`` until no step exceeds a
+    few ulps.
     """
     g_pi = g * math.pi
     cell = np.arange(1.0, n_half)
     s = np.arctan2(g_pi, cell + 0.5) / math.pi
-    moving = np.arange(len(cell))
     for _ in range(_MAX_ITERATIONS):
-        if not len(moving):
+        x, rows = cell + s, _inner_rows(n_half, cell, s)
+        psi, psi1 = _digamma(rows), _trigamma(rows)
+        b = x + g * (1.0 / x + (psi[0] - psi[1]))
+        slope = -g * (1.0 - g * (1.0 / x**2 + psi1[0] + psi1[1])) / (g_pi * g_pi + b * b)
+        step = (s - np.arctan2(g_pi, b) / math.pi) / (1.0 - slope)
+        s = s - step
+        if np.all(np.abs(step) <= 4.0 * np.spacing(s)):
             break
-        x, psi = _inner_parts(n_half, cell[moving], s[moving])
-        step = np.arctan2(g_pi, x + g * (1.0 / x + (psi[0] - psi[1]))) / math.pi
-        settled = np.abs(step - s[moving]) <= 4.0 * np.spacing(step)
-        s[moving] = step
-        moving = moving[~settled]
     return s, np.spacing(s), 1.0
 
 
@@ -386,7 +393,6 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
         return _Spectrum(cell, none, cell * bath.delta_e, none, 1.0, 0.0, bath)
 
     inner = cell[:-1]
-    below, above = (n_half + 1.0) - inner, (n_half + 1.0) + inner
     # overflow to inf near a pole keeps the sign the bisection needs
     with np.errstate(over="ignore"):
         s_in = _refine(functools.partial(_inner_secular, n_half, g), *_inner_start(n_half, g))
@@ -394,7 +400,8 @@ def _spectrum(bath: BathSpec) -> _Spectrum:
         # g / d^2 as (scale / d)^2, so a tiny offset does not underflow
         x_in = inner + s_in
         gsq_in = (scale * math.pi / np.sin(math.pi * s_in)) ** 2
-        gsq_in -= g * (1.0 / x_in**2 + _trigamma(below - s_in) + _trigamma(above + s_in))
+        psi1 = _trigamma(_inner_rows(n_half, inner, s_in))
+        gsq_in -= g * (1.0 / x_in**2 + psi1[0] + psi1[1])
         gsq_out = np.sum((scale / (_outer_gaps(n_half) + s_out)) ** 2)
     offset = np.append(s_in, s_out)
     weight = 1.0 / (1.0 + np.append(gsq_in, gsq_out))
@@ -542,7 +549,7 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
             waves = np.empty((2, count, len(spec.lam)))
             np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[1]), out=waves[0])
             survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
-            halves = np.zeros((2, count, len(atoms)))
+            re, im = halves = np.zeros((2, count, len(atoms)))
             if spec.scale and len(atoms):
                 np.sin(waves[1], out=waves[1])
                 waves[0] *= weight
@@ -550,8 +557,7 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
                 waves = waves.reshape(2 * count, -1)
                 for cols in _blocks(len(atoms), len(spec.lam)):
                     halves[..., cols] = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, count, -1)
-            del waves
-            re, im = halves
+            del waves, halves
         re *= atoms  # the kernel sums times m
         re -= spec.scale * spec.weight0 / atoms
         if interaction:
@@ -564,6 +570,7 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
             im -= turn
             del cos, sin, turn
         yield rows, survival, re, im
+        del survival, re, im  # the next block forms without this one
 
 
 def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
@@ -581,6 +588,7 @@ def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.
         np.negative(re, out=minus.real)
         np.negative(im, out=plus.imag)
         np.negative(im, out=minus.imag)
+        del survival, re, im
     return column.reshape(np.shape(t) + (2 * m + 1,))
 
 
@@ -633,6 +641,7 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
     total = np.empty(len(times))
     for rows, _, re, im in _halves(spec, atoms, times, interaction=True):
         total[rows] = re @ (energy / norm) + im @ (bath.gamma / norm)
+        del re, im
     return (-2j * total).reshape(np.shape(t))[()]
 
 

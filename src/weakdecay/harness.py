@@ -20,7 +20,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -46,7 +46,7 @@ _SPIN_POSTS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters (one model, one time grid); set by build_config."""
+    """Validated scenario parameters; build_config parses each key by its field's type."""
 
     model: str
     t_start: float
@@ -123,22 +123,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+# Keys parse, and their problems list, in this order.
 _DEFAULTS: dict[str, str] = {
     "model": "spin",
-    "t_start": "",
-    "t_end": "",
-    "n_points": "101",
-    "tolerance": "",
-    "out": "",
-    "omega": "1.0",
     "t_i": "0.0",
     "t_f": "2.0",
-    "post": "",
-    "n_half": "2000",
+    "n_points": "101",
+    "t_start": "",
+    "t_end": "",
     "gamma": "1.0",
+    "tolerance": "",
+    "omega": "1.0",
     "delta_e": "0.05",
+    "n_half": "2000",
     "k_max": "1000000",
     "levels": "",
+    "out": "",
+    "post": "",
     "scaling": "fixed_spacing",
 }
 
@@ -151,6 +152,22 @@ _MODEL_DEFAULTS: dict[str, dict[str, str]] = {
     # check C4: at delta_e = 0.05 the N = 2000 error exceeds the tolerance
     "sweep": {"levels": "250,500,1000,2000", "delta_e": "0.1", "t_end": "4.0", "tolerance": "0.01"},
 }
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(x.strip()) for x in text.split(",") if x.strip())
+
+
+# Each ScenarioConfig field type's parser, and the problem a text it rejects is
+# reported as; text fields take any text.
+_PARSERS = {
+    float: (float, "not a number"),
+    int: (int, "not an integer"),
+    tuple[int, ...]: (_integers, "not a comma-separated integer list"),
+    str: (str, None),
+    Optional[str]: (lambda text: text or None, None),
+}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def build_config(raw: dict[str, str]) -> ScenarioConfig:
@@ -171,51 +188,33 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     merged = {**_DEFAULTS, **own}
     merged.update((k, v) for k, v in raw.items() if k in _DEFAULTS and (v or k not in own))
 
-    def number(key: str, default: Optional[float] = None) -> float:
-        text = merged[key]
-        if text == "":
-            if default is None:
-                problems.append(f"{key}: required")
-                return math.nan
-            return default
-        try:
-            return float(text)
-        except ValueError:
-            problems.append(f"{key}: not a number: {text!r}")
-            return math.nan
-
-    def integer(key: str) -> int:
-        try:
-            return int(merged[key])
-        except ValueError:
-            problems.append(f"{key}: not an integer: {merged[key]!r}")
-            return 0
-
     unknown_only = len(problems)
-    t_i = number("t_i")
-    t_f = number("t_f")
-    n_points = integer("n_points")
-    t_start = number("t_start", default=t_i)
-    t_end = number("t_end", default=t_f)
-    post = merged["post"]
-    gamma = number("gamma")
-    default_tol = {
-        "decay": 0.05 if post == "undecayed" else 0.01,
-        "sums": 0.005 * math.pi / gamma if gamma > 0 else 0.01,
-    }.get(model)
-    tolerance = number("tolerance", default=default_tol)
-    omega, delta_e = number("omega"), number("delta_e")
-    n_half, k_max = integer("n_half"), integer("k_max")
-    levels: tuple[int, ...] = ()
-    try:
-        levels = tuple(int(x.strip()) for x in merged["levels"].split(",") if x.strip())
-    except ValueError:
-        problems.append(f"levels: not a comma-separated integer list: {merged['levels']!r}")
-    if len(problems) > unknown_only:  # a value did not parse: its placeholder is no input
+    values: dict = {}
+    for key, text in merged.items():
+        kind = _FIELD_TYPES[key]
+        parse, failure = _PARSERS[kind]
+        if kind is float and text == "":  # filled below, or required
+            if key not in ("t_start", "t_end", "tolerance"):
+                problems.append(f"{key}: required")
+            continue
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            problems.append(f"{key}: {failure}: {text!r}")
+    if len(problems) > unknown_only:
         raise ConfigInvalid(problems)
+    values.setdefault("t_start", values["t_i"])
+    values.setdefault("t_end", values["t_f"])
+    if model == "decay":
+        values.setdefault("tolerance", 0.05 if values["post"] == "undecayed" else 0.01)
+    elif model == "sums":
+        gamma = values["gamma"]
+        values.setdefault("tolerance", 0.005 * math.pi / gamma if gamma > 0 else 0.01)
+    config = ScenarioConfig(**values)
+    t_i, t_f, t_start, t_end = config.t_i, config.t_f, config.t_start, config.t_end
 
-    if not 2 <= n_points <= MAX_POINTS:
-        problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {n_points}")
+    if not 2 <= config.n_points <= MAX_POINTS:
+        problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {config.n_points}")
     if model == "decay" and (window := window_problem(t_i, t_f)):
         problems.append(window)
     if model in ("spin", "decay"):
@@ -227,43 +226,24 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         problems.append(
             f"time grid: {model} needs finite 0 <= t_start <= t_end, got ({t_start}, {t_end})"
         )
-    if model == "spin" and post not in _SPIN_POSTS:
-        problems.append(f"post: spin accepts {sorted(_SPIN_POSTS)}, got {post!r}")
+    if model == "spin" and config.post not in _SPIN_POSTS:
+        problems.append(f"post: spin accepts {sorted(_SPIN_POSTS)}, got {config.post!r}")
 
-    if list(levels) != sorted(levels):
+    if list(config.levels) != sorted(config.levels):
         problems.append("levels: must be ascending")
-    elif model == "sweep" and not levels:
+    elif model == "sweep" and not config.levels:
         problems.append("levels: need a nonempty ascending list")
-    scaling = merged["scaling"]
-    if scaling not in ("fixed_spacing", "fixed_band"):
-        problems.append(f"scaling: must be fixed_spacing or fixed_band, got {scaling!r}")
+    if config.scaling not in ("fixed_spacing", "fixed_band"):
+        problems.append(f"scaling: must be fixed_spacing or fixed_band, got {config.scaling!r}")
 
-    if not (0.0 < tolerance < math.inf):
-        problems.append(f"tolerance: need a finite value > 0, got {tolerance}")
-    problems += out_problems(merged["out"])
+    if not (0.0 < config.tolerance < math.inf):
+        problems.append(f"tolerance: need a finite value > 0, got {config.tolerance}")
+    problems += out_problems(config.out)
 
-    config = ScenarioConfig(
-        model=model,
-        t_start=t_start,
-        t_end=t_end,
-        n_points=n_points,
-        tolerance=tolerance,
-        out=merged["out"] or None,
-        omega=omega,
-        t_i=t_i,
-        t_f=t_f,
-        post=post,
-        n_half=n_half,
-        gamma=gamma,
-        delta_e=delta_e,
-        k_max=k_max,
-        levels=levels,
-        scaling=scaling,
-    )
     terms = config.n_points * config.k_max
     if model == "sums" and terms > MAX_SUM_TERMS:
         problems.append(f"k_max: n_points * k_max = {terms} terms, need <= {MAX_SUM_TERMS}")
-    if model == "spin" and (problem := spin.params_problem(omega, t_i, t_f)):
+    if model == "spin" and (problem := spin.params_problem(config.omega, t_i, t_f)):
         problems.append(problem)
     for name in _MODEL_OBJECTS.get(model, ()):
         try:
