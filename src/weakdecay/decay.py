@@ -7,10 +7,12 @@ set to zero).  Restricted to the single-excitation sector the Hamiltonian is
 a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix.  Its spectrum comes
 from the secular equation in O(N) per bath (eigenvalues plus the weights
 ``v_0k^2`` of the reference atom), and one generator turns it into blocks
-of every amplitude out of the reference, for columns, elements and the
-emission overlap alike: ``T`` times onto ``M`` atom pairs cost one real
-``2T x N x M`` product with a paired Cauchy kernel, so an element costs
-O(N) and a whole bath column O(N^2) per time.
+of every amplitude out of the reference, for columns and elements alike:
+``T`` times onto ``M`` atom pairs cost one real ``2T x N x M`` product with
+a paired Cauchy kernel, so an element costs O(N) and a whole bath column
+O(N^2) per time.  The overlap with the full emission state needs no column:
+it is one time integral of the survival amplitude against a lattice sum
+(see :func:`_emission_overlap`), O(N) per Chebyshev node and per time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -44,6 +46,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import sums
 from .core import DENOM_FLOOR, Propagator, check_window
 from .errors import (
     BeyondRecurrence,
@@ -54,9 +57,9 @@ from .errors import (
 
 REFERENCE_SLOT = 0
 
-# Largest N.  The O(N) spectrum and survival would allow far more, but
-# columns, emission overlaps and projector scans are O(N^2) per time: one
-# 101-point emission grid, a real product and fold, takes ~0.2 s at this cap.
+# Largest N.  The O(N) spectrum and survival, and the emission overlap at
+# O(N) per Chebyshev node, would allow far more, but columns and projector
+# scans are O(N^2) per time: one 101-point column grid takes ~0.25 s here.
 MAX_N_HALF = 4000
 
 
@@ -307,15 +310,17 @@ def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
     g_pi = g * math.pi
     cell = np.arange(1.0, n_half)
     s = np.arctan2(g_pi, cell + 0.5) / math.pi
-    for _ in range(_MAX_ITERATIONS):
-        x, rows = cell + s, _inner_rows(n_half, cell, s)
-        psi, psi1 = _digamma(rows), _trigamma(rows)
-        b = x + g * (1.0 / x + (psi[0] - psi[1]))
-        slope = -g * (1.0 - g * (1.0 / x**2 + psi1[0] + psi1[1])) / (g_pi * g_pi + b * b)
-        step = (s - np.arctan2(g_pi, b) / math.pi) / (1.0 - slope)
-        s = s - step
-        if np.all(np.abs(step) <= 4.0 * np.spacing(s)):
-            break
+    # beyond g ~ 1e154 the slope's (g pi)^2 overflows: the start turns nan and fails its bracket
+    with np.errstate(invalid="ignore"):
+        for _ in range(_MAX_ITERATIONS):
+            x, rows = cell + s, _inner_rows(n_half, cell, s)
+            psi, psi1 = _digamma(rows), _trigamma(rows)
+            b = x + g * (1.0 / x + (psi[0] - psi[1]))
+            slope = -g * (1.0 - g * (1.0 / x**2 + psi1[0] + psi1[1])) / (g_pi * g_pi + b * b)
+            step = (s - np.arctan2(g_pi, b) / math.pi) / (1.0 - slope)
+            s = s - step
+            if np.all(np.abs(step) <= 4.0 * np.spacing(s)):
+                break
     return s, np.spacing(s), 1.0
 
 
@@ -461,7 +466,7 @@ _BLOCK_ENTRIES = 1 << 20
 
 def _blocks(count: int, width: int) -> list[slice]:
     """Slices over ``count`` rows of ``width`` entries, each holding at most ``_BLOCK_ENTRIES``."""
-    step = max(1, _BLOCK_ENTRIES // width)
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -545,12 +550,12 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
             cos_sums, im = _phase_sums(times, step, spec.lam, cos_weights, root_weight[:, None] * kernel)
             survival, re, im = spec.weight0 + cos_sums[rows, 0], cos_sums[rows, 1:], im[rows]
         else:
-            count = len(times[rows])
-            waves = np.empty((2, count, len(spec.lam)))
-            np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[1]), out=waves[0])
+            count, pair = len(times[rows]), spec.scale and len(atoms)
+            waves = np.empty((2 if pair else 1, count, len(spec.lam)))  # phases last, cosines first
+            np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[-1]), out=waves[0])
             survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
             re, im = halves = np.zeros((2, count, len(atoms)))
-            if spec.scale and len(atoms):
+            if pair:
                 np.sin(waves[1], out=waves[1])
                 waves[0] *= weight
                 waves[1] *= root_weight
@@ -625,24 +630,106 @@ def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> com
     return _element(_spectrum(bath), atom, t, interaction=True)
 
 
+def _emission_weights(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma / (gamma^2 + E_m^2)`` and ``E_m / (gamma^2 + E_m^2)`` for ``m = 1..N``.
+
+    They are the real and imaginary parts of ``1 / (gamma - i E_m)``, formed
+    through ``hypot`` so that no finite ``gamma`` overflows.
+    """
+    energy = np.arange(1.0, bath.n_half + 1.0) * bath.delta_e
+    norm = np.hypot(bath.gamma, energy)
+    return bath.gamma / norm / norm, energy / norm / norm
+
+
+def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
+    """Chebyshev coefficients of ``U_in(s) L(s)`` on ``[0, top]``, in ``x = 1 - 2 s / top``.
+
+    ``U_in`` is the survival amplitude without the outer root pair and
+    ``L(s) = 2 sum_m (gamma cos(E_m s) + E_m sin(E_m s)) / (gamma^2 + E_m^2)``.
+    Both are sampled at the Chebyshev points ``s = top sin^2(pi j / 2n)``,
+    ``U_in`` through :func:`_element` and ``L`` as a lattice sum of
+    :mod:`weakdecay.sums`; the coefficients come from an FFT of the samples'
+    even extension.  The product's frequencies stay below ``2 N delta_e``,
+    so its waves have Bessel coefficients ``J_k(z)`` with ``z <= N delta_e
+    top``, each below 1e-17 of its largest from ``k = z + 12 z^(1/3) + 10``
+    on: that degree ``n`` depends on the band and the window alone.
+    """
+    z = spec.bath.n_half * spec.bath.delta_e * top
+    degree = math.ceil(z + 12.0 * z ** (1.0 / 3.0)) + 10
+    nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
+    inner = _Spectrum(*(part[:-1] for part in spec[:4]), spec.weight0, spec.scale, spec.bath)
+    samples = _element(inner, 0, nodes, interaction=False).real
+    samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *_emission_weights(spec.bath))
+    coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
+    coeffs[[0, -1]] *= 0.5
+    return coeffs
+
+
+def _band_integral(spec: _Spectrum, times: np.ndarray, top: float) -> np.ndarray:
+    """``int_0^tau U_in(s) L(s) ds`` for each time ``tau`` in ``[0, top]``.
+
+    With ``s = top (1 - cos theta) / 2`` the series of :func:`_band_series`
+    has the antiderivative coefficients ``d_k = (c_{k-1} - c_{k+1}) / 2k``
+    (``c_0`` counted twice at ``k = 1``), and the integral is
+    ``top/2 sum_k d_k (1 - cos k theta)``: a lattice sum at ``theta``.
+    """
+    coeffs = _band_series(spec, top)
+    padded = np.append(coeffs, [0.0, 0.0])
+    antider = (padded[:-2] - padded[2:]) / (2.0 * np.arange(1.0, len(coeffs) + 1.0))
+    antider[0] += 0.5 * coeffs[0]
+    theta = 2.0 * np.arcsin(np.sqrt(times / top))
+    return 0.5 * top * (math.fsum(antider) - sums.lattice_sum(theta, antider))
+
+
+def _outer_integral(spec: _Spectrum, times: np.ndarray) -> np.ndarray:
+    """``int_0^tau cos(lam_N s) L(s) ds`` for each time ``tau``, in closed form.
+
+    The waves of ``L`` with weights ``a_m, b_m`` (:func:`_emission_weights`)
+    give ``(a_m sin(nu tau) + b_m (1 - cos(nu tau))) / nu`` over
+    ``nu = E_m +- lam_N``.  Turned by ``Lambda = lam_N tau``, their sum is
+    ``cos(Lambda) X + sin(Lambda) Y + sum_m b_m p_m`` with the lattice sums
+    ``X = sum_m p_m (a_m sin(E_m tau) - b_m cos(E_m tau))`` and
+    ``Y = sum_m q_m (a_m cos(E_m tau) + b_m sin(E_m tau))``, where
+    ``p_m, q_m = 1 / (E_m + lam_N) +- 1 / (E_m - lam_N)``.  The denominators
+    are formed from the outer offset ``s`` as ``(N +- m + s) delta_e``, like
+    :func:`_pair_kernel`'s; the one that may be small, ``E_N - lam_N =
+    -s delta_e``, is left out of ``p`` and ``q`` and taken alone.
+    """
+    bath = spec.bath
+    cos_w, sin_w = _emission_weights(bath)
+    atoms, offset = np.arange(1.0, bath.n_half + 1.0), spec.offset[-1]
+    above = 1.0 / ((bath.n_half + atoms + offset) * bath.delta_e)
+    below = np.append(-1.0 / (((bath.n_half - atoms[:-1]) + offset) * bath.delta_e), 0.0)
+    p, q = above + below, above - below
+    angle = bath.delta_e * times
+    phase = times * spec.lam[-1]
+    outer = np.cos(phase) * sums.lattice_sum(angle, -sin_w * p, cos_w * p)
+    outer += np.sin(phase) * sums.lattice_sum(angle, cos_w * q, sin_w * q)
+    outer += math.fsum(sin_w * p)
+    # m = N: (a_N sin u - b_N (1 - cos u)) / (s delta_e) with u = s delta_e tau, as
+    # tau (a_N sinc(u) - b_N sin(u/2) sinc(u/2)); numpy's sinc(x) is sin(pi x) / (pi x)
+    half = offset * angle / (2.0 * math.pi)  # u / 2 pi
+    small = cos_w[-1] * np.sinc(2.0 * half) - sin_w[-1] * np.sin(math.pi * half) * np.sinc(half)
+    return outer + times * small
+
+
 def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.ndarray:
     """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots.
 
-    The interaction halves ``+-re - i im`` of :func:`_halves` meet the
-    conjugate weights ``1 / (gamma +- i m delta_e)`` and fold, with weights
-    fixed in time and no complex column, into the purely imaginary
-    ``-2i sum_m (re m delta_e + im gamma) / (gamma^2 + m^2 delta_e^2)``.
+    The interaction amplitudes obey ``db_n/ds = -i H e^{i E_n s} U00(s)``
+    from ``b_n(0) = 0`` (Weisskopf & Wigner), so the overlap at ``tau`` is
+    ``-i H int_0^tau U00(s) L(s) ds``, purely imaginary since ``U00`` and
+    ``L(s) = sum_n e^{i E_n s} / (gamma + i E_n)`` are real.  ``U00`` splits
+    into ``U_in``, whose roots lie inside the band, and the outer pair
+    ``2 w_N cos(lam_N s)``: :func:`_band_integral` integrates ``U_in L``
+    from one Chebyshev series for the whole grid, and
+    :func:`_outer_integral` the outer pair in closed form.  Each Chebyshev
+    node costs O(N), each time O(N) too.
     """
-    bath = spec.bath
-    atoms = np.arange(1.0, bath.n_half + 1.0)
-    energy = atoms * bath.delta_e
-    norm = bath.gamma**2 + energy**2  # |gamma + i m delta_e|^2
     times = np.asarray(t, dtype=float).reshape(-1)
-    total = np.empty(len(times))
-    for rows, _, re, im in _halves(spec, atoms, times, interaction=True):
-        total[rows] = re @ (energy / norm) + im @ (bath.gamma / norm)
-        del re, im
-    return (-2j * total).reshape(np.shape(t))[()]
+    top = np.max(times, initial=0.0) or 1.0  # an all-zero grid takes any window
+    total = _band_integral(spec, times, top) + 2.0 * spec.weight[-1] * _outer_integral(spec, times)
+    return (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()]
 
 
 def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:

@@ -23,7 +23,10 @@ sin(m a) in two matrix products.  A grid of T times then costs
 (k_max / W + W) T sine-cosine pairs, not k_max T cosines, with W near
 sqrt(k_max) and at most 1024; each term still comes from exact library calls,
 so no error builds up along the grid.  Times are taken in blocks so that the
-tables stay small for any grid size.
+tables stay small for any grid size.  :func:`lattice_sum` runs the same
+route on a caller's cosine and sine weights, with
+sin(k a) = sin(b a) cos(m a) + cos(b a) sin(m a) for the sines: the decay
+model's emission overlap sums its bath lattice through it.
 
 The optional ``include_center`` flag drops the k = 0 term.  The decay bath
 has no level at zero detuning, so the centerless sum is the physically
@@ -108,47 +111,95 @@ def phased_lorentzian_sum(
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError(f"t: need finite times >= 0, got {t}")
+
+    def weights(start: int, size: int) -> tuple[np.ndarray, None]:
+        cos_weights = np.arange(start, start + size, dtype=float)  # k, then in place
+        cos_weights *= cos_weights  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
+        cos_weights *= p.delta_e**2
+        cos_weights += p.gamma**2
+        np.divide(2.0 * p.delta_e, cos_weights, out=cos_weights)
+        cos_weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
+        return cos_weights, None
+
+    center = p.delta_e / p.gamma**2 if include_center else 0.0
+    values = _lattice(p.delta_e * times, p.k_max, weights, center).astype(complex)
+    return values if np.ndim(t) else complex(values[0])
+
+
+def lattice_sum(
+    angle: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray | None = None
+) -> np.ndarray:
+    """``sum_{k=1}^K cos_weights[k-1] cos(k a) + sin_weights[k-1] sin(k a)`` for each angle ``a``.
+
+    ``K`` is the length of the weights (``sin_weights`` may be None, for no
+    sines); they go through the same chunks, tables and compensated
+    summation as the Lorentzian sums.
+    """
+
+    def padded(w: np.ndarray, start: int, size: int) -> np.ndarray:
+        part = w[start - 1 : start - 1 + size]
+        return np.pad(part, (0, size - len(part)))  # zeros up to a whole row
+
+    def weights(start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
+        sines = None if sin_weights is None else padded(sin_weights, start, size)
+        return padded(cos_weights, start, size), sines
+
+    return _lattice(np.asarray(angle, dtype=float), len(cos_weights), weights)
+
+
+def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np.ndarray:
+    """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``.
+
+    ``weights(start, size)`` forms the chunk's ``c_k`` and ``s_k`` (or None
+    for no sines) for ``k`` from ``start``, zero beyond ``k_max``.  Chunk
+    totals are combined per angle by TwoSum.
+    """
     # offsets m < width, the smallest power of two >= sqrt(k_max) up to _WIDTH,
     # so that the base and offset tables are about equally costly
-    width = min(_WIDTH, 1 << math.isqrt(max(p.k_max - 1, 0)).bit_length())
-    center = p.delta_e / p.gamma**2 if include_center else 0.0
-    values = np.empty(len(times), dtype=complex)
+    width = min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length())
+    values = np.empty(len(angles))
     step = _TABLE_ENTRIES // width
-    for lo in range(0, len(times), step):
-        angle = p.delta_e * times[lo : lo + step]
+    for lo in range(0, len(angles), step):
+        angle = angles[lo : lo + step]
         offset = np.multiply.outer(angle, np.arange(width, dtype=float))
         tables = np.cos(offset), np.sin(offset)
         total = np.full(len(angle), center)
         error = np.zeros(len(angle))
-        for start in range(1, p.k_max + 1, _CHUNK):
-            part = _chunk_sum(p, start, width, angle, tables)
+        for start in range(1, k_max + 1, _CHUNK):
+            size = min(_CHUNK, -(-(k_max + 1 - start) // width) * width)
+            part = _chunk_sum(start, angle, tables, *weights(start, size))
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
             error += (total - (new - seen)) + (part - seen)
             total = new
         values[lo : lo + step] = total + error
-    return values if np.ndim(t) else complex(values[0])
+    return values
 
 
-def _chunk_sum(p: SumParams, start: int, width: int, angle: np.ndarray, tables) -> np.ndarray:
-    """``sum_k c_k cos(k a)`` over the chunk of ``k`` from ``start``, for each angle ``a``.
+def _chunk_sum(start: int, angle: np.ndarray, tables, cos_weights, sin_weights) -> np.ndarray:
+    """``sum_k c_k cos(k a) + s_k sin(k a)`` over the chunk of ``k`` from ``start``, per angle ``a``.
 
     The chunk's weights form one row of ``width`` offsets ``m`` per base
-    ``b``; ``cos((b + m) a) = cos(b a) cos(m a) - sin(b a) sin(m a)`` turns
-    the rows into two matrix products with the offset tables.
+    ``b``; ``cos((b + m) a) = cos(b a) cos(m a) - sin(b a) sin(m a)`` and
+    ``sin((b + m) a) = sin(b a) cos(m a) + cos(b a) sin(m a)`` turn the rows
+    into matrix products with the offset tables.
     """
-    size = min(_CHUNK, -(-(p.k_max + 1 - start) // width) * width)
-    weights = np.arange(start, start + size, dtype=float)  # k, then in place
-    weights *= weights  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
-    weights *= p.delta_e**2
-    weights += p.gamma**2
-    np.divide(2.0 * p.delta_e, weights, out=weights)
-    weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
-    rows = weights.reshape(-1, width).T
-    base = np.multiply.outer(angle, np.arange(start, start + size, width, dtype=float))
     offset_cos, offset_sin = tables
-    return np.sum(np.cos(base) * (offset_cos @ rows) - np.sin(base) * (offset_sin @ rows), axis=1)
+    width = offset_cos.shape[1]
+    rows = cos_weights.reshape(-1, width).T
+    sines = None if sin_weights is None else sin_weights.reshape(-1, width).T
+    base = np.multiply.outer(angle, np.arange(start, start + len(cos_weights), width, dtype=float))
+    # one times x bases table at a time beside the bases' angles
+    along = offset_cos @ rows
+    if sines is not None:
+        along += offset_sin @ sines
+    along *= np.cos(base)
+    across = offset_sin @ rows
+    if sines is not None:
+        across -= offset_cos @ sines
+    along -= np.multiply(np.sin(base, out=base), across, out=across)
+    return np.sum(along, axis=1)
 
 
 def lorentzian_closed_form(gamma: float, delta_e: float) -> float:

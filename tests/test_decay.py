@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakdecay import (
     BathSpec,
@@ -173,7 +174,8 @@ def test_weak_value_and_scan_form_the_kernel_once(small_bath, monkeypatch):
     n_half = small_bath.n_half
     emission, photon = PostSpec.asymptotic_emission(), PostSpec.single_photon(-2)
     routes = [
-        (lambda: weak_survival_numeric(small_bath, 0.0, times, 1.5, emission), [n_half]),
+        # the emission overlap is a time integral of U00 and needs no kernel
+        (lambda: weak_survival_numeric(small_bath, 0.0, times, 1.5, emission), []),
         (lambda: weak_survival_numeric(small_bath, 0.0, times, 1.5, photon), [1]),
         (lambda: bath_weak_projector_scan(small_bath, 0.0, 0.6, 1.5), [n_half]),
         (lambda: survival_probability(small_bath, times), []),  # survival needs no kernel
@@ -216,6 +218,105 @@ def test_emission_fold_matches_the_dense_propagator(n_half):
     reference = np.sum(weights * dense, axis=-1)
     fold = decay._emission_overlap(decay._spectrum(bath), times)
     assert np.max(np.abs(fold - reference)) <= 1e-12
+
+
+def _emission_reference(bath, times):
+    """The complex column sum: every bath slot of the interaction column times its weight."""
+    weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
+    return np.sum(weights * interaction_column(bath, times)[:, 1:], axis=-1)
+
+
+@pytest.mark.parametrize("n_half, gamma, delta_e", [(10, 1.0, 0.05), (50, 3.0, 0.2)])
+def test_emission_overlap_grows_at_the_rate_of_its_equation_of_motion(n_half, gamma, delta_e):
+    # d overlap / d tau = -i H U00(tau) L(tau), L(tau) = sum_n e^{i E_n tau} / (gamma + i E_n),
+    # by a fourth-order central difference at interior times; its error is
+    # (h omega)^4 / 30 for the fastest wave, omega ~ 2 N delta_e
+    bath = BathSpec.from_gamma(n_half, gamma, delta_e)
+    taus, h = np.array([0.4, 1.1, 1.7]), 2e-4
+    values = decay._emission_overlap(decay._spectrum(bath), np.add.outer(taus, h * np.array([-2, -1, 1, 2])))
+    rate = (values[:, 0] - 8.0 * values[:, 1] + 8.0 * values[:, 2] - values[:, 3]) / (12.0 * h)
+    energy = bath.bath_atoms() * bath.delta_e
+    lattice = np.sum(np.exp(1j * np.multiply.outer(taus, energy)) / (bath.gamma + 1j * energy), axis=-1)
+    expected = -1j * bath.coupling * propagator_element(bath, 0, taus) * lattice
+    assert np.max(np.abs(rate - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_emission_series_tail_at_the_largest_case():
+    # N = MAX_N_HALF on the long window of the memory test below (degree
+    # 4201): the series is resolved to rounding
+    bath = BathSpec.from_gamma(decay.MAX_N_HALF, 1.0, 0.05)
+    coeffs = decay._band_series(decay._spectrum(bath), 20.0)
+    assert np.max(np.abs(coeffs[-10:])) <= 1e-15 * np.max(np.abs(coeffs))
+
+
+def test_emission_overlap_at_strong_coupling_keeps_the_band_node_count():
+    # at gamma = 1e6 the outer root sits ~505 band widths out; it is
+    # integrated in closed form, so the series needs no more nodes than at gamma = 1
+    strong, weak = (BathSpec.from_gamma(50, gamma, 0.05) for gamma in (1e6, 1.0))
+    spec = decay._spectrum(strong)
+    assert spec.lam[-1] > 500.0 * strong.n_half * strong.delta_e
+    times = np.append(2.0, 2.0 - np.linspace(0.0, 2.0, 9))
+    reference = _emission_reference(strong, times)
+    fold = decay._emission_overlap(spec, times)
+    assert np.max(np.abs(fold - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert len(decay._band_series(spec, 2.0)) == len(decay._band_series(decay._spectrum(weak), 2.0))
+
+
+def test_emission_overlap_memory_at_the_cap_on_a_long_window():
+    # 4202 Chebyshev nodes and 2001 times: an unblocked node table over the
+    # roots would take 128 MiB, an (n+1)^2 table 135 MiB and a times x nodes
+    # table 64 MiB; in blocks the overlap peaked at 14.2 MiB
+    bath = BathSpec.from_gamma(decay.MAX_N_HALF, 1.0, 0.05)
+    spec = decay._spectrum(bath)
+    times = np.linspace(0.0, 20.0, 2001)
+    tracemalloc.start()
+    try:
+        decay._emission_overlap(spec, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
+@st.composite
+def _emission_cases(draw):
+    """A bath (n_half 1..40, gamma and delta_e log-uniform) and a grid inside its recurrence guard."""
+    bath = BathSpec.from_gamma(
+        draw(st.integers(1, 40)),
+        10.0 ** draw(st.floats(-6.0, 3.0)),
+        10.0 ** draw(st.floats(-3.0, 0.0)),
+    )
+    end = draw(st.floats(0.01, 0.99)) * bath.recurrence_guard
+    count = draw(st.integers(3, 20))
+    kind = draw(st.sampled_from(["linspace", "end_off", "random", "scalar", "window_first"]))
+    if kind == "linspace":
+        return bath, np.linspace(0.0, end, count)
+    if kind == "end_off":  # a progression whose last point sits a bit beyond it
+        times = (end / count) * np.arange(count)
+        times[-1] = np.nextafter(times[-1], np.inf)
+        return bath, times
+    if kind == "random":
+        return bath, np.sort(draw(st.lists(st.floats(0.0, end), min_size=1, max_size=count)) + [end])
+    if kind == "scalar":
+        return bath, end
+    return bath, np.append(end, end - np.linspace(0.0, end, count))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_emission_cases())
+def test_emission_overlap_matches_the_dense_propagator_on_random_baths(case):
+    # |overlap| <= H tau_max sum_n |1 / (gamma + i E_n)|, the scale of the error;
+    # the worst of 5000 random draws was 1.7e-14 of it
+    bath, t = case
+    times = np.atleast_1d(t)
+    energy = bath.bath_atoms() * bath.delta_e
+    weights = np.exp(1j * np.multiply.outer(times, energy)) / (bath.gamma + 1j * energy)
+    dense = bath_propagator(bath, times).matrix[:, 1:, 0]
+    reference = np.sum(weights * dense, axis=-1)
+    fold = decay._emission_overlap(decay._spectrum(bath), t)
+    assert np.shape(fold) == np.shape(t)
+    scale = bath.coupling * np.max(times) * np.sum(np.abs(1.0 / (bath.gamma + 1j * energy)))
+    assert np.max(np.abs(np.atleast_1d(fold) - reference)) <= 1e-13 * scale
 
 
 def test_propagator_column_memory_stays_near_its_output():

@@ -363,6 +363,19 @@ def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     assert "PostSelectionNull" in capsys.readouterr().err
 
 
+def test_cli_asymptotic_at_any_finite_gamma_reports_rows_not_a_traceback(tmp_path, capsys):
+    # gamma**2 overflowed the emission weights from gamma ~ 1.3e154 on, with an
+    # OverflowError traceback; every larger finite gamma ends as 1e100 does,
+    # each row's overlap below the post-selection floor
+    outcomes = []
+    for gamma in ("1e100", "1e160", "1e300"):
+        argv = ["decay", "--set", "post=asymptotic", "--set", f"gamma={gamma}", "--set", "n_half=5"]
+        code = cli.main([*argv, "--out", str(tmp_path / "rows.csv")])
+        errors = json.loads(capsys.readouterr().out)["row_errors"]
+        outcomes.append((code, len(errors), {row["error"] for row in errors}))
+    assert outcomes == [(1, 101, {"PostSelectionNull"})] * 3
+
+
 def test_cli_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["spin", "--threads", "2"])
@@ -455,6 +468,28 @@ def test_bath_free_runs_never_import_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "spin.csv").exists() and (tmp_path / "sums.csv").exists()
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_runs_off_the_emission_route_never_import_numpy_fft(tmp_path):
+    # only the emission overlap takes an FFT: spin, sums and sweep runs load
+    # neither numpy.fft nor numpy.polynomial, whose imports cost a process
+    # ~0.3-0.4 MB and 1-4 ms
+    code = (
+        "import sys\n"
+        "import weakdecay.cli as cli\n"
+        f"cli.main(['spin', '--set', 'n_points=5', '--out', {str(tmp_path / 'spin.csv')!r}])\n"
+        "cli.main(['sums', '--set', 'k_max=1000', '--set', 'n_points=3',"
+        f" '--out', {str(tmp_path / 'sums.csv')!r}])\n"
+        "cli.main(['sweep', '--set', 'levels=20,40', '--set', 'n_points=5',"
+        f" '--out', {str(tmp_path / 'sweep.csv')!r}])\n"
+        "print([name for name in ('numpy.fft', 'numpy.polynomial') if name in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert all((tmp_path / f"{model}.csv").exists() for model in ("spin", "sums", "sweep"))
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_bath_runs_never_import_scipy(tmp_path):

@@ -170,6 +170,28 @@ def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, mo
     assert np.max(np.abs(values.real - reference)) <= 1e-14 * reference[0]
 
 
+@pytest.mark.parametrize(
+    "count, chunk",
+    # the last case splits into two chunks, the second padded
+    [(count, sums._CHUNK) for count in (0, 1, 7, 1024, 1025)] + [(5000, 1 << 12)],
+)
+def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch):
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    rng = np.random.default_rng(count)
+    cos_weights, sin_weights = rng.standard_normal((2, count))
+    angles = np.array([0.0, 0.3, 1.7, 2.9, math.pi])
+    k = np.arange(1.0, count + 1.0)
+    reference = [
+        math.fsum([*(cos_weights * np.cos(k * a)), *(sin_weights * np.sin(k * a))]) for a in angles
+    ]
+    cosines = [math.fsum(cos_weights * np.cos(k * a)) for a in angles]
+    scale = np.sum(np.abs(cos_weights) + np.abs(sin_weights))
+    values = sums.lattice_sum(angles, cos_weights, sin_weights)
+    assert np.max(np.abs(values - reference), initial=0.0) <= 1e-14 * scale
+    values = sums.lattice_sum(angles, cos_weights)  # no sines
+    assert np.max(np.abs(values - cosines), initial=0.0) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("g, de", [(1.0, 0.05), (2.0, 0.001)])
 def test_chunk_totals_meet_in_a_compensated_sum(g, de, monkeypatch):
     # 1024 chunk totals: added one by one they drift by up to 2.5e-15 here,
