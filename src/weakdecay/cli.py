@@ -21,18 +21,6 @@ from pathlib import Path
 from . import harness
 from .errors import ConfigInvalid, WeakDecayError
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="weakdecay", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spin", "decay", "sums", "sweep", "check"):
-        p = sub.add_parser(name)
-        if name != "check":
-            p.add_argument("--config", help="flat key = value config file")
-            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                           help="override a config key (repeatable)")
-        p.add_argument("--out", help="output CSV path")
-    return parser
-
 
 def _run_model(args) -> int:
     raw: dict[str, str] = {}
@@ -85,7 +73,15 @@ def _run_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog="weakdecay", description=__doc__)
+    parser.add_argument("command", choices=("spin", "decay", "sums", "sweep", "check"))
+    parser.add_argument("--config", help="flat key = value config file (not with check)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key, repeatable (not with check)")
+    parser.add_argument("--out", help="output CSV path")
+    args = parser.parse_args(argv)
+    if args.command == "check" and (args.config is not None or args.set):
+        parser.error("unrecognized arguments: check takes no --config or --set")
     try:
         return _run_check(args) if args.command == "check" else _run_model(args)
     except ConfigInvalid as exc:

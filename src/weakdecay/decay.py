@@ -10,9 +10,10 @@ from the secular equation in O(N) per bath (eigenvalues plus the weights
 of every amplitude out of the reference, for columns and elements alike:
 ``T`` times onto ``M`` atom pairs cost one real ``2T x N x M`` product with
 a paired Cauchy kernel, so an element costs O(N) and a whole bath column
-O(N^2) per time.  The overlap with the full emission state needs no column:
-it is one time integral of the survival amplitude against a lattice sum
-(see :func:`_emission_overlap`), O(N) per Chebyshev node and per time.
+O(N^2) per time; survival alone, on a progression grid, takes angle
+addition (:func:`_phase_sums`).  The overlap with the full emission state
+needs no column: it is one time integral of the survival amplitude against
+a lattice sum (see :func:`_emission_overlap`), O(N) per Chebyshev node and time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -302,7 +303,7 @@ def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
     The secular equation solved for its cotangent reads ``s = F(s) =
     atan2(g pi, b) / pi`` with ``b = x + g (1/x + digamma(N+1-x) -
     digamma(N+1+x))``, which maps each cell into itself and contracts.
-    Newton steps on ``s - F(s)``, with ``F' = -g b' / ((g pi)^2 + b^2)`` and
+    Newton steps on ``s - F(s)``, with ``F' = -b' / (g pi^2 + b^2 / g)`` and
     ``b' = 1 - g (1/x^2 + trigamma(N+1-x) + trigamma(N+1+x))``, run from the
     infinite lattice's ``atan2(g pi, n + 1/2) / pi`` until no step exceeds a
     few ulps.
@@ -310,13 +311,13 @@ def _inner_start(n_half: int, g: float) -> tuple[np.ndarray, np.ndarray, float]:
     g_pi = g * math.pi
     cell = np.arange(1.0, n_half)
     s = np.arctan2(g_pi, cell + 0.5) / math.pi
-    # beyond g ~ 1e154 the slope's (g pi)^2 overflows: the start turns nan and fails its bracket
+    # the slope is divided through by g; near the float limit a start may still turn nan
     with np.errstate(invalid="ignore"):
         for _ in range(_MAX_ITERATIONS):
             x, rows = cell + s, _inner_rows(n_half, cell, s)
             psi, psi1 = _digamma(rows), _trigamma(rows)
             b = x + g * (1.0 / x + (psi[0] - psi[1]))
-            slope = -g * (1.0 - g * (1.0 / x**2 + psi1[0] + psi1[1])) / (g_pi * g_pi + b * b)
+            slope = -(1.0 - g * (1.0 / x**2 + psi1[0] + psi1[1])) / (g * math.pi**2 + b * (b / g))
             step = (s - np.arctan2(g_pi, b) / math.pi) / (1.0 - slope)
             s = s - step
             if np.all(np.abs(step) <= 4.0 * np.spacing(s)):
@@ -490,46 +491,34 @@ def _progression_step(times: np.ndarray) -> Optional[float]:
     return step if np.array_equal(head, times[0] + step * np.arange(len(head))) else None
 
 
-def _phase_sums(
-    times: np.ndarray, step: float, lam: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(lam_j t) @ cos_weights`` and ``sin(lam_j t) @ sin_weights`` on a progression grid.
+def _phase_sums(times: np.ndarray, step: float, lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``cos(lam_j t) @ weights`` on a progression grid, one entry per time ``times[0] + step * k``.
 
-    One row per time ``times[0] + step * k``; the weights hold one column
-    per sum over the ``N`` roots, ``cos_weights`` at least as many as
-    ``sin_weights``.  Each time splits as ``t_(bW) + m h`` with ``W ~ sqrt(T)``
-    offsets ``m < W``, and
-    ``cos(lam (t_(bW) + m h)) = cos(lam t_(bW)) cos(lam m h) - sin(lam t_(bW)) sin(lam m h)``
-    (likewise the sine) turns each base's weights against the offset tables
-    into matrix products: ``(T/W + W) N`` sine-cosine pairs, not ``T N``
-    library calls.  The last bits then differ from per-time calls, by ~2e-15
-    measured.  Each base takes its own products, so blocks of bases cannot
-    change a value.
+    Each time splits as ``t_(bW) + m h`` with ``W ~ sqrt(T)`` offsets
+    ``m < W``, and ``cos(lam (t_(bW) + m h)) = cos(lam t_(bW)) cos(lam m h) -
+    sin(lam t_(bW)) sin(lam m h)`` turns each base's weights against the
+    offset tables into matrix products: ``(T/W + W) N`` sine-cosine pairs,
+    not ``T N`` library calls.  The last bits then differ from per-time
+    calls, by ~2e-15 measured.  Each base takes its own products, so blocks
+    of bases cannot change a value.
     """
     width = min(math.isqrt(len(times) - 1) + 1, _WIDTH)
     offset = np.multiply.outer(step * np.arange(width), lam)
     offset_cos, offset_sin = np.cos(offset), np.sin(offset)
     bases = times[::width]
-    cos_sums = np.empty((len(bases), width, cos_weights.shape[1]))
-    sin_sums = np.empty((len(bases), width, sin_weights.shape[1]))
-    for group in _blocks(len(bases), len(lam) * cos_weights.shape[1]):
+    sums = np.empty((len(bases), width, 1))
+    for group in _blocks(len(bases), len(lam)):
         phase = np.multiply.outer(bases[group], lam)[..., None]
-        base_cos, base_sin = np.cos(phase), np.sin(phase)
-        cos_sums[group] = offset_cos @ (base_cos * cos_weights)
-        cos_sums[group] -= offset_sin @ (base_sin * cos_weights)
-        sin_sums[group] = offset_cos @ (base_sin * sin_weights)
-        sin_sums[group] += offset_sin @ (base_cos * sin_weights)
-    rows = len(bases) * width
-    return cos_sums.reshape(rows, -1)[: len(times)], sin_sums.reshape(rows, -1)[: len(times)]
+        sums[group] = offset_cos @ (np.cos(phase) * weights[:, None])
+        sums[group] -= offset_sin @ (np.sin(phase) * weights[:, None])
+    return sums.reshape(-1)[: len(times)]
 
 
 def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: bool):
     """Blocks ``(rows, U00, re, im)``, with ``U[+-m, 0] = +-re - i im``, at ``times[rows]``.
 
     The halves onto the atom pairs of magnitudes ``atoms`` are sums over the
-    roots with the paired kernel (see :func:`_pair_kernel`).  At most one
-    pair on a progression grid takes one block from :func:`_phase_sums`; a
-    last point off it, and any other grid or atoms, take time blocks of
+    roots with the paired kernel (see :func:`_pair_kernel`): time blocks of
     per-entry tables ``cos(lam_j t)`` and ``sin(lam_j t)``, weighted in place
     and multiplied by the kernel in blocks of atoms.  With ``interaction``
     the halves turn in place into ``e^{+i E_m t} U[m, 0]``: the free phases
@@ -538,31 +527,20 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
     """
     weight = 2.0 * spec.scale * spec.weight
     root_weight = weight * (spec.cell + spec.offset)
-    step = _progression_step(times) if len(atoms) <= 1 else None
-    done = 0 if step is None else len(times) - (times[-1] != times[0] + step * (len(times) - 1))
-    blocks = [slice(0, done)] if done else []
-    blocks += [slice(done + b.start, done + b.stop) for b in _blocks(len(times) - done, len(spec.lam))]
-    for rows in blocks:
-        if step is not None and rows.start == 0:
-            pair = spec.scale and len(atoms)  # a decoupled kernel may hold poles
-            kernel = _pair_kernel(spec, atoms) if pair else np.zeros((len(spec.lam), len(atoms)))
-            cos_weights = np.column_stack([2.0 * spec.weight, weight[:, None] * kernel])
-            cos_sums, im = _phase_sums(times, step, spec.lam, cos_weights, root_weight[:, None] * kernel)
-            survival, re, im = spec.weight0 + cos_sums[rows, 0], cos_sums[rows, 1:], im[rows]
-        else:
-            count, pair = len(times[rows]), spec.scale and len(atoms)
-            waves = np.empty((2 if pair else 1, count, len(spec.lam)))  # phases last, cosines first
-            np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[-1]), out=waves[0])
-            survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
-            re, im = halves = np.zeros((2, count, len(atoms)))
-            if pair:
-                np.sin(waves[1], out=waves[1])
-                waves[0] *= weight
-                waves[1] *= root_weight
-                waves = waves.reshape(2 * count, -1)
-                for cols in _blocks(len(atoms), len(spec.lam)):
-                    halves[..., cols] = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, count, -1)
-            del waves, halves
+    for rows in _blocks(len(times), len(spec.lam)):
+        count, pair = len(times[rows]), spec.scale and len(atoms)  # a decoupled kernel may hold poles
+        waves = np.empty((2 if pair else 1, count, len(spec.lam)))  # phases last, cosines first
+        np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[-1]), out=waves[0])
+        survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
+        re, im = halves = np.zeros((2, count, len(atoms)))
+        if pair:
+            np.sin(waves[1], out=waves[1])
+            waves[0] *= weight
+            waves[1] *= root_weight
+            waves = waves.reshape(2 * count, -1)
+            for cols in _blocks(len(atoms), len(spec.lam)):
+                halves[..., cols] = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, count, -1)
+        del waves, halves
         re *= atoms  # the kernel sums times m
         re -= spec.scale * spec.weight0 / atoms
         if interaction:
@@ -598,9 +576,14 @@ def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.
 
 
 def _element(spec: _Spectrum, atom: int, t, interaction: bool) -> complex | np.ndarray:
-    pair = _amplitudes(spec, np.array([abs(atom)] if atom else [], dtype=float), t, interaction)
+    """``U[atom, 0]`` per time; survival on a progression takes :func:`_phase_sums` but off its end."""
+    times = np.asarray(t, dtype=float).reshape(-1)
+    step = None if atom else _progression_step(times)
+    done = 0 if step is None else len(times) - (times[-1] != times[0] + step * (len(times) - 1))
+    pair = _amplitudes(spec, np.array([abs(atom)] if atom else [], dtype=float), times[done:], interaction)
+    head = spec.weight0 + _phase_sums(times, step, spec.lam, 2.0 * spec.weight)[:done] if done else []
     # the atom's slot among the reference, -|atom| and +|atom|
-    return pair[..., slot_of_atom(1, int(np.sign(atom)))][()]
+    return np.append(head, pair[:, slot_of_atom(1, int(np.sign(atom)))]).reshape(np.shape(t))[()]
 
 
 def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:

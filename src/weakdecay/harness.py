@@ -14,6 +14,7 @@ can also be overridden on the command line with ``--set key=value``.
 
 from __future__ import annotations
 
+import array
 import functools
 import json
 import math
@@ -377,12 +378,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 def rows_to_csv(rows: Rows) -> str:
-    """Render rows under the fixed header; bit-exact for identical inputs."""
-    lines = [CSV_HEADER]
-    for t, v, r, abs_error in rows:
-        err = "none" if abs_error is None else repr(abs_error)
-        lines.append(f"{t!r},{v.real!r},{v.imag!r},{r.real!r},{r.imag!r},{err}")
-    return "\n".join(lines) + "\n"
+    """Render rows under the fixed header, one repr stream per column; bit-exact for identical inputs."""
+    columns = (rows.t, rows.value.real, rows.value.imag, rows.reference.real, rows.reference.imag)
+    cells = [map(repr, array.array("d", column.tobytes())) for column in columns]
+    errors = ["none"] * len(rows) if rows.error else map(repr, rows.abs_error)
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*cells, errors))]) + "\n"
 
 
 def summary_to_json(summary: dict) -> str:

@@ -89,10 +89,21 @@ def test_grid_with_its_end_off_the_progression_matches_per_time_calls(name, smal
 
 
 def test_an_end_off_the_progression_keeps_its_time(small_bath):
-    # the last point takes its own library calls, not the progression's time
-    for atom in (0, 3, -2):
-        grid = propagator_element(small_bath, atom, OFF_END)
-        assert grid[-1] == propagator_element(small_bath, atom, OFF_END[-1])
+    # the last survival point takes its own library calls, not the progression's time
+    grid = propagator_element(small_bath, 0, OFF_END)
+    assert grid[-1] == propagator_element(small_bath, 0, OFF_END[-1])
+
+
+def test_only_survival_takes_angle_addition(small_bath, monkeypatch):
+    calls = []
+    phase_sums = decay._phase_sums
+    monkeypatch.setattr(decay, "_phase_sums", lambda *args: calls.append(1) or phase_sums(*args))
+    grid = np.linspace(0.0, 1.5, 40)
+    propagator_element(small_bath, 3, grid)
+    interaction_element(small_bath, -2, grid)
+    assert calls == []  # an atom pair takes per-entry tables on any grid
+    survival_probability(small_bath, grid)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("model", ["spin", "decay", "sums", "sweep"])
@@ -112,7 +123,7 @@ def test_other_grids_are_not_progressions(rng):
 
 BLOCKED = {
     "propagator_element": CASES["propagator_element"],
-    "progression_element": lambda bath, t: interaction_element(bath, -2, np.linspace(0.0, 1.5, 40)),
+    "linspace_element": lambda bath, t: interaction_element(bath, -2, np.linspace(0.0, 1.5, 40)),
     "propagator_column": propagator_column,
     "interaction_column": interaction_column,
     "weak_asymptotic": CASES["weak_asymptotic"],
@@ -124,8 +135,8 @@ def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
     # four times or four atoms per block (the emission fold too), so both
     # the grid and the bath split.  Narrower blocks reach
     # OpenBLAS's remainder kernels, which sum in another order and can move
-    # the last bit; the per-time test above bounds those at 1e-14.  On a
-    # progression grid each base takes its own products, at any width.
+    # the last bit; the per-time test above bounds those at 1e-14.  Survival
+    # on a progression grid takes its own products per base, at any width.
     monkeypatch.setattr(decay, "_BLOCK_ENTRIES", 4 * small_bath.n_half)
     for name, fn in BLOCKED.items():
         assert np.array_equal(fn(small_bath, TIMES), whole[name]), name

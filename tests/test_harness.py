@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,23 @@ def test_decay_csv_writes_no_signed_zero(post, row):
     numeric = decay.weak_survival_numeric(cfg.bath, cfg.t_i, rows.t, cfg.t_f, cfg.decay_post)
     assert numeric[row].imag == 0.0
     assert [complex(float(re), float(im)) for _, re, im, *_ in cells] == numeric.tolist()
+
+
+def test_csv_render_keeps_no_row_tuples():
+    # 2e4 rows of 17-digit cells: per-row tuples and f-strings peaked at 7.9 MiB,
+    # one repr stream per column at 6.3 MiB
+    rng = np.random.default_rng(5)
+    value = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
+    rows = harness.Rows(np.linspace(0.0, 2.0, 20_000), value, value + 1e-3 * rng.standard_normal(20_000))
+    rows.abs_error  # the summary forms it before any rendering
+    tracemalloc.start()
+    try:
+        text = harness.rows_to_csv(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 20_001
+    assert peak <= 7 * 2**20
 
 
 def test_summary_json_is_single_line():
