@@ -6,7 +6,7 @@ with spacing ``delta_e`` and symmetric about the reference energy (which is
 set to zero).  Restricted to the single-excitation sector the Hamiltonian is
 a ``(2N+1) x (2N+1)`` real symmetric arrowhead matrix.  Its spectrum comes
 from the secular equation in O(N) per bath (eigenvalues plus the weights
-``v_0k^2`` of the reference atom), and one generator turns it into blocks
+``v_0k^2`` of the reference atom), and one block loop turns it into blocks
 of every amplitude out of the reference, for columns and elements alike:
 ``T`` times onto ``M`` atom pairs cost one real ``2T x N x M`` product with
 a paired Cauchy kernel, so an element costs O(N) and a whole bath column
@@ -461,7 +461,7 @@ def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
 
 
 # Largest block of entries formed at once (times x roots phases, roots x atoms
-# kernels): memory grows with neither grid nor bath.
+# kernels, offsets x roots tables): memory grows with neither grid nor bath.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -469,11 +469,6 @@ def _blocks(count: int, width: int) -> list[slice]:
     """Slices over ``count`` rows of ``width`` entries, each holding at most ``_BLOCK_ENTRIES``."""
     step = max(1, _BLOCK_ENTRIES // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
-# Most offsets per base in the angle-addition route of _phase_sums, which
-# bounds its offset tables at _WIDTH x N entries whatever the grid's size.
-_WIDTH = 1 << 8
 
 
 def _progression_step(times: np.ndarray) -> Optional[float]:
@@ -500,9 +495,10 @@ def _phase_sums(times: np.ndarray, step: float, lam: np.ndarray, weights: np.nda
     offset tables into matrix products: ``(T/W + W) N`` sine-cosine pairs,
     not ``T N`` library calls.  The last bits then differ from per-time
     calls, by ~2e-15 measured.  Each base takes its own products, so blocks
-    of bases cannot change a value.
+    of bases cannot change a value; the block rule caps ``W`` at
+    ``_BLOCK_ENTRIES / N``, and narrower offsets move last bits by ~2e-15.
     """
-    width = min(math.isqrt(len(times) - 1) + 1, _WIDTH)
+    width = min(math.isqrt(len(times) - 1) + 1, max(1, _BLOCK_ENTRIES // max(len(lam), 1)))
     offset = np.multiply.outer(step * np.arange(width), lam)
     offset_cos, offset_sin = np.cos(offset), np.sin(offset)
     bases = times[::width]
@@ -514,31 +510,36 @@ def _phase_sums(times: np.ndarray, step: float, lam: np.ndarray, weights: np.nda
     return sums.reshape(-1)[: len(times)]
 
 
-def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: bool):
-    """Blocks ``(rows, U00, re, im)``, with ``U[+-m, 0] = +-re - i im``, at ``times[rows]``.
+def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
+    """Amplitudes out of the reference onto atom 0 and ``+-m`` for the magnitudes ``atoms``.
 
-    The halves onto the atom pairs of magnitudes ``atoms`` are sums over the
-    roots with the paired kernel (see :func:`_pair_kernel`): time blocks of
-    per-entry tables ``cos(lam_j t)`` and ``sin(lam_j t)``, weighted in place
-    and multiplied by the kernel in blocks of atoms.  With ``interaction``
-    the halves turn in place into ``e^{+i E_m t} U[m, 0]``: the free phases
-    of ``+-m`` are conjugates, so one real pair ``cos``/``sin`` of
-    ``m delta_e t`` serves both.  A decoupled bath's halves are 0.
+    One row per time, in slot order (the bath column for ``atoms = 1..N``).
+    Each time block of per-entry tables ``cos(lam_j t)``, ``sin(lam_j t)``
+    gives survival, then is weighted in place and multiplied by the paired
+    kernel (see :func:`_pair_kernel`) in blocks of atoms into the halves
+    ``U[+-m, 0] = +-re - i im``, written through the column's views.  With
+    ``interaction`` the halves turn in place into ``e^{+i E_m t} U[m, 0]``:
+    the free phases of ``+-m`` are conjugates, so one real pair
+    ``cos``/``sin`` of ``m delta_e t`` serves both.  A decoupled bath's
+    halves are 0.
     """
+    times = np.asarray(t, dtype=float).reshape(-1)
+    m = len(atoms)
+    column = np.empty((len(times), 2 * m + 1), dtype=complex)
     weight = 2.0 * spec.scale * spec.weight
     root_weight = weight * (spec.cell + spec.offset)
     for rows in _blocks(len(times), len(spec.lam)):
-        count, pair = len(times[rows]), spec.scale and len(atoms)  # a decoupled kernel may hold poles
+        count, pair = len(times[rows]), spec.scale and m  # a decoupled kernel may hold poles
         waves = np.empty((2 if pair else 1, count, len(spec.lam)))  # phases last, cosines first
         np.cos(np.multiply.outer(times[rows], spec.lam, out=waves[-1]), out=waves[0])
-        survival = spec.weight0 + waves[0] @ (2.0 * spec.weight)
-        re, im = halves = np.zeros((2, count, len(atoms)))
+        column[rows, REFERENCE_SLOT] = spec.weight0 + waves[0] @ (2.0 * spec.weight)
+        re, im = halves = np.zeros((2, count, m))
         if pair:
             np.sin(waves[1], out=waves[1])
             waves[0] *= weight
             waves[1] *= root_weight
             waves = waves.reshape(2 * count, -1)
-            for cols in _blocks(len(atoms), len(spec.lam)):
+            for cols in _blocks(m, len(spec.lam)):
                 halves[..., cols] = (waves @ _pair_kernel(spec, atoms[cols])).reshape(2, count, -1)
         del waves, halves
         re *= atoms  # the kernel sums times m
@@ -552,26 +553,12 @@ def _halves(spec: _Spectrum, atoms: np.ndarray, times: np.ndarray, interaction: 
             im *= cos
             im -= turn
             del cos, sin, turn
-        yield rows, survival, re, im
-        del survival, re, im  # the next block forms without this one
-
-
-def _amplitudes(spec: _Spectrum, atoms: np.ndarray, t, interaction: bool) -> np.ndarray:
-    """Amplitudes out of the reference onto atom 0 and ``+-m`` for the magnitudes ``atoms``.
-
-    One row per time, in slot order (the bath column for ``atoms = 1..N``).
-    """
-    times = np.asarray(t, dtype=float).reshape(-1)
-    m = len(atoms)
-    column = np.empty((len(times), 2 * m + 1), dtype=complex)
-    for rows, survival, re, im in _halves(spec, atoms, times, interaction):
-        column[rows, REFERENCE_SLOT] = survival
         plus, minus = column[rows, m + 1 :], column[rows, m:0:-1]  # +m ascending, -m descending
         plus.real = re
         np.negative(re, out=minus.real)
         np.negative(im, out=plus.imag)
         np.negative(im, out=minus.imag)
-        del survival, re, im
+        del re, im  # the next block forms without this one
     return column.reshape(np.shape(t) + (2 * m + 1,))
 
 

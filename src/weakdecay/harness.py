@@ -402,7 +402,7 @@ class SweepResult(ScenarioResult):
 
     @property
     def trend(self) -> str:
-        return self.summary["trend"]  # "decreasing" | "not-decreasing" | "n/a"
+        return self.summary["trend"]  # "decreasing" | "exact" | "not-decreasing" | "n/a"
 
     def to_csv(self) -> str:
         lines = ["n_half,max_abs_error,seconds,marker"]
@@ -440,6 +440,8 @@ def convergence_sweep(config: ScenarioConfig) -> SweepResult:
     usable = [r.max_abs_error for r in rows if r.max_abs_error is not None]
     if len(usable) < 2:
         trend = "n/a"
+    elif not any(usable):  # every level exact: nothing left to decrease
+        trend = "exact"
     elif all(b <= 2.0 * a for a, b in zip(usable, usable[1:])) and usable[-1] < usable[0]:
         trend = "decreasing"
     else:

@@ -613,6 +613,15 @@ def test_cli_sweep_with_growing_errors_exits_1(capsys):
     assert errors[1] > errors[0] and errors[1] <= 0.5
 
 
+def test_cli_sweep_with_exact_levels_exits_0(capsys):
+    # a decoupled bath never decays, so every level meets the law exactly
+    code = cli.main(["sweep", "--set", "gamma=0"])
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["max_abs_errors"] == [0.0] * 4
+    assert summary["trend"] == "exact"
+    assert summary["passed"] and code == 0
+
+
 def test_cli_check_out_writes_one_line_per_check(monkeypatch, tmp_path, capsys):
     results = [
         checks.CheckResult("first", True, "ok", seconds=1.5),
