@@ -13,7 +13,9 @@ a paired Cauchy kernel, so an element costs O(N) and a whole bath column
 O(N^2) per time; survival alone, on a progression grid, takes angle
 addition (:func:`_phase_sums`).  The overlap with the full emission state
 needs no column: it is one time integral of the survival amplitude against
-a lattice sum (see :func:`_emission_overlap`), O(N) per Chebyshev node and time.
+a lattice sum (see :func:`_emission_overlap`), a Chebyshev series whose
+survival part comes from Bessel functions by Jacobi-Anger: a few flops per
+root and order, no trig call per node, and O(N) per time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
 ``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
@@ -59,8 +61,8 @@ from .errors import (
 REFERENCE_SLOT = 0
 
 # Largest N.  The O(N) spectrum and survival, and the emission overlap at
-# O(N) per Chebyshev node, would allow far more, but columns and projector
-# scans are O(N^2) per time: one 101-point column grid takes ~0.25 s here.
+# O(N) flops per Chebyshev order, would allow far more, but columns and
+# projector scans are O(N^2) per time: one 101-point column grid takes ~0.25 s here.
 MAX_N_HALF = 4000
 
 
@@ -611,24 +613,72 @@ def _emission_weights(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
     return bath.gamma / norm / norm, energy / norm / norm
 
 
+def _bessel(alpha: np.ndarray, degree: int) -> np.ndarray:
+    """``J_k(alpha)`` for ``k = 0..degree``, orders down and the ``alpha`` across.
+
+    Miller's backward recurrence (Abramowitz & Stegun 9.12) in ratio form,
+    ``r_k = J_k / J_(k-1) = alpha / (2k - alpha r_(k+1))`` from ``r_(degree+1)
+    = 0``.  The ``J_k`` themselves grow by about ``2k / alpha`` a step on the
+    way down, past the float range at a tiny ``alpha``; their ratios do not,
+    so every ``alpha`` starts at the same order, ``alpha = 0`` and subnormal
+    ones too.  The running products of the ratios are ``J_k / J_0``, and
+    ``J_0 + 2 sum_k J_2k = 1`` fixes ``J_0``.  The error is about
+    ``J_(degree+1)(alpha)``, so ``degree`` must reach where the ``J_k`` are
+    negligible.
+    """
+    table = np.empty((degree + 1, len(alpha)))
+    table[0] = 1.0
+    ratio, below = np.zeros(len(alpha)), np.empty(len(alpha))
+    for k in range(degree, 0, -1):
+        np.subtract(2.0 * k, np.multiply(alpha, ratio, below), below)
+        ratio = np.divide(alpha, below, table[k])
+    for k in range(1, degree + 1):  # row by row: numpy's cumprod down the rows is slower
+        table[k] *= table[k - 1]
+    table /= 2.0 * np.sum(table[::2], axis=0) - 1.0
+    return table
+
+
+def _degree(z: float) -> int:
+    """The order from which a wave's Bessel coefficients ``J_k(z)`` stay below 1e-17 of their largest."""
+    return math.ceil(z + 12.0 * z ** (1.0 / 3.0)) + 10
+
+
 def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     """Chebyshev coefficients of ``U_in(s) L(s)`` on ``[0, top]``, in ``x = 1 - 2 s / top``.
 
     ``U_in`` is the survival amplitude without the outer root pair and
     ``L(s) = 2 sum_m (gamma cos(E_m s) + E_m sin(E_m s)) / (gamma^2 + E_m^2)``.
-    Both are sampled at the Chebyshev points ``s = top sin^2(pi j / 2n)``,
-    ``U_in`` through :func:`_element` and ``L`` as a lattice sum of
-    :mod:`weakdecay.sums`; the coefficients come from an FFT of the samples'
-    even extension.  The product's frequencies stay below ``2 N delta_e``,
-    so its waves have Bessel coefficients ``J_k(z)`` with ``z <= N delta_e
-    top``, each below 1e-17 of its largest from ``k = z + 12 z^(1/3) + 10``
-    on: that degree ``n`` depends on the band and the window alone.
+    Each inner wave ``cos(lam_j s)`` is ``cos(a (1 - x))`` with ``a = lam_j
+    top / 2``, and by Jacobi-Anger its coefficient of ``T_k`` is
+    ``eps_k (-1)^floor(k/2) J_k(a)`` times ``cos a`` for even ``k`` and
+    ``sin a`` for odd ``k`` (``eps_0 = 1``, else 2): ``U_in``'s series comes
+    from :func:`_bessel` in blocks of roots, two trig calls per root.  Its
+    frequencies stay below ``N delta_e`` and the product's below ``2 N
+    delta_e``, so a wave's ``J_k(z)`` has ``z <= N delta_e top / 2`` or ``N
+    delta_e top``: :func:`_degree` gives each series its length from the band
+    and the window alone.  ``U_in`` is then summed at the product's Chebyshev
+    points ``s = top sin^2(pi j / 2n)`` by an inverse FFT, times ``L`` as a
+    lattice sum of :mod:`weakdecay.sums`, and the coefficients come from an
+    FFT of the products' even extension.
     """
     z = spec.bath.n_half * spec.bath.delta_e * top
-    degree = math.ceil(z + 12.0 * z ** (1.0 / 3.0)) + 10
+    degree, inner = _degree(z), _degree(0.5 * z)
+    alpha = 0.5 * top * spec.lam[:-1]
+    weight = 2.0 * spec.weight[:-1]
+    series = np.zeros(degree + 1)
+    for roots in _blocks(len(alpha), inner + 1):
+        order = min(inner, _degree(np.max(alpha[roots])))  # roots ascend: low blocks stop early
+        bessel = _bessel(alpha[roots], order)
+        series[: order + 1 : 2] += bessel[::2] @ (weight[roots] * np.cos(alpha[roots]))
+        series[1 : order + 1 : 2] += bessel[1::2] @ (weight[roots] * np.sin(alpha[roots]))
+        del bessel  # the next block forms without this one
+    series[2::4] *= -1.0  # (-1)^floor(k/2)
+    series[3::4] *= -1.0
+    series[0] += spec.weight0
+    # series holds c_k / eps_k; the even extension's spectrum is 2n c_0, n c_k and 2n c_n
+    series[-1] *= 2.0
+    samples = np.fft.irfft(series, 2 * degree)[: degree + 1] * (2.0 * degree)
     nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
-    inner = _Spectrum(*(part[:-1] for part in spec[:4]), spec.weight0, spec.scale, spec.bath)
-    samples = _element(inner, 0, nodes, interaction=False).real
     samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *_emission_weights(spec.bath))
     coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
     coeffs[[0, -1]] *= 0.5
@@ -693,8 +743,9 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
     into ``U_in``, whose roots lie inside the band, and the outer pair
     ``2 w_N cos(lam_N s)``: :func:`_band_integral` integrates ``U_in L``
     from one Chebyshev series for the whole grid, and
-    :func:`_outer_integral` the outer pair in closed form.  Each Chebyshev
-    node costs O(N), each time O(N) too.
+    :func:`_outer_integral` the outer pair in closed form.  ``U_in``'s
+    series costs a few flops per root and Chebyshev order and two trig
+    calls per root, ``L`` a lattice sum per node, and each time O(N).
     """
     times = np.asarray(t, dtype=float).reshape(-1)
     top = np.max(times, initial=0.0) or 1.0  # an all-zero grid takes any window

@@ -80,7 +80,13 @@ class ScenarioConfig:
 
     @functools.cached_property
     def decay_post(self) -> decay.PostSpec:
-        return _parse_decay_post(self.post, self.n_half)
+        spec = _parse_decay_post(self.post)
+        if spec.photon_atom is not None:  # an atom's range is its bath's, so the bath builds first
+            try:
+                decay.slot_of_atom(self.bath.n_half, spec.photon_atom)
+            except DimensionMismatch as exc:
+                raise ValueError(f"post: bad photon atom in {self.post!r}: {exc}") from None
+        return spec
 
     @functools.cached_property
     def sum_params(self) -> sums.SumParams:
@@ -250,7 +256,8 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         try:
             getattr(config, name)
         except ValueError as exc:
-            problems.append(str(exc))
+            if str(exc) not in problems:  # an object built on a failed one repeats its problem
+                problems.append(str(exc))
     if problems:
         raise ConfigInvalid(problems)
     return config
@@ -264,7 +271,7 @@ def out_problems(out: Optional[str]) -> list[str]:
     return [] if os.path.isdir(directory) else [f"out: directory {directory!r} does not exist"]
 
 
-def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
+def _parse_decay_post(post: str) -> decay.PostSpec:
     if post == "asymptotic":
         return decay.PostSpec.asymptotic_emission()
     if post == "undecayed":
@@ -274,11 +281,9 @@ def _parse_decay_post(post: str, n_half: int) -> decay.PostSpec:
             f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {post!r}"
         )
     try:
-        spec = decay.PostSpec.single_photon(int(post.removeprefix("photon:")))
-        decay.slot_of_atom(n_half, spec.photon_atom)
-    except (ValueError, DimensionMismatch) as exc:
+        return decay.PostSpec.single_photon(int(post.removeprefix("photon:")))
+    except ValueError as exc:
         raise ValueError(f"post: bad photon atom in {post!r}: {exc}") from None
-    return spec
 
 
 def _spin_values(config: ScenarioConfig, grid: np.ndarray):

@@ -1,6 +1,6 @@
 """Independent numeric oracles the tests compare the library against.
 
-Both avoid the library's secular-equation spectrum:
+The first two avoid the library's secular-equation spectrum:
 
 - the dense route builds the ``(2N+1) x (2N+1)`` arrowhead Hamiltonian and
   diagonalizes it with LAPACK's symmetric eigensolver;
@@ -11,14 +11,20 @@ Both avoid the library's secular-equation spectrum:
       da_n/dt = -i H a_0 e^{+i n dE t}
 
   from a_n(0) = delta_{n0}.
+
+The sampled band series shares the spectrum and checks only the emission
+overlap's Chebyshev series, which it forms from samples instead of Bessel
+functions.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from weakdecay import Operator
+from weakdecay import Operator, decay, sums
 
 
 def bath_atom_order(n_half: int) -> np.ndarray:
@@ -72,3 +78,24 @@ def ode_interaction_column(
     if not sol.success:
         raise RuntimeError(f"ODE oracle failed: {sol.message}")
     return sol.y[:dim, -1] + 1j * sol.y[dim:, -1]
+
+
+def sampled_band_series(spec, top: float) -> np.ndarray:
+    """Chebyshev coefficients of ``U_in(s) L(s)`` on ``[0, top]`` from samples at the Chebyshev points.
+
+    ``U_in``, survival without the outer root pair, is summed root by root
+    at each point ``s = top sin^2(pi j / 2n)`` through ``decay._element``, one
+    cosine per root and point, and ``L`` is the same lattice sum as the
+    library's; the coefficients come from an FFT of the products' even
+    extension, at the library's degree ``n = z + 12 z^(1/3) + 10``,
+    ``z = N delta_e top``.
+    """
+    z = spec.bath.n_half * spec.bath.delta_e * top
+    degree = math.ceil(z + 12.0 * z ** (1.0 / 3.0)) + 10
+    nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
+    inner = decay._Spectrum(*(part[:-1] for part in spec[:4]), spec.weight0, spec.scale, spec.bath)
+    samples = decay._element(inner, 0, nodes, interaction=False).real
+    samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *decay._emission_weights(spec.bath))
+    coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
+    coeffs[[0, -1]] *= 0.5
+    return coeffs

@@ -37,7 +37,7 @@ from weakdecay import (
 from weakdecay import decay
 from weakdecay.core import DENOM_FLOOR
 
-from oracles import build_hamiltonian, dense_eigensystem, ode_interaction_column
+from oracles import build_hamiltonian, dense_eigensystem, ode_interaction_column, sampled_band_series
 
 
 # ---------------------------------------------------------------- BathSpec & layout
@@ -250,6 +250,53 @@ def test_emission_series_tail_at_the_largest_case():
     assert np.max(np.abs(coeffs[-10:])) <= 1e-15 * np.max(np.abs(coeffs))
 
 
+def test_bessel_recurrence_matches_scipy():
+    from scipy.special import jv
+
+    # zero and subnormal (a window of 5e-324 times an eigenvalue), tiny, moderate,
+    # and N pi / 2 at the cap, the largest a = lam top / 2 below the recurrence guard
+    alpha = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.5, 30.0, decay.MAX_N_HALF * math.pi / 2])
+    degree = decay._degree(alpha[-1])
+    error = np.abs(decay._bessel(alpha, degree) - jv(np.arange(degree + 1.0)[:, None], alpha))
+    # measured: 1.7e-16 up to a = 30; at a = 6283 scipy's jv is itself off by
+    # 6.9e-14 (J_184; the recurrence's value is within 2e-17 of a 40-digit one)
+    assert np.max(error[:, :-1]) <= 1e-15
+    assert np.max(error[:, -1]) <= 1e-13
+    for a in alpha[:-1]:  # each started at its own order, as a block of low roots is
+        order = decay._degree(a)
+        own = decay._bessel(np.array([a]), order)[:, 0]
+        assert np.max(np.abs(own - jv(np.arange(order + 1.0), a))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "n_half, gamma, top",
+    [
+        (2000, 1.0, 1.5),
+        (2000, 1.0, 2.3),
+        (2000, 1.0, 3.0),
+        (1, 1.0, 2.0),
+        (2000, 1e6, 2.0),
+        (2000, 1e-6, 2.0),
+        (decay.MAX_N_HALF, 1.0, 20.0),
+        (2000, 1.0, 1e-300),
+        (2000, 1.0, 1e-8),
+        (2000, 1.0, 5e-324),
+    ],
+)
+def test_band_series_matches_the_sampled_series(n_half, gamma, top, monkeypatch):
+    # measured: at most 3.1e-16 of the largest coefficient (default bath, top = 3)
+    spec = decay._spectrum(BathSpec.from_gamma(n_half, gamma, 0.05))
+    reference = sampled_band_series(spec, top)
+
+    def element(*args, **kwargs):
+        raise AssertionError("the band series sampled U_in through _element")
+
+    monkeypatch.setattr(decay, "_element", element)
+    coeffs = decay._band_series(spec, top)
+    assert len(coeffs) == len(reference)
+    assert np.max(np.abs(coeffs - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
 def test_emission_overlap_at_strong_coupling_keeps_the_band_node_count():
     # at gamma = 1e6 the outer root sits ~505 band widths out; it is
     # integrated in closed form, so the series needs no more nodes than at gamma = 1
@@ -264,9 +311,10 @@ def test_emission_overlap_at_strong_coupling_keeps_the_band_node_count():
 
 
 def test_emission_overlap_memory_at_the_cap_on_a_long_window():
-    # 4202 Chebyshev nodes and 2001 times: an unblocked node table over the
-    # roots would take 128 MiB, an (n+1)^2 table 135 MiB and a times x nodes
-    # table 64 MiB; in blocks the overlap peaked at 14.2 MiB
+    # 4202 Chebyshev nodes, U_in's series to order 2162 and 2001 times: an
+    # unblocked Bessel table over the roots would take 66 MiB, an (n+1)^2
+    # table 135 MiB and a times x nodes table 64 MiB; in blocks of roots the
+    # overlap peaked at 14.4 MiB
     bath = BathSpec.from_gamma(decay.MAX_N_HALF, 1.0, 0.05)
     spec = decay._spectrum(bath)
     times = np.linspace(0.0, 20.0, 2001)

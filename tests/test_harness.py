@@ -360,6 +360,14 @@ def test_cli_unparseable_value_is_reported_once(command, key, value, no_spectrum
     assert lines[0].startswith(f"config error: {key}: not a") and repr(value) in lines[0]
 
 
+@pytest.mark.parametrize("n_half", ["-3", "0"])
+def test_cli_invalid_n_half_is_one_problem(n_half, no_spectrum, capsys):
+    # the default post photon:1 is checked against the bath only once the bath builds
+    assert cli.main(["decay", "--set", f"n_half={n_half}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: n_half: need 1 <= n_half <= {decay.MAX_N_HALF}, got {n_half}"]
+
+
 def test_cli_model_conflict_exits_2(capsys):
     assert cli.main(["spin", "--set", "model=decay"]) == 2
 

@@ -1,5 +1,6 @@
-"""The repository's pytest settings, run on a throwaway test in a subprocess."""
+"""The repository's pytest settings and the library's dependencies."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,21 @@ def test_a_failing_property_test_prints_its_falsifying_example(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_the_library_imports_only_the_standard_library_and_numpy():
+    # scipy and the other test dependencies stay oracles of the tests
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted((PYPROJECT.parent / "src" / "weakdecay").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed
+            ]
+    assert outside == []
