@@ -652,26 +652,30 @@ def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     top / 2``, and by Jacobi-Anger its coefficient of ``T_k`` is
     ``eps_k (-1)^floor(k/2) J_k(a)`` times ``cos a`` for even ``k`` and
     ``sin a`` for odd ``k`` (``eps_0 = 1``, else 2): ``U_in``'s series comes
-    from :func:`_bessel` in blocks of roots, two trig calls per root.  Its
-    frequencies stay below ``N delta_e`` and the product's below ``2 N
-    delta_e``, so a wave's ``J_k(z)`` has ``z <= N delta_e top / 2`` or ``N
-    delta_e top``: :func:`_degree` gives each series its length from the band
-    and the window alone.  ``U_in`` is then summed at the product's Chebyshev
-    points ``s = top sin^2(pi j / 2n)`` by an inverse FFT, times ``L`` as a
-    lattice sum of :mod:`weakdecay.sums`, and the coefficients come from an
-    FFT of the products' even extension.
+    from :func:`_bessel` in blocks of roots, two trig calls per root; a block
+    stops at its top root's order and holds as many roots as ``_BLOCK_ENTRIES``
+    allows at that order.  Its frequencies stay below ``N delta_e`` and the
+    product's below ``2 N delta_e``, so a wave's ``J_k(z)`` has ``z <= N
+    delta_e top / 2`` or ``N delta_e top``: :func:`_degree` gives each series
+    its length from the band and the window alone.  ``U_in`` is then summed
+    at the product's Chebyshev points ``s = top sin^2(pi j / 2n)`` by an
+    inverse FFT, times ``L`` as a lattice sum of :mod:`weakdecay.sums`, and
+    the coefficients come from an FFT of the products' even extension.
     """
     z = spec.bath.n_half * spec.bath.delta_e * top
     degree, inner = _degree(z), _degree(0.5 * z)
     alpha = 0.5 * top * spec.lam[:-1]
     weight = 2.0 * spec.weight[:-1]
     series = np.zeros(degree + 1)
-    for roots in _blocks(len(alpha), inner + 1):
-        order = min(inner, _degree(np.max(alpha[roots])))  # roots ascend: low blocks stop early
+    top_root = len(alpha)
+    while top_root:  # roots ascend: from the top down, each block takes its top root's order
+        order = min(inner, _degree(alpha[top_root - 1]))
+        roots = slice(max(0, top_root - max(1, _BLOCK_ENTRIES // (order + 1))), top_root)
         bessel = _bessel(alpha[roots], order)
         series[: order + 1 : 2] += bessel[::2] @ (weight[roots] * np.cos(alpha[roots]))
         series[1 : order + 1 : 2] += bessel[1::2] @ (weight[roots] * np.sin(alpha[roots]))
         del bessel  # the next block forms without this one
+        top_root = roots.start
     series[2::4] *= -1.0  # (-1)^floor(k/2)
     series[3::4] *= -1.0
     series[0] += spec.weight0

@@ -250,6 +250,28 @@ def test_emission_series_tail_at_the_largest_case():
     assert np.max(np.abs(coeffs[-10:])) <= 1e-15 * np.max(np.abs(coeffs))
 
 
+@pytest.mark.parametrize(
+    "n_half, top, steps", [(decay.MAX_N_HALF, 20.0, 8121), (2000, 60.0, 9237), (2000, 2.0, 166)]
+)
+def test_band_series_sizes_each_root_block_by_its_own_order(n_half, top, steps, monkeypatch):
+    # blocks all sized by the whole series' order took 11,908 and 14,445 recurrence
+    # steps on the two long windows; the default bath is one block either way
+    blocks = []
+    bessel = decay._bessel
+
+    def recorded(alpha, degree):
+        blocks.append((len(alpha), degree))
+        return bessel(alpha, degree)
+
+    monkeypatch.setattr(decay, "_bessel", recorded)
+    decay._band_series(decay._spectrum(BathSpec.from_gamma(n_half, 1.0, 0.05)), top)
+    assert sum(degree for _, degree in blocks) == steps
+    assert sum(count for count, _ in blocks) == n_half - 1
+    # from the top root down, every block but the lowest is as large as its own order allows
+    assert all(count == decay._BLOCK_ENTRIES // (degree + 1) for count, degree in blocks[:-1])
+    assert all(count * (degree + 1) <= decay._BLOCK_ENTRIES for count, degree in blocks)
+
+
 def test_bessel_recurrence_matches_scipy():
     from scipy.special import jv
 

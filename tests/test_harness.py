@@ -249,9 +249,69 @@ def test_decay_csv_writes_no_signed_zero(post, row):
     assert [complex(float(re), float(im)) for _, re, im, *_ in cells] == numeric.tolist()
 
 
+def _csv_per_cell(rows):
+    """The CSV by one ``repr`` per cell, abs_error by Python's complex abs."""
+    lines = [harness.CSV_HEADER]
+    for t, value, reference in zip(rows.t.tolist(), rows.value.tolist(), rows.reference.tolist()):
+        error = "none" if rows.error else repr(abs(value - reference))
+        cells = (t, value.real, value.imag, reference.real, reference.imag)
+        lines.append(",".join([*map(repr, cells), error]))
+    return "\n".join(lines) + "\n"
+
+
+def _complex(re, im):
+    """A complex array from its parts bit for bit (``re + 1j * im`` turns an inf part into nan)."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def test_csv_render_keys_cells_by_their_bits():
+    # two blocks and a partial one; -0.0 beside 0.0, NaN, inf and the smallest
+    # subnormal in every block, and one value across columns and the first block edge
+    edge = harness._RENDER_ROWS
+    n = 2 * edge + 5
+    t = np.linspace(0.0, 1.0, n)
+    value_re = np.random.default_rng(3).standard_normal(n)
+    value_re[edge - 1 : edge + 1] = t[edge]
+    reference_re = value_re.copy()
+    reference_re[::7] = math.inf
+    value_im = np.resize([-0.0, 0.0, 5e-324, math.nan], n)
+    reference_im = np.resize([0.0, -0.0, math.inf, -5e-324], n)
+    rows = harness.Rows(t, _complex(value_re, value_im), _complex(reference_re, reference_im))
+    text = harness.rows_to_csv(rows)
+    assert text == _csv_per_cell(rows)
+    first = text.splitlines()[1:edge + 1]
+    assert {line.split(",")[2] for line in first} == {"-0.0", "0.0", "5e-324", "nan"}
+    assert text.splitlines()[edge].split(",")[1] == repr(t.tolist()[edge])
+
+
+def test_csv_render_of_a_failure_reads_none():
+    n = harness._RENDER_ROWS + 1
+    value, reference = np.full(n, complex(math.nan, 0.0)), np.full(n, complex(math.nan, math.nan))
+    rows = harness.Rows(np.linspace(0.0, 2.0, n), value, reference, "PostSelectionNull")
+    text = harness.rows_to_csv(rows)
+    assert text == _csv_per_cell(rows)
+    assert text.count(",none\n") == n
+
+
+@pytest.mark.parametrize("post", ["xplus", "xminus", "yplus"])
+def test_spin_csv_at_10001_points_is_a_repr_per_cell(post):
+    cfg = harness.build_config({"model": "spin", "post": post, "t_f": "1.1", "n_points": "10001"})
+    result = harness.run_scenario(cfg)
+    assert harness.rows_to_csv(result.rows) == _csv_per_cell(result.rows)
+    # the summary and the row iterator keep Python's complex abs, as Python floats
+    errors = [abs(v - r) for v, r in zip(result.rows.value.tolist(), result.rows.reference.tolist())]
+    assert [row[3] for row in result.rows] == errors
+    assert all(type(row[3]) is float for row in result.rows)
+    assert result.summary["max_abs_error"] == max(errors)
+    assert type(result.summary["max_abs_error"]) is float
+
+
 def test_csv_render_keeps_no_row_tuples():
     # 2e4 rows of 17-digit cells: per-row tuples and f-strings peaked at 7.9 MiB,
-    # one repr stream per column at 6.3 MiB
+    # one repr stream per column at 6.3 MiB, one repr per distinct cell of a row
+    # block at 5.7 MiB
     rng = np.random.default_rng(5)
     value = rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)
     rows = harness.Rows(np.linspace(0.0, 2.0, 20_000), value, value + 1e-3 * rng.standard_normal(20_000))
@@ -366,6 +426,22 @@ def test_cli_invalid_n_half_is_one_problem(n_half, no_spectrum, capsys):
     assert cli.main(["decay", "--set", f"n_half={n_half}"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"config error: n_half: need 1 <= n_half <= {decay.MAX_N_HALF}, got {n_half}"]
+
+
+@pytest.mark.parametrize(
+    "gamma, problem",
+    [
+        ("inf", "need a finite value > 0, got inf"),
+        ("1e-320", "center term delta_e / gamma**2 is not finite"),
+    ],
+)
+def test_cli_sums_bad_gamma_is_one_problem(gamma, problem, capsys):
+    # the default tolerance 0.005 pi / gamma is 0.0 or inf here; no tolerance
+    # problem may join the gamma's
+    assert cli.main(["sums", "--set", f"gamma={gamma}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: gamma: {problem}")
 
 
 def test_cli_model_conflict_exits_2(capsys):
