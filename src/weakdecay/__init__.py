@@ -43,7 +43,6 @@ from .errors import (
     BasisNotComplete,
     BeyondRecurrence,
     ConfigInvalid,
-    DegenerateWindow,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,

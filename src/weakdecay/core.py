@@ -107,8 +107,8 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITIAN_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +136,8 @@ class Propagator:
 
 
 def check_window(t_i: float, t: float | np.ndarray, t_f: float) -> None:
-    """Raise ValueError unless ``t_i <= t <= t_f`` for every time in ``t``."""
-    if not np.all((t_i <= t) & (t <= t_f)):
+    """Raise ValueError unless ``t_i <= t_f`` (even for an empty grid) and ``t_i <= t <= t_f``."""
+    if not (t_i <= t_f and np.all((t_i <= t) & (t <= t_f))):
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
 
 

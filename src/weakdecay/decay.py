@@ -41,7 +41,6 @@ bath atom ``n`` (``-N <= n <= N``, ``n != 0``) lives at the slot given by
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass, field
@@ -51,12 +50,7 @@ import numpy as np
 
 from . import sums
 from .core import DENOM_FLOOR, Propagator, check_window
-from .errors import (
-    BeyondRecurrence,
-    DegenerateWindow,
-    DimensionMismatch,
-    PostSelectionNull,
-)
+from .errors import BeyondRecurrence, DimensionMismatch, PostSelectionNull
 
 REFERENCE_SLOT = 0
 
@@ -791,15 +785,9 @@ def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.nd
     return np.abs(propagator_element(bath, 0, t)) ** 2
 
 
-def _check_window(t_i: float, t, t_f: float) -> None:
-    if t_f == t_i:
-        raise DegenerateWindow("t_f must differ from t_i")
-    check_window(t_i, t, t_f)
-
-
 def _decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | np.ndarray:
     """The generalized law ``e^{-gamma (t-t_i)} (1 - e^{x (t_f-t)}) / (1 - e^{x (t_f-t_i)})``."""
-    _check_window(t_i, t, t_f)
+    check_window(t_i, t, t_f)
     denom = 1.0 - np.exp(x * (t_f - t_i))
     if abs(denom) <= DENOM_FLOOR:
         raise PostSelectionNull("post-selection denominator vanished")
@@ -831,18 +819,36 @@ def weak_survival_asymptotic_post(
     return _decay_law(gamma, -2.0 * gamma, t_i, t, t_f) + 0j
 
 
-class PostKind(enum.Enum):
-    SINGLE_PHOTON = "single_photon"
-    ASYMPTOTIC_EMISSION = "asymptotic_emission"
-    UNDECAYED = "undecayed"
-
-
 @dataclass(frozen=True)
 class PostSpec:
-    """Post-selection choice for the decay model."""
+    """Post-selection for the decay model, named by its config word.
 
-    kind: PostKind
+    ``word`` is ``photon:K`` (the photon on bath atom ``K``, also held as
+    ``photon_atom``), ``asymptotic`` (the full emission state) or
+    ``undecayed`` (the excited reference atom).
+    """
+
+    word: str
     photon_atom: Optional[int] = None
+
+    def __post_init__(self):
+        if self.photon_atom == 0:
+            raise ValueError("atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)")
+        named = ("asymptotic", "undecayed") if self.photon_atom is None else (f"photon:{self.photon_atom}",)
+        if self.word not in named:
+            raise ValueError(f"{self.word!r} with photon_atom={self.photon_atom} names no post-selection")
+
+    @classmethod
+    def parse(cls, word: str) -> "PostSpec":
+        """The post-selection a config word names; a ValueError says what is wrong with it."""
+        if word in ("asymptotic", "undecayed"):
+            return cls(word)
+        if not word.startswith("photon:"):
+            raise ValueError(f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {word!r}")
+        try:
+            return cls.single_photon(int(word.removeprefix("photon:")))
+        except ValueError as exc:
+            raise ValueError(f"post: bad photon atom in {word!r}: {exc}") from None
 
     @classmethod
     def single_photon(cls, atom: int) -> "PostSpec":
@@ -851,17 +857,15 @@ class PostSpec:
         ``atom = 0`` is rejected: the resonant slot is the reference atom, so
         the nearest-to-resonance photon post-selections are ``atom = +-1``.
         """
-        if atom == 0:
-            raise ValueError("atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)")
-        return cls(PostKind.SINGLE_PHOTON, photon_atom=int(atom))
+        return cls(f"photon:{int(atom)}", int(atom))
 
     @classmethod
     def asymptotic_emission(cls) -> "PostSpec":
-        return cls(PostKind.ASYMPTOTIC_EMISSION)
+        return cls("asymptotic")
 
     @classmethod
     def undecayed(cls) -> "PostSpec":
-        return cls(PostKind.UNDECAYED)
+        return cls("undecayed")
 
 
 def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
@@ -869,13 +873,12 @@ def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> com
 
     Bath states are read in the interaction picture, the convention of the
     closed forms; the emission state is left unnormalized, since its norm
-    cancels between the numerator and the denominator of a weak value.
+    cancels between the numerator and the denominator of a weak value.  The
+    reference atom has no free phase, so the undecayed overlap is its element.
     """
-    if post.kind is PostKind.SINGLE_PHOTON:
-        return _element(spec, post.photon_atom, t, interaction=True)
-    if post.kind is PostKind.ASYMPTOTIC_EMISSION:
+    if post.word == "asymptotic":
         return _emission_overlap(spec, t)
-    return _element(spec, 0, t, interaction=False)
+    return _element(spec, post.photon_atom or 0, t, interaction=True)
 
 
 def weak_survival_numeric(
@@ -892,18 +895,20 @@ def weak_survival_numeric(
     ``t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated with the grid and checked once.
     The window and a photon atom outside the bath are rejected before the
-    bath spectrum is solved, once for both overlaps and ``U00``.
+    bath spectrum is solved, once for both overlaps and ``U00``.  A zero
+    window is no error: the undecayed value is ``U00(0) ~ 1``, and the bath
+    posts' overlap at 0 falls below the floor.
     """
-    _check_window(t_i, t, t_f)
+    check_window(t_i, t, t_f)
     window = t_f - t_i
     bath.check_recurrence(window)
-    if post.kind is PostKind.SINGLE_PHOTON:
+    if post.photon_atom is not None:
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch before the solve
     spec = _spectrum(bath)
     overlap = _post_overlap(spec, post, np.append(window, t_f - np.asarray(t)))
     denom = overlap[0]
     if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull(f"overlap with the {post.kind.value} post-selection below floor")
+        raise PostSelectionNull(f"overlap with the {post.word} post-selection below floor")
     return overlap[1:].reshape(np.shape(t)) * _element(spec, 0, t - t_i, interaction=False) / denom
 
 
@@ -915,13 +920,12 @@ def weak_survival_closed(
     It checks the same operands as :func:`weak_survival_numeric`: the window,
     and for a photon post that its atom lies in ``bath``.
     """
-    if post.kind is PostKind.SINGLE_PHOTON:
+    if post.photon_atom is not None:
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch outside the bath
-        e_diff = post.photon_atom * bath.delta_e
-        return weak_survival_single_photon(bath.gamma, e_diff, t_i, t, t_f)
-    if post.kind is PostKind.ASYMPTOTIC_EMISSION:
+        return weak_survival_single_photon(bath.gamma, post.photon_atom * bath.delta_e, t_i, t, t_f)
+    if post.word == "asymptotic":
         return weak_survival_asymptotic_post(bath.gamma, t_i, t, t_f)
-    _check_window(t_i, t, t_f)
+    check_window(t_i, t, t_f)
     return np.ones(np.shape(t), dtype=complex)[()]
 
 

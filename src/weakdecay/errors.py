@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all weakdecay modules."""
+"""Exception taxonomy shared by all weakdecay modules; a bad window or time is a ValueError."""
 
 
 class WeakDecayError(Exception):
@@ -21,7 +21,9 @@ class PostSelectionNull(WeakDecayError):
     """Post-selection overlap magnitude is below the denominator floor.
 
     Signals a (near-)impossible post-selection, where weak values diverge
-    and the computed ratio would be numerical noise.
+    and the computed ratio would be numerical noise.  A zero window
+    (``t_i = t_f``) raises it for the photon and emission posts of the decay
+    model, whose overlap at zero time vanishes.
     """
 
 
@@ -36,10 +38,6 @@ class BeyondRecurrence(WeakDecayError):
     atom after roughly one recurrence period; comparisons with the
     continuum-limit decay laws are only meaningful well before that.
     """
-
-
-class DegenerateWindow(WeakDecayError):
-    """Post-selection window has zero length (t_f equals t_i)."""
 
 
 class ConfigInvalid(WeakDecayError):

@@ -84,7 +84,7 @@ class ScenarioConfig:
 
     @functools.cached_property
     def decay_post(self) -> decay.PostSpec:
-        spec = _parse_decay_post(self.post)
+        spec = decay.PostSpec.parse(self.post)
         if spec.photon_atom is not None:  # an atom's range is its bath's, so the bath builds first
             try:
                 decay.slot_of_atom(self.bath.n_half, spec.photon_atom)
@@ -227,10 +227,11 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
 
     if not 2 <= config.n_points <= MAX_POINTS:
         problems.append(f"n_points: need 2 <= n_points <= {MAX_POINTS}, got {config.n_points}")
-    if model == "decay" and (window := window_problem(t_i, t_f)):
-        problems.append(window)
     if model in ("spin", "decay"):
-        if not (t_i <= t_start <= t_end <= t_f):
+        # a bad window is one problem (spin's comes with omega, below): the grid is not checked in it
+        if (window := window_problem(t_i, t_f)) and model == "decay":
+            problems.append(window)
+        if not window and not (t_i <= t_start <= t_end <= t_f):
             problems.append(
                 f"time grid [{t_start}, {t_end}] must lie within the selection window [{t_i}, {t_f}]"
             )
@@ -274,21 +275,6 @@ def out_problems(out: Optional[str]) -> list[str]:
         return []
     directory = os.path.dirname(out) or "."
     return [] if os.path.isdir(directory) else [f"out: directory {directory!r} does not exist"]
-
-
-def _parse_decay_post(post: str) -> decay.PostSpec:
-    if post == "asymptotic":
-        return decay.PostSpec.asymptotic_emission()
-    if post == "undecayed":
-        return decay.PostSpec.undecayed()
-    if not post.startswith("photon:"):
-        raise ValueError(
-            f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {post!r}"
-        )
-    try:
-        return decay.PostSpec.single_photon(int(post.removeprefix("photon:")))
-    except ValueError as exc:
-        raise ValueError(f"post: bad photon atom in {post!r}: {exc}") from None
 
 
 def _spin_values(config: ScenarioConfig, grid: np.ndarray):

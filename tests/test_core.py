@@ -253,7 +253,7 @@ def test_projector_examples():
 def test_projector_structure(rng):
     s = StateVector.normalized(rng.normal(size=5) + 1j * rng.normal(size=5))
     p = projector_from_state(s)
-    assert p.is_hermitian(1e-12)
+    assert p.is_hermitian()
     assert np.max(np.abs(p.entries @ p.entries - p.entries)) <= 1e-12
     assert np.trace(p.entries) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(p.entries, tol=1e-10) == 1

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from weakdecay import (
     BathSpec,
     BeyondRecurrence,
-    DegenerateWindow,
     DimensionMismatch,
     PostSelectionNull,
     PostSpec,
@@ -810,7 +810,8 @@ def test_single_photon_large_window_reduces_to_bare_decay():
 
 
 def test_single_photon_degenerate_window():
-    with pytest.raises(DegenerateWindow):
+    # a zero window's denominator 1 - e^0 is exactly 0
+    with pytest.raises(PostSelectionNull):
         weak_survival_single_photon(1.0, 0.0, 1.0, 1.0, 1.0)
 
 
@@ -861,6 +862,25 @@ def test_post_spec_rejects_reference_slot():
         PostSpec.single_photon(0)
 
 
+def test_post_spec_parses_the_config_words():
+    assert PostSpec.parse("photon:-3") == PostSpec.single_photon(-3)
+    assert PostSpec.parse("photon:-3").photon_atom == -3
+    assert PostSpec.parse("asymptotic") == PostSpec.asymptotic_emission()
+    assert PostSpec.parse("undecayed") == PostSpec.undecayed()
+    for word in ("asymptotic", "undecayed", "photon:1"):
+        assert PostSpec.parse(word).word == word
+    with pytest.raises(ValueError, match=r"^post: decay accepts 'photon:K', 'asymptotic' or "
+                       r"'undecayed', got 'nope'$"):
+        PostSpec.parse("nope")
+    for word in ("photon:x", "photon:0"):
+        with pytest.raises(ValueError, match=rf"^post: bad photon atom in '{word}': "):
+            PostSpec.parse(word)
+    # built directly, a post's word must be the one its atom names
+    for word, atom in (("photon:1", None), ("bogus", None), ("undecayed", 2), ("photon:1", 2)):
+        with pytest.raises(ValueError, match="names no post-selection"):
+            PostSpec(word, atom)
+
+
 def test_query_validates_photon_range(small_bath, no_spectrum):
     for route in (weak_survival_numeric, weak_survival_closed):
         with pytest.raises(DimensionMismatch):
@@ -906,16 +926,57 @@ def test_numeric_undecayed_near_one_at_default_bath():
     assert abs(w - 1.0) <= 0.05  # finite-band deviation; exactly 1 in the limit
 
 
-def test_numeric_recurrence_and_degenerate_guards(small_bath, no_spectrum):
-    post = PostSpec.undecayed()
-    long_window = small_bath.recurrence_guard + 1.0
-    for route in (weak_survival_numeric, weak_survival_closed):
-        with pytest.raises(DegenerateWindow):
-            route(small_bath, 1.0, 1.0, 1.0, post)
+@pytest.mark.parametrize("word", ["photon:1", "asymptotic", "undecayed"])
+def test_numeric_window_and_recurrence_guards(small_bath, no_spectrum, word):
+    # the recurrence guard also bounds the asymptotic post's Chebyshev degree,
+    # about N delta_e (t_f - t_i): at t_f = 1e9 that series would take ~4e8
+    # orders, so every post must stop at the guard, before the solve
+    post = PostSpec.parse(word)
     with pytest.raises(ValueError, match=r"^need t_i <= t <= t_f"):
         weak_survival_closed(small_bath, 0.0, 2.5, 2.0, post)
     with pytest.raises(BeyondRecurrence):
-        weak_survival_numeric(small_bath, 0.0, 1.0, long_window, post)
+        weak_survival_numeric(small_bath, 0.0, 1.0, 1e9, post)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1.0, 1e100])
+def test_zero_window_gives_what_its_algebra_gives(gamma):
+    # the bath posts' overlap at 0 is below the floor, and the closed laws'
+    # denominator 1 - e^0 is exactly 0; the undecayed value is U00(0) / U00(0)
+    # times U00(0), as the projector scan's slot 0 is
+    bath = BathSpec.from_gamma(10, gamma, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for word in ("photon:1", "photon:-1", "asymptotic"):
+            for route in (weak_survival_numeric, weak_survival_closed):
+                with pytest.raises(PostSelectionNull):
+                    route(bath, 0.5, 0.5, 0.5, PostSpec.parse(word))
+        scan = bath_weak_projector_scan(bath, 0.5, 0.5, 0.5)
+        for route in (weak_survival_numeric, weak_survival_closed):
+            w = route(bath, 0.5, 0.5, 0.5, PostSpec.undecayed())
+            assert abs(w - 1.0) <= 1e-15
+            assert abs(w - scan[0]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        functools.partial(weak_survival_numeric, post=PostSpec.single_photon(1)),
+        functools.partial(weak_survival_numeric, post=PostSpec.asymptotic_emission()),
+        functools.partial(weak_survival_numeric, post=PostSpec.undecayed()),
+        functools.partial(weak_survival_closed, post=PostSpec.single_photon(1)),
+        functools.partial(weak_survival_closed, post=PostSpec.asymptotic_emission()),
+        functools.partial(weak_survival_closed, post=PostSpec.undecayed()),
+        lambda bath, t_i, t, t_f: weak_survival_single_photon(bath.gamma, 0.0, t_i, t, t_f),
+        lambda bath, t_i, t, t_f: weak_survival_asymptotic_post(bath.gamma, t_i, t, t_f),
+        bath_weak_projector_scan,
+    ],
+    ids=["numeric-photon", "numeric-asymptotic", "numeric-undecayed", "closed-photon",
+         "closed-asymptotic", "closed-undecayed", "single_photon", "asymptotic_post", "scan"],
+)
+def test_backward_window_on_an_empty_grid_is_rejected(small_bath, route):
+    # an empty grid has no time to check against the window, so the window's own order must be
+    with pytest.raises(ValueError, match=r"^need t_i <= t <= t_f"):
+        route(small_bath, 1.0, np.array([]), 0.5)
 
 
 @pytest.mark.parametrize(

@@ -444,6 +444,20 @@ def test_cli_sums_bad_gamma_is_one_problem(gamma, problem, capsys):
     assert lines[0].startswith(f"config error: gamma: {problem}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spin", "--set", "t_i=3"], ["decay", "--set", "t_i=3"],
+     ["spin", "--set", "t_i=nan"], ["decay", "--set", "t_i=nan"]],
+    ids=["spin-reversed", "decay-reversed", "spin-nan", "decay-nan"],
+)
+def test_cli_bad_window_is_one_problem(argv, no_spectrum, capsys):
+    # the grid defaults to the window, so a bad window alone must not add a grid problem
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: t_i/t_f: need finite t_i < t_f")
+
+
 def test_cli_model_conflict_exits_2(capsys):
     assert cli.main(["spin", "--set", "model=decay"]) == 2
 
