@@ -50,9 +50,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; a time stack of 2x2 products is summed entry by entry along the time axis.
+
+    numpy's batched ``@`` makes one BLAS call per slice, ~7x the cost of these
+    1-D products on a 10001-slice stack of 2x2 matrices. Larger slices and
+    plain matrices keep ``@``.
+    """
+    if a.shape[-1] != 2 or max(a.ndim, b.ndim) < 3:
+        return a @ b
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty(stack + (a.shape[-2], b.shape[-1]), np.result_type(a, b))
+    for i, j in np.ndindex(a.shape[-2], b.shape[-1]):
+        cell = out[..., i, j]
+        np.multiply(a[..., i, 0], b[..., 0, j], out=cell)
+        cell += a[..., i, 1] * b[..., 1, j]
+    return out
+
+
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``m @ v`` for a matrix (stack) and a vector (stack), broadcast over time."""
-    return (m @ v[..., None])[..., 0]
+    return _product(m, v[..., None])[..., 0]
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """``max|U^H U - 1|`` over every slice of ``m``; NaN if any entry is NaN."""
+    gram = _product(np.swapaxes(m, -1, -2).conj(), m)
+    return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +90,7 @@ class StateVector:
         if amps.size < 1:
             raise DimensionMismatch("state vector needs at least one amplitude")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise NotNormalized(
                 f"|norm^2 - 1| = {abs(norm2 - 1.0):.3e} exceeds {NORM_TOL:.0e}; "
                 "use StateVector.normalized() for arbitrary vectors"
@@ -124,9 +148,8 @@ class Propagator:
         m = np.array(self.matrix, dtype=complex, copy=True)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise DimensionMismatch(f"propagator must be a square matrix, got shape {m.shape}")
-        gram = np.swapaxes(m, -1, -2).conj() @ m
-        defect = float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
-        if defect > UNITARY_TOL:
+        defect = _unitarity_defect(m)
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max|U^H U - 1| = {defect:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -178,17 +201,23 @@ def weak_value(
     return numer / denom
 
 
+def _check_one_propagator(pre: StateVector, observable: Operator, u: Propagator) -> None:
+    """Raise DimensionMismatch unless ``u`` is one matrix, not a time stack, of the state's dim."""
+    if observable.dim != pre.dim or u.matrix.shape != (pre.dim, pre.dim):
+        raise DimensionMismatch(
+            f"need one propagator of the state's dimension: state {pre.dim}, "
+            f"observable {observable.dim}, propagator shape {u.matrix.shape}"
+        )
+
+
 def strong_expectation(pre: StateVector, observable: Operator, u: Propagator) -> float:
     """Projective (strong) expectation value of ``observable`` after evolving ``pre``."""
-    if pre.dim != observable.dim or pre.dim != u.dim:
-        raise DimensionMismatch(
-            f"dimensions differ: state {pre.dim}, observable {observable.dim}, propagator {u.dim}"
-        )
+    _check_one_propagator(pre, observable, u)
     if not observable.is_hermitian():
         raise NotHermitian("strong expectation requires a Hermitian observable")
     evolved = u.matrix @ pre.amplitudes
     value = complex(np.vdot(evolved, observable.entries @ evolved))
-    if abs(value.imag) > 1e-10:
+    if not abs(value.imag) <= 1e-10:
         raise ArithmeticError(f"imaginary residue {value.imag:.3e} exceeds 1e-10")
     return value.real
 
@@ -213,14 +242,13 @@ def decompose_expectation(
     value is NaN, marking an impossible post-selection.
     """
     dim = pre.dim
-    if observable.dim != dim or u.dim != dim:
-        raise DimensionMismatch("state, observable and propagator dimensions differ")
+    _check_one_propagator(pre, observable, u)
     if len(basis) != dim:
         raise BasisNotComplete(f"basis has {len(basis)} states, need {dim}")
     rows = np.array([b.amplitudes for b in basis])
     gram = rows.conj() @ rows.T
     defect = float(np.max(np.abs(gram - np.eye(dim))))
-    if defect > BASIS_TOL:
+    if not defect <= BASIS_TOL:
         raise BasisNotComplete(f"basis Gram defect {defect:.3e} exceeds {BASIS_TOL:.0e}")
 
     evolved = u.matrix @ pre.amplitudes

@@ -355,7 +355,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         reference = np.full(grid.shape, complex(math.nan, math.nan))
         rows = Rows(grid, value, reference, type(exc).__name__)
 
-    max_err = None if rows.error else max(rows.abs_error.tolist())
+    # np.max, not max: a NaN row must fail the tolerance, wherever it sits
+    max_err = None if rows.error else float(np.max(rows.abs_error))
     summary = {
         "model": config.model,
         "post": config.post or None,

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakdecay import core
 from weakdecay import (
     BasisNotComplete,
     DimensionMismatch,
@@ -85,6 +87,83 @@ def test_propagator_time_stack_checks_every_slice():
     bad[1, 1, 1] = 2.0
     with pytest.raises(ValueError, match="not unitary"):
         Propagator(bad)
+
+
+def _random_unitaries(rng, n, dim):
+    return np.linalg.qr(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))[0]
+
+
+def _skewed(dim: int) -> np.ndarray:
+    """Unit-norm columns that are not orthogonal: only the Gram's off-diagonal is off."""
+    m = np.eye(dim, dtype=complex)
+    m[:2, :2] = [[1.0, 2.0**-0.5], [0.0, 2.0**-0.5]]
+    return m
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_propagator_stack_catches_an_off_diagonal_defect(rng, dim):
+    # a 2x2 stack takes the entrywise product, a 3x3 one the matmul
+    stack = _random_unitaries(rng, 10001, dim)
+    Propagator(stack)
+    stack[4321] = _skewed(dim)
+    with pytest.raises(ValueError, match="not unitary"):
+        Propagator(stack)
+
+
+def _weak_value_by_matmul(pre, post, obs, u_mid, u_late):
+    evolved = (u_mid @ pre[:, None])[..., 0]
+    denom = (u_late @ evolved[..., None])[..., 0] @ post.conj()
+    acted = (obs @ evolved[..., None])[..., 0]
+    return (u_late @ acted[..., None])[..., 0] @ post.conj() / denom
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stack_products_agree_with_matmul(dim):
+    rng = np.random.default_rng(29 + dim)
+    u_mid, u_late = _random_unitaries(rng, 257, dim), _random_unitaries(rng, 257, dim)
+    by_matmul = np.max(np.abs(np.swapaxes(u_mid, -1, -2).conj() @ u_mid - np.eye(dim)))
+    assert abs(core._unitarity_defect(u_mid) - by_matmul) <= 1e-15
+    pre = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    post = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    obs = Operator(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = weak_value(pre, post, obs, Propagator(u_mid), Propagator(u_late))
+    reference = _weak_value_by_matmul(
+        pre.amplitudes, post.amplitudes, obs.entries, u_mid, u_late
+    )
+    assert w.shape == (257,)
+    # equal bit for bit with OpenBLAS; the scaled 1e-15 leaves room for a fused multiply-add
+    assert np.max(np.abs(w - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+def test_nan_fails_every_tolerance_check():
+    # NaN compares False with any tolerance, so each check reads `not defect <= TOL`
+    t = np.linspace(0.0, 2.0, 10001)
+    t[5000] = math.nan
+    for build in (
+        lambda: spin_propagator(1.0, t),
+        lambda: spin_propagator(1.0, [0.0, math.nan]),
+        lambda: Propagator(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        lambda: Propagator(np.diag([1.0, math.nan, 1.0])),
+    ):
+        with pytest.raises(ValueError, match="not unitary"):
+            build()
+    with pytest.raises(NotNormalized):
+        StateVector([math.nan, 0.0])
+    # StateVector rejects a NaN itself, so a stand-in carries one to the basis check
+    nan_state = SimpleNamespace(amplitudes=np.array([math.nan, 0.0], dtype=complex))
+    with pytest.raises(BasisNotComplete):
+        decompose_expectation(
+            X_PLUS, Operator.identity(2), spin_propagator(1.0, 0.2), [Z_PLUS, nan_state]
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expectations_take_one_propagator_not_a_stack(n):
+    stack = spin_propagator(1.0, np.linspace(0.0, 1.5, n))
+    with pytest.raises(DimensionMismatch):
+        strong_expectation(X_PLUS, projector_from_state(X_PLUS), stack)
+    with pytest.raises(DimensionMismatch):
+        decompose_expectation(X_PLUS, Operator.identity(2), stack, [Z_PLUS, Z_MINUS])
 
 
 def test_propagator_adjoint_reverses_time():

@@ -468,6 +468,25 @@ def test_cli_tolerance_breach_exits_1(capsys):
     assert json.loads(capsys.readouterr().out.strip())["passed"] is False
 
 
+def test_nan_row_fails_the_tolerance(monkeypatch, capsys):
+    # Python's max drops a NaN that is not first; the run must fail on it wherever it sits
+    real = harness._EVALUATORS["spin"]
+
+    def nan_at_row_2(config, grid):
+        values, references = real(config, grid)
+        values = np.array(values)
+        values[2] = complex(math.nan, 0.0)
+        return values, references
+
+    monkeypatch.setitem(harness._EVALUATORS, "spin", nan_at_row_2)
+    result = harness.run_scenario(harness.build_config({"model": "spin", "n_points": "5"}))
+    assert math.isnan(result.summary["max_abs_error"])
+    assert result.summary["passed"] is False
+    assert cli.main(["spin", "--set", "n_points=5"]) == 1
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert math.isnan(summary["max_abs_error"]) and summary["passed"] is False
+
+
 def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
     from weakdecay.errors import PostSelectionNull
 
