@@ -121,6 +121,10 @@ class Operator:
         m = np.array(self.entries, dtype=complex, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"operator must be a square matrix, got shape {m.shape}")
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"operator entries must be finite, got {m[i, j]} at ({i}, {j})")
         object.__setattr__(self, "entries", _readonly(m))
 
     @classmethod

@@ -16,17 +16,26 @@ chunks of k, and chunk totals are combined per time with compensated
 (TwoSum) summation (Ogita, Rump & Oishi 2005), which for a single chunk
 gives the correctly rounded sum with the center term; million-term sums
 lose several digits if accumulated naively.
-Within a chunk, k = b + m splits into bases b and offsets m < W, and
-cos(k a) = cos(b a) cos(m a) - sin(b a) sin(m a) with a = delta_e t: the
-chunk's weights, one row per base, meet the exact offset tables cos(m a) and
-sin(m a) in two matrix products.  A grid of T times then costs
-(k_max / W + W) T sine-cosine pairs, not k_max T cosines, with W near
-sqrt(k_max) and at most 1024; each term still comes from exact library calls,
-so no error builds up along the grid.  Times are taken in blocks so that the
-tables stay small for any grid size.  :func:`lattice_sum` runs the same
-route on a caller's cosine and sine weights, with
-sin(k a) = sin(b a) cos(m a) + cos(b a) sin(m a) for the sines: the decay
-model's emission overlap sums its bath lattice through it.
+Within a chunk, the weights lie in rows of width W, with W near sqrt(k_max)
+and at most 1024: row r is centred on B = r W and holds k = B + m for
+-W/2 <= m < W/2 (row 0's entries for k <= 0 are zero, so its large
+weights near k = 1 meet cos(0) = 1 and sin(0) = 0).  Each +m pairs with its
+-m, and with a = delta_e t
+
+    c_{B+m} cos((B+m) a) + c_{B-m} cos((B-m) a)
+        = cos(B a) cos(m a) (c_{B+m} + c_{B-m}) - sin(B a) sin(m a) (c_{B+m} - c_{B-m}),
+
+so a row's even and odd parts meet the offset tables cos(m a) and sin(m a)
+over W/2 + 1 offsets in two matrix products: about k_max T multiply-adds
+for a grid of T times, one per (time, k) pair.  The base tables cos(B a),
+sin(B a) and the offset tables hold (k_max / W + W / 2) T entries, each one
+angle addition from a coarse and a fine table of library sines and cosines
+of about sqrt(width) entries each, so no error builds up along a table.
+Times are taken in blocks so that the tables stay small for any
+grid size.  :func:`lattice_sum` runs the same route on a caller's cosine
+and sine weights, whose sines pair the same way, the even part against
+cos(m a) and the odd part against sin(m a): the decay model's emission
+overlap sums its bath lattice through it.
 
 The optional ``include_center`` flag drops the k = 0 term.  The decay bath
 has no level at zero detuning, so the centerless sum is the physically
@@ -43,10 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHUNK = 1 << 20  # weights formed at once
-_WIDTH = 1 << 10  # the widest offset range, so a chunk has at most _WIDTH bases
+_WIDTH = 1 << 10  # the widest row, so a chunk has at least _CHUNK / _WIDTH rows
+_FOLD_ENTRIES = 1 << 16  # weights formed at once, within a chunk, before they are folded
 # Times are taken in blocks so that each sine or cosine table (times x offsets,
 # times x bases) holds at most this many entries, whatever the grid's size.
 _TABLE_ENTRIES = 1 << 18
+_DIRECT_ENTRIES = 1 << 12  # smaller sine and cosine tables skip the angle addition
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,8 @@ def phased_lorentzian_sum(
     vanish identically.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise ValueError(f"t: need finite times >= 0, got {t}")
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"t: need finite times >= 0, as one time or a 1-D array, got {t}")
 
     def weights(start: int, size: int) -> tuple[np.ndarray, None]:
         cos_weights = np.arange(start, start + size, dtype=float)  # k, then in place
@@ -118,6 +129,7 @@ def phased_lorentzian_sum(
         cos_weights *= p.delta_e**2
         cos_weights += p.gamma**2
         np.divide(2.0 * p.delta_e, cos_weights, out=cos_weights)
+        cos_weights[: max(0, 1 - start)] = 0.0  # k <= 0
         cos_weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
         return cos_weights, None
 
@@ -132,13 +144,19 @@ def lattice_sum(
     """``sum_{k=1}^K cos_weights[k-1] cos(k a) + sin_weights[k-1] sin(k a)`` for each angle ``a``.
 
     ``K`` is the length of the weights (``sin_weights`` may be None, for no
-    sines); they go through the same chunks, tables and compensated
-    summation as the Lorentzian sums.
+    sines, or else must have the same length); they go through the same
+    rows, tables and compensated summation as the Lorentzian sums.
     """
+    if sin_weights is not None and len(sin_weights) != len(cos_weights):
+        raise ValueError(
+            f"sin_weights: need {len(cos_weights)} weights, as many as cos_weights, "
+            f"got {len(sin_weights)}"
+        )
 
     def padded(w: np.ndarray, start: int, size: int) -> np.ndarray:
-        part = w[start - 1 : start - 1 + size]
-        return np.pad(part, (0, size - len(part)))  # zeros up to a whole row
+        part = w[max(start, 1) - 1 : start - 1 + size]
+        before = max(0, 1 - start)  # zeros for k <= 0, then up to a whole row
+        return np.pad(part, (before, size - before - len(part)))
 
     def weights(start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
         sines = None if sin_weights is None else padded(sin_weights, start, size)
@@ -150,24 +168,26 @@ def lattice_sum(
 def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np.ndarray:
     """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``.
 
-    ``weights(start, size)`` forms the chunk's ``c_k`` and ``s_k`` (or None
-    for no sines) for ``k`` from ``start``, zero beyond ``k_max``.  Chunk
-    totals are combined per angle by TwoSum.
+    ``weights(start, size)`` forms ``c_k`` and ``s_k`` (or None for no
+    sines) for ``size`` values of ``k`` from ``start``, zero for ``k <= 0``
+    and beyond ``k_max``.  Chunk totals are combined per angle by TwoSum.
     """
-    # offsets m < width, the smallest power of two >= sqrt(k_max) up to _WIDTH,
-    # so that the base and offset tables are about equally costly
-    width = min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length())
+    # rows of width W, the smallest power of two >= sqrt(k_max) from 2 up to
+    # _WIDTH, so that the base and offset tables are about equally costly;
+    # row r holds k = r W + m with -W/2 <= m < W/2
+    width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
+    rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
+    chunk = max(1, _CHUNK // width)  # rows
     values = np.empty(len(angles))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
         angle = angles[lo : lo + step]
-        offset = np.multiply.outer(angle, np.arange(width, dtype=float))
-        tables = np.cos(offset), np.sin(offset)
+        tables = _trig(angle, 0, 1, width // 2 + 1)  # the offsets 0 <= m <= W/2
         total = np.full(len(angle), center)
         error = np.zeros(len(angle))
-        for start in range(1, k_max + 1, _CHUNK):
-            size = min(_CHUNK, -(-(k_max + 1 - start) // width) * width)
-            part = _chunk_sum(start, angle, tables, *weights(start, size))
+        for first in range(0, rows, chunk):
+            folds = _fold(weights, first, min(chunk, rows - first), width)
+            part = _chunk_sum(first * width, width, angle, tables, folds)
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
@@ -177,29 +197,86 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
     return values
 
 
-def _chunk_sum(start: int, angle: np.ndarray, tables, cos_weights, sin_weights) -> np.ndarray:
-    """``sum_k c_k cos(k a) + s_k sin(k a)`` over the chunk of ``k`` from ``start``, per angle ``a``.
+def _fold(weights, first: int, rows: int, width: int) -> np.ndarray:
+    """The weights of ``rows`` rows from row ``first``, each folded about its centre.
 
-    The chunk's weights form one row of ``width`` offsets ``m`` per base
-    ``b``; ``cos((b + m) a) = cos(b a) cos(m a) - sin(b a) sin(m a)`` and
-    ``sin((b + m) a) = sin(b a) cos(m a) + cos(b a) sin(m a)`` turn the rows
-    into matrix products with the offset tables.
+    Returns a ``(n, 2, rows, W/2 + 1)`` array, ``n = 1`` for cosine weights
+    alone and 2 with sine weights.  Entry ``[i, 0, r, m]`` holds the even part
+    ``w_{B+m} + w_{B-m}`` of row ``r``'s weights about its centre ``B``, and
+    ``[i, 1, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the even
+    part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the row.
+    The weights are formed a few rows at a time, so only the folds are
+    chunk-sized.
+    """
+    half = width // 2
+    folds = None
+    block = max(1, _FOLD_ENTRIES // width)
+    for lo in range(0, rows, block):
+        size = min(block, rows - lo)
+        parts = [w for w in weights((first + lo) * width - half, size * width) if w is not None]
+        if folds is None:
+            folds = np.empty((len(parts), 2, rows, half + 1))
+        for w, fold in zip(parts, folds):
+            w = w.reshape(size, width)  # the centre at column W/2
+            even, odd = fold[:, lo : lo + size]
+            above, below = w[:, half + 1 :], w[:, half - 1 : 0 : -1]
+            np.add(above, below, out=even[:, 1:half])
+            np.subtract(above, below, out=odd[:, 1:half])
+            even[:, 0], odd[:, 0] = w[:, half], 0.0
+            # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
+            even[:, half], odd[:, half] = w[:, 0], -w[:, 0]
+    return folds
+
+
+def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:
+    """``sum_k c_k cos(k a) + s_k sin(k a)`` over a chunk of folded rows, per angle ``a``.
+
+    Row ``r``'s centre is ``B = base + r W``.  With ``e`` and ``o`` the even
+    and odd parts of its weights (:func:`_fold`), the pairs ``B +- m`` give
+    ``cos(B a) (e_c cos(m a) + o_s sin(m a)) - sin(B a) (o_c sin(m a) - e_s cos(m a))``,
+    so the rows meet the offset tables in matrix products over ``W/2 + 1``
+    offsets.
     """
     offset_cos, offset_sin = tables
-    width = offset_cos.shape[1]
-    rows = cos_weights.reshape(-1, width).T
-    sines = None if sin_weights is None else sin_weights.reshape(-1, width).T
-    base = np.multiply.outer(angle, np.arange(start, start + len(cos_weights), width, dtype=float))
-    # one times x bases table at a time beside the bases' angles
-    along = offset_cos @ rows
-    if sines is not None:
-        along += offset_sin @ sines
-    along *= np.cos(base)
-    across = offset_sin @ rows
-    if sines is not None:
-        across -= offset_cos @ sines
-    along -= np.multiply(np.sin(base, out=base), across, out=across)
+    even, odd = folds[0].transpose(0, 2, 1)  # offsets x rows
+    base_cos, base_sin = _trig(angle, base, width, even.shape[1])
+    along = offset_cos @ even
+    across = offset_sin @ odd
+    if len(folds) > 1:
+        sin_even, sin_odd = folds[1].transpose(0, 2, 1)
+        along += offset_sin @ sin_odd
+        across -= offset_cos @ sin_even
+    along *= base_cos
+    across *= base_sin
+    along -= across
     return np.sum(along, axis=1)
+
+
+def _trig(angle: np.ndarray, first: int, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of ``(first + j step) a`` for ``j < count``, one row per angle ``a``.
+
+    With ``j = q F + p`` and ``p < F``, about ``sqrt(count)`` each, the
+    entries come by angle addition from a fine table of ``(first + p step) a``
+    and a coarse one of ``q F step a``: one rounding step from exact library
+    calls, with no error building up along ``j``.  Tables of fewer than
+    ``_DIRECT_ENTRIES`` entries take one library call per entry, which costs
+    less there than the addition's dozen array operations.
+    """
+    if len(angle) * count < _DIRECT_ENTRIES:
+        phase = np.multiply.outer(angle, first + step * np.arange(count, dtype=float))
+        return np.cos(phase), np.sin(phase)
+    fine = math.isqrt(count - 1) + 1
+    coarse = -(-count // fine)
+    head = np.multiply.outer(angle, first + step * np.arange(fine, dtype=float))
+    tail = np.multiply.outer(angle, step * fine * np.arange(coarse, dtype=float))
+    head_cos, head_sin = np.cos(head)[:, None, :], np.sin(head)[:, None, :]
+    tail_cos, tail_sin = np.cos(tail)[:, :, None], np.sin(tail)[:, :, None]
+    cos = tail_cos * head_cos
+    cos -= tail_sin * head_sin
+    sin = tail_sin * head_cos
+    sin += tail_cos * head_sin
+    shape = (len(angle), coarse * fine)
+    return cos.reshape(shape)[:, :count], sin.reshape(shape)[:, :count]
 
 
 def lorentzian_closed_form(gamma: float, delta_e: float) -> float:

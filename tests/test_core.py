@@ -74,6 +74,12 @@ def test_operator_predicates():
     assert not Operator(np.array([[0.0, 1.0], [0.0, 0.0]])).is_hermitian()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_operator_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=r"^operator entries must be finite, got .* at \(1, 0\)"):
+        Operator(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+
 def test_propagator_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         Propagator(np.array([[1.0, 0.0], [0.0, 2.0]]))

@@ -27,7 +27,7 @@ def test_params_validation():
     for times in (2.0 * math.pi / 0.1 + 1e-9, np.array([0.5, 70.0]), -1.0):
         with pytest.raises(ValueError, match="closed form valid for 0 <= delta_e"):
             phased_closed_form(1.0, 0.1, times)
-    for times in (-1.0, np.array([0.5, -1.0]), np.array([0.5, math.nan])):
+    for times in (-1.0, np.array([0.5, -1.0]), np.array([0.5, math.nan]), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="^t: need finite times >= 0"):
             phased_lorentzian_sum(SumParams(1.0, 0.1), times)
 
@@ -173,16 +173,24 @@ def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, mo
 @pytest.mark.parametrize(
     "count, chunk",
     # the last case splits into two chunks, the second padded
-    [(count, sums._CHUNK) for count in (0, 1, 7, 1024, 1025)] + [(5000, 1 << 12)],
+    # the counts from 2 on reach every row width, 2, 4, ..., 1024, in turn
+    [(count, sums._CHUNK) for count in (0, 1, 2, 5, 7, 17, 65, 257, 1024, 1025)]
+    + [(count, sums._CHUNK) for count in (4097, 16385, 65537, 262145)]
+    + [(5000, 1 << 12)],
 )
 def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch):
     monkeypatch.setattr(sums, "_CHUNK", chunk)
+    monkeypatch.setattr(sums, "_DIRECT_ENTRIES", 0)  # every table by angle addition
     rng = np.random.default_rng(count)
     cos_weights, sin_weights = rng.standard_normal((2, count))
-    angles = np.array([0.0, 0.3, 1.7, 2.9, math.pi])
+    # on a 2^-16 grid, so that every k a here is exact and the reference and
+    # the sums see the same arguments: rounding k a alone moves a sum of 2^18
+    # such weights at a = pi by ~1e-13 of their scale, on any route
+    angles = np.round(np.array([0.0, 0.3, 1.7, 2.9, math.pi]) * 2**16) / 2**16
     k = np.arange(1.0, count + 1.0)
     reference = [
-        math.fsum([*(cos_weights * np.cos(k * a)), *(sin_weights * np.sin(k * a))]) for a in angles
+        math.fsum(np.concatenate([cos_weights * np.cos(k * a), sin_weights * np.sin(k * a)]))
+        for a in angles
     ]
     cosines = [math.fsum(cos_weights * np.cos(k * a)) for a in angles]
     scale = np.sum(np.abs(cos_weights) + np.abs(sin_weights))
@@ -190,6 +198,43 @@ def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch)
     assert np.max(np.abs(values - reference), initial=0.0) <= 1e-14 * scale
     values = sums.lattice_sum(angles, cos_weights)  # no sines
     assert np.max(np.abs(values - cosines), initial=0.0) <= 1e-14 * scale
+
+
+def test_lattice_sum_needs_as_many_sines_as_cosines():
+    message = "^sin_weights: need 3 weights, as many as cos_weights, got 2"
+    with pytest.raises(ValueError, match=message):
+        sums.lattice_sum(np.array([0.1]), np.ones(3), np.ones(2))
+
+
+def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation(monkeypatch):
+    # row 0 is centred at k = 0, so the largest weights meet cos(0) = 1 and
+    # sin(0) = 0; rows centred off zero read 1.2e-15 to 3.4e-15 here, the
+    # centred rows 4.4e-16 (two ulps of the t = 0.75 value)
+    g, de, k_max = 1.05, 0.05, 10**5
+    times = np.array([0.75, 1.5, 3.0])
+    reference = np.array([_term_by_term(g, de, k_max, t) for t in times])
+    for direct in (sums._DIRECT_ENTRIES, 0):  # tables by library calls, then by angle addition
+        monkeypatch.setattr(sums, "_DIRECT_ENTRIES", direct)
+        values = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
+        assert np.max(np.abs(values - reference)) <= 6e-16
+
+
+@pytest.mark.parametrize(
+    "first, step, count",
+    # the default sum's offset and base tables, a later chunk's bases, one entry
+    [(0, 1, 513), (0, 1024, 978), (4096, 128, 10), (7, 3, 1)],
+)
+def test_trig_tables_by_angle_addition_match_library_calls(first, step, count, monkeypatch):
+    monkeypatch.setattr(sums, "_DIRECT_ENTRIES", 0)
+    angle = 0.05 * np.linspace(0.0, 3.0, 101)
+    cos, sin = sums._trig(angle, first, step, count)
+    phase = np.multiply.outer(angle, first + step * np.arange(count, dtype=float))
+    # one angle addition from library values, plus the rounding of the two
+    # phases it adds, up to an ulp of the phase each
+    bound = 4 * np.finfo(float).eps * (1.0 + np.abs(phase))
+    assert cos.shape == sin.shape == phase.shape
+    assert np.all(np.abs(cos - np.cos(phase)) <= bound)
+    assert np.all(np.abs(sin - np.sin(phase)) <= bound)
 
 
 @pytest.mark.parametrize("g, de", [(1.0, 0.05), (2.0, 0.001)])
@@ -221,7 +266,9 @@ def test_phased_sum_memory_does_not_grow_with_the_grid():
 
 
 def test_default_phased_sum_memory_holds_no_second_k_array():
-    # a chunk's 1M weights take 8 MiB; a k array beside them took the peak to 20.7 MiB
+    # a chunk's 1M weights, folded about their rows' centres, take 8 MiB and
+    # are formed a few rows at a time (peak 11.6 MiB); a k array beside the
+    # whole chunk took the peak to 20.7 MiB
     times = np.linspace(0.0, 3.0, 101)
     tracemalloc.start()
     try:
