@@ -57,7 +57,6 @@ _FOLD_ENTRIES = 1 << 16  # weights formed at once, within a chunk, before they a
 # Times are taken in blocks so that each sine or cosine table (times x offsets,
 # times x bases) holds at most this many entries, whatever the grid's size.
 _TABLE_ENTRIES = 1 << 18
-_DIRECT_ENTRIES = 1 << 12  # smaller sine and cosine tables skip the angle addition
 
 
 @dataclass(frozen=True)
@@ -258,13 +257,8 @@ def _trig(angle: np.ndarray, first: int, step: int, count: int) -> tuple[np.ndar
     With ``j = q F + p`` and ``p < F``, about ``sqrt(count)`` each, the
     entries come by angle addition from a fine table of ``(first + p step) a``
     and a coarse one of ``q F step a``: one rounding step from exact library
-    calls, with no error building up along ``j``.  Tables of fewer than
-    ``_DIRECT_ENTRIES`` entries take one library call per entry, which costs
-    less there than the addition's dozen array operations.
+    calls, with no error building up along ``j``.
     """
-    if len(angle) * count < _DIRECT_ENTRIES:
-        phase = np.multiply.outer(angle, first + step * np.arange(count, dtype=float))
-        return np.cos(phase), np.sin(phase)
     fine = math.isqrt(count - 1) + 1
     coarse = -(-count // fine)
     head = np.multiply.outer(angle, first + step * np.arange(fine, dtype=float))

@@ -180,13 +180,15 @@ def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, mo
 )
 def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch):
     monkeypatch.setattr(sums, "_CHUNK", chunk)
-    monkeypatch.setattr(sums, "_DIRECT_ENTRIES", 0)  # every table by angle addition
     rng = np.random.default_rng(count)
     cos_weights, sin_weights = rng.standard_normal((2, count))
-    # on a 2^-16 grid, so that every k a here is exact and the reference and
-    # the sums see the same arguments: rounding k a alone moves a sum of 2^18
-    # such weights at a = pi by ~1e-13 of their scale, on any route
-    angles = np.round(np.array([0.0, 0.3, 1.7, 2.9, math.pi]) * 2**16) / 2**16
+    angles = np.array([0.0, 0.3, 1.7, 2.9, math.pi])
+    if count > 4096:
+        # past 4096 terms, rounding each phase k a (the reference's, or the
+        # sums' B a and m a) alone moves the sum by up to ~1e-14 of the
+        # weights' scale, and ~1e-13 at 2^18 terms and a = pi; so these
+        # counts take the angles on a 2^-16 grid, where every phase is exact
+        angles = np.round(angles * 2**16) / 2**16
     k = np.arange(1.0, count + 1.0)
     reference = [
         math.fsum(np.concatenate([cos_weights * np.cos(k * a), sin_weights * np.sin(k * a)]))
@@ -206,17 +208,15 @@ def test_lattice_sum_needs_as_many_sines_as_cosines():
         sums.lattice_sum(np.array([0.1]), np.ones(3), np.ones(2))
 
 
-def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation(monkeypatch):
+def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation():
     # row 0 is centred at k = 0, so the largest weights meet cos(0) = 1 and
     # sin(0) = 0; rows centred off zero read 1.2e-15 to 3.4e-15 here, the
     # centred rows 4.4e-16 (two ulps of the t = 0.75 value)
     g, de, k_max = 1.05, 0.05, 10**5
     times = np.array([0.75, 1.5, 3.0])
     reference = np.array([_term_by_term(g, de, k_max, t) for t in times])
-    for direct in (sums._DIRECT_ENTRIES, 0):  # tables by library calls, then by angle addition
-        monkeypatch.setattr(sums, "_DIRECT_ENTRIES", direct)
-        values = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
-        assert np.max(np.abs(values - reference)) <= 6e-16
+    values = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
+    assert np.max(np.abs(values - reference)) <= 6e-16
 
 
 @pytest.mark.parametrize(
@@ -224,8 +224,7 @@ def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation(monkeypatch):
     # the default sum's offset and base tables, a later chunk's bases, one entry
     [(0, 1, 513), (0, 1024, 978), (4096, 128, 10), (7, 3, 1)],
 )
-def test_trig_tables_by_angle_addition_match_library_calls(first, step, count, monkeypatch):
-    monkeypatch.setattr(sums, "_DIRECT_ENTRIES", 0)
+def test_trig_tables_by_angle_addition_match_library_calls(first, step, count):
     angle = 0.05 * np.linspace(0.0, 3.0, 101)
     cos, sin = sums._trig(angle, first, step, count)
     phase = np.multiply.outer(angle, first + step * np.arange(count, dtype=float))
