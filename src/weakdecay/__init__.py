@@ -1,12 +1,13 @@
 """Time-dependent weak values for pre/post-selected two-level systems.
 
-Library plus CLI harness, in five modules:
+Library plus CLI harness, in six modules:
 
 - :mod:`weakdecay.core` - state/operator algebra and the weak-value kernel;
 - :mod:`weakdecay.spin` - spin precession with closed-form weak values;
-- :mod:`weakdecay.decay` - excited-state decay into a finite bath, its
-  scaling-limit decay laws and bath sum rules;
-- :mod:`weakdecay.sums` - the Lorentzian lattice sums behind the limits;
+- :mod:`weakdecay.decay` - excited-state decay into a finite bath and its
+  bath sum rules;
+- :mod:`weakdecay.sums` - the truncated Lorentzian lattice sums behind the limits;
+- :mod:`weakdecay.laws` - every closed-form reference law, named by its limit;
 - :mod:`weakdecay.harness` - reproducible scenario runs and sweeps.
 """
 
@@ -32,12 +33,8 @@ from .decay import (
     propagator_element,
     slot_of_atom,
     survival_probability,
-    u00_limit,
-    un0_limit,
-    weak_survival_asymptotic_post,
     weak_survival_closed,
     weak_survival_numeric,
-    weak_survival_single_photon,
 )
 from .errors import (
     BasisNotComplete,
@@ -49,6 +46,7 @@ from .errors import (
     PostSelectionNull,
     WeakDecayError,
 )
+from .laws import decay_law, phased_closed_form, u00_limit, un0_limit
 from .spin import (
     PostChoice,
     SpinAxis,
@@ -59,9 +57,7 @@ from .spin import (
 )
 from .sums import (
     SumParams,
-    lorentzian_closed_form,
     lorentzian_sum,
-    phased_closed_form,
     phased_lorentzian_sum,
     tail_bound,
 )

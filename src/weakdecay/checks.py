@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decay, harness, spin, sums
+from . import decay, harness, laws, spin, sums
 from .core import (
     Operator,
     StateVector,
@@ -215,9 +215,9 @@ def check_generalized_decay_laws() -> CheckResult:
     post_asym = decay.PostSpec.asymptotic_emission()
     wp = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_photon)
     wa = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_asym)
-    ref_res = decay.weak_survival_single_photon(g, 0.0, t_i, grid, t_f)
-    ref_det = decay.weak_survival_single_photon(g, bath.delta_e, t_i, grid, t_f)
-    ref_asym = decay.weak_survival_asymptotic_post(g, t_i, grid, t_f)
+    ref_res = laws.decay_law(g, -g + 0j, t_i, grid, t_f)
+    ref_det = laws.decay_law(g, -g + 1j * bath.delta_e, t_i, grid, t_f)
+    ref_asym = laws.decay_law(g, -2.0 * g, t_i, grid, t_f)
     worst_photon = float(np.max(np.abs(wp - ref_res)))
     worst_consistency = float(np.max(np.abs(wp - ref_det)))
     worst_asym = float(np.max(np.abs(wa - ref_asym)))
@@ -248,11 +248,9 @@ def check_large_window_reduction() -> CheckResult:
     """C6: at t_f = 50/gamma both closed-form laws collapse to plain exponential decay."""
     g, t_f = 1.0, 50.0
     grid = np.linspace(0.0, 5.0, 101)
-    bare = np.exp(-g * grid)
-    worst = max(
-        float(np.max(np.abs(decay.weak_survival_single_photon(g, 0.0, 0.0, grid, t_f) - bare))),
-        float(np.max(np.abs(decay.weak_survival_asymptotic_post(g, 0.0, grid, t_f) - bare))),
-    )
+    bare = laws.u00_limit(g, grid)
+    photon, emission = (laws.decay_law(g, x, 0.0, grid, t_f) for x in (-g + 0j, -2.0 * g))
+    worst = max(float(np.max(np.abs(law - bare))) for law in (photon, emission))
     return CheckResult(
         "large_window_reduction",
         worst <= 1e-10,
@@ -312,9 +310,9 @@ def check_undecayed_identity() -> CheckResult:
         t_f = t_i + rng.uniform(0.2, 8.0)
         t = rng.uniform(t_i, t_f)
         ratio = (
-            decay.u00_limit(g, t_f - t)
-            * decay.u00_limit(g, t - t_i)
-            / decay.u00_limit(g, t_f - t_i)
+            laws.u00_limit(g, t_f - t)
+            * laws.u00_limit(g, t - t_i)
+            / laws.u00_limit(g, t_f - t_i)
         )
         worst = max(worst, abs(ratio - 1.0))
     bath = decay.default_bath()
@@ -376,11 +374,12 @@ def check_lattice_sum_values() -> CheckResult:
     details = []
     for g in (1.0, 2.0):
         val = sums.lorentzian_sum(sums.SumParams(g, 0.01, k_max=10**6))
-        err = abs(val - math.pi / g)
-        worst_rel = max(worst_rel, err / (math.pi / g))
+        limit = laws.lattice_limit(g, 0.0)
+        err = abs(val - limit)
+        worst_rel = max(worst_rel, err / limit)
         details.append(f"plain(g={g}): err {err:.2e}")
     val = sums.phased_lorentzian_sum(sums.SumParams(1.0, 0.01, k_max=10**6), 1.0)
-    err = abs(val - math.pi * math.exp(-1.0))
+    err = abs(val - laws.lattice_limit(1.0, 1.0))
     worst_rel = max(worst_rel, err / math.pi)
     details.append(f"phased(t=1): err {err:.2e}, imag {abs(val.imag):.1e}")
     return CheckResult(
@@ -403,7 +402,7 @@ def check_lattice_sum_convergence_order() -> CheckResult:
         de = 0.01 / 2**j
         params = sums.SumParams(g, de, k_max=int(round(200.0 / de)))
         val = sums.phased_lorentzian_sum(params, t, include_center=False)
-        errs.append(abs(val - math.pi / g * math.exp(-g * t)))
+        errs.append(abs(val - laws.lattice_limit(g, t)))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     ok = all(1.5 <= r <= 2.5 for r in ratios)
     return CheckResult(

@@ -18,15 +18,9 @@ survival part comes from Bessel functions by Jacobi-Anger: a few flops per
 root and order, no trig call per node, and O(N) per time.
 
 In the scaling limit ``N -> inf``, ``delta_e -> 0`` with
-``gamma = pi H^2 / delta_e`` held fixed, the survival amplitude of the
-excited reference atom is exactly ``e^{-gamma t}`` and the amplitude
-transferred to a bath atom detuned by ``n*delta_e`` is
-
-    i H (e^{(-gamma + i n delta_e) t} - 1) / (gamma - i n delta_e)
-
-(interaction picture).  Those closed forms generalize the exponential decay
-law to post-selected weak values; the finite-N propagator provides the
-independent numeric route the tests compare them against.
+``gamma = pi H^2 / delta_e`` held fixed, the bath's amplitudes and weak
+values tend to the closed forms of :mod:`weakdecay.laws`; the finite-N
+propagator is the independent numeric route compared against them.
 
 A finite equispaced bath revives after the recurrence time
 ``2 pi / delta_e``; every comparison against a limit law is guarded to stay
@@ -34,7 +28,7 @@ below half of it.
 
 Conventions: the Schroedinger-picture propagator is ``U(t) = exp(-iHt)``;
 interaction-picture elements carry an extra phase ``e^{+i E_n t}`` so they
-match the closed forms above.  Basis slot 0 is the excited reference atom;
+match the limit laws.  Basis slot 0 is the excited reference atom;
 bath atom ``n`` (``-N <= n <= N``, ``n != 0``) lives at the slot given by
 :func:`slot_of_atom`.  Natural units, hbar = 1.
 """
@@ -48,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import sums
+from . import laws, sums
 from .core import DENOM_FLOOR, Propagator, check_window
 from .errors import BeyondRecurrence, DimensionMismatch, PostSelectionNull
 
@@ -751,72 +745,12 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
     return (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()]
 
 
-def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:
-    """Scaling-limit survival amplitude of the excited reference atom, per time in ``t``."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    return np.exp(-gamma * t) + 0j
-
-
-def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> complex | np.ndarray:
-    """Scaling-limit amplitude on the bath atom detuned by ``n * delta_e``, per time in ``t``.
-
-    Interaction picture, with the coupling eliminated through
-    ``H = sqrt(gamma * delta_e / pi)``.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    if not delta_e > 0:
-        raise ValueError("delta_e must be positive")
-    h = math.sqrt(gamma * delta_e / math.pi)
-    pole = gamma - 1j * n * delta_e
-    if abs(pole) == 0.0:
-        raise ValueError("gamma and the detuning cannot both vanish")
-    return 1j * h * (np.exp((-gamma + 1j * n * delta_e) * t) - 1.0) / pole
-
-
 def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.ndarray:
     """``|U00(t)|^2`` from the numeric propagator, guarded against recurrence."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
     bath.check_recurrence(np.max(t, initial=0.0))  # an empty grid has no time to check
     return np.abs(propagator_element(bath, 0, t)) ** 2
-
-
-def _decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | np.ndarray:
-    """The generalized law ``e^{-gamma (t-t_i)} (1 - e^{x (t_f-t)}) / (1 - e^{x (t_f-t_i)})``."""
-    check_window(t_i, t, t_f)
-    denom = 1.0 - np.exp(x * (t_f - t_i))
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull("post-selection denominator vanished")
-    return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
-
-
-def weak_survival_single_photon(
-    gamma: float, e_diff: float, t_i: float, t: float | np.ndarray, t_f: float
-) -> complex | np.ndarray:
-    """Closed-form weak survival value, post-selected on one emitted quantum.
-
-    ``e_diff`` is the energy offset of the post-selected bath excitation
-    relative to the reference atom.  At ``e_diff = 0`` this is the resonant
-    generalization of the exponential decay law: 1 at ``t_i``, 0 at ``t_f``,
-    and plain ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.  An array ``t``
-    gives one value per time.
-    """
-    return _decay_law(gamma, -gamma + 1j * e_diff, t_i, t, t_f)
-
-
-def weak_survival_asymptotic_post(
-    gamma: float, t_i: float, t: float | np.ndarray, t_f: float
-) -> complex | np.ndarray:
-    """Closed-form weak survival value, post-selected on the full emission state.
-
-    Same boundary values as the single-photon law but with the decay constant
-    doubled inside the window factors.  An array ``t`` gives one value per time.
-    """
-    return _decay_law(gamma, -2.0 * gamma, t_i, t, t_f) + 0j
 
 
 @dataclass(frozen=True)
@@ -922,9 +856,9 @@ def weak_survival_closed(
     """
     if post.photon_atom is not None:
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch outside the bath
-        return weak_survival_single_photon(bath.gamma, post.photon_atom * bath.delta_e, t_i, t, t_f)
+        return laws.decay_law(bath.gamma, -bath.gamma + 1j * (post.photon_atom * bath.delta_e), t_i, t, t_f)
     if post.word == "asymptotic":
-        return weak_survival_asymptotic_post(bath.gamma, t_i, t, t_f)
+        return laws.decay_law(bath.gamma, -2.0 * bath.gamma, t_i, t, t_f) + 0j
     check_window(t_i, t, t_f)
     return np.ones(np.shape(t), dtype=complex)[()]
 

@@ -24,7 +24,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import decay, spin, sums
+from . import decay, laws, spin, sums
 from .core import window_problem
 from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDecayError
 
@@ -291,9 +291,7 @@ def _sums_values(config: ScenarioConfig, grid: np.ndarray):
     period = config.sum_params.recurrence_time
     if grid[-1] >= 0.5 * period:
         raise BeyondRecurrence(f"t = {grid[-1]} >= half the lattice recurrence {period:.3g}")
-    gamma = config.gamma
-    references = [math.pi / gamma * math.exp(-gamma * t) for t in grid]
-    return sums.phased_lorentzian_sum(config.sum_params, grid), references
+    return sums.phased_lorentzian_sum(config.sum_params, grid), laws.lattice_limit(config.gamma, grid)
 
 
 _EVALUATORS = {"spin": _spin_values, "decay": _decay_values, "sums": _sums_values}
@@ -451,7 +449,7 @@ def convergence_sweep(config: ScenarioConfig) -> SweepResult:
         start = time.perf_counter()
         try:
             survival = decay.survival_probability(bath, grid)
-            err = float(np.max(np.abs(survival - np.exp(-2.0 * config.gamma * grid))))
+            err = float(np.max(np.abs(survival - laws.survival_limit(config.gamma, grid))))
             marker = ""
         except BeyondRecurrence:
             err, marker = None, "beyond_recurrence"

@@ -1,4 +1,4 @@
-"""Truncated Lorentzian lattice sums and their closed forms.
+"""Truncated Lorentzian lattice sums.
 
 Two spectral sums underpin the decay model's continuum limit:
 
@@ -6,9 +6,9 @@ Two spectral sums underpin the decay model's continuum limit:
     delta_e * sum_k e^{i k delta_e t} / (gamma^2 + ...)      ->  (pi/gamma) e^{-gamma t}
 
 (sums over all integers k, limits as delta_e -> 0, t >= 0).  At finite
-spacing both have exact closed forms in hyperbolic functions, which this
-module evaluates in overflow-safe form; the truncated numeric sums are kept
-independent so each can check the other.
+spacing both have an exact closed form in hyperbolic functions
+(:func:`weakdecay.laws.phased_closed_form`), which the truncated sums here
+are checked against.
 
 Accumulation details: terms are combined in (k, -k) pairs so the phased
 sum's imaginary part cancels exactly, partial sums are taken over fixed-size
@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import laws
+
 _CHUNK = 1 << 20  # weights formed at once
 _WIDTH = 1 << 10  # the widest row, so a chunk has at least _CHUNK / _WIDTH rows
 _FOLD_ENTRIES = 1 << 16  # weights formed at once, within a chunk, before they are folded
@@ -72,20 +74,7 @@ class SumParams:
     k_max: int = 10**6
 
     def __post_init__(self):
-        problems = []
-        square = self.gamma * self.gamma  # the center term is delta_e / gamma**2
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            problems.append(f"gamma: need a finite value > 0, got {self.gamma}")
-        elif math.isfinite(self.delta_e) and not (
-            0.0 < square < math.inf and math.isfinite(self.delta_e / square)
-        ):
-            problems.append(f"gamma: center term delta_e / gamma**2 is not finite at {self.gamma}")
-        if not (math.isfinite(self.delta_e) and self.delta_e > 0):
-            problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
-        elif not math.isfinite(self.delta_e * self.delta_e):  # the terms use delta_e**2
-            problems.append(f"delta_e: delta_e**2 is not finite at {self.delta_e}")
-        elif not math.isfinite(self.recurrence_time):
-            problems.append(f"delta_e: recurrence time 2 pi / delta_e overflows at {self.delta_e}")
+        problems = laws.lattice_problems(self.gamma, self.delta_e)
         if self.k_max < 0:
             problems.append(f"k_max: need >= 0, got {self.k_max}")
         if problems:
@@ -272,30 +261,3 @@ def _trig(angle: np.ndarray, first: int, step: int, count: int) -> tuple[np.ndar
     shape = (len(angle), coarse * fine)
     return cos.reshape(shape)[:, :count], sin.reshape(shape)[:, :count]
 
-
-def lorentzian_closed_form(gamma: float, delta_e: float) -> float:
-    """Exact full-lattice value ``(pi/gamma) coth(pi gamma / delta_e)``.
-
-    Raises ValueError for a ``gamma`` or ``delta_e`` that :class:`SumParams` rejects.
-    """
-    SumParams(gamma, delta_e, k_max=0)
-    a = math.pi * gamma / delta_e
-    return (math.pi / gamma) * (1.0 + math.exp(-2.0 * a)) / -math.expm1(-2.0 * a)
-
-
-def phased_closed_form(gamma: float, delta_e: float, t: float | np.ndarray) -> float | np.ndarray:
-    """Exact full-lattice value of the phased sum for ``0 <= t <= 2 pi / delta_e``.
-
-    Equals ``(pi/gamma) cosh((pi - delta_e t) gamma / delta_e) / sinh(pi gamma / delta_e)``,
-    evaluated in overflow-safe exponential form.  Within half a recurrence
-    period it is exponentially close to ``(pi/gamma) e^{-gamma t}``.  An
-    array ``t`` gives one value per time.  Raises ValueError for a ``gamma``
-    or ``delta_e`` that :class:`SumParams` rejects.
-    """
-    SumParams(gamma, delta_e, k_max=0)
-    t = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= delta_e * t) & (delta_e * t <= 2.0 * math.pi)):
-        raise ValueError("closed form valid for 0 <= delta_e * t <= 2 pi")
-    a = math.pi * gamma / delta_e
-    b = gamma * t
-    return (math.pi / gamma) * (np.exp(-b) + np.exp(b - 2.0 * a)) / -math.expm1(-2.0 * a)

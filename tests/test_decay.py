@@ -26,16 +26,13 @@ from weakdecay import (
     propagator_element,
     slot_of_atom,
     survival_probability,
-    u00_limit,
-    un0_limit,
-    weak_survival_asymptotic_post,
     weak_survival_closed,
     weak_survival_numeric,
-    weak_survival_single_photon,
     weak_value,
 )
 from weakdecay import decay
 from weakdecay.core import DENOM_FLOOR
+from weakdecay.laws import decay_law, u00_limit, un0_limit
 
 from oracles import build_hamiltonian, dense_eigensystem, ode_interaction_column, sampled_band_series
 
@@ -794,42 +791,46 @@ def test_survival_recurrence_guard(no_spectrum):
 
 # ---------------------------------------------------------------- closed-form laws
 
+# decay_law's x at gamma = 1: one resonant photon (-gamma + i 0) and the emission state (-2 gamma)
+PHOTON_X, EMISSION_X = -1.0 + 0j, -2.0
+
+
 def test_single_photon_boundaries_and_value():
-    w_i = weak_survival_single_photon(1.0, 0.0, 0.0, 0.0, 2.0)
-    w_f = weak_survival_single_photon(1.0, 0.0, 0.0, 2.0, 2.0)
+    w_i = decay_law(1.0, PHOTON_X, 0.0, 0.0, 2.0)
+    w_f = decay_law(1.0, PHOTON_X, 0.0, 2.0, 2.0)
     assert w_i == pytest.approx(1.0 + 0.0j, abs=1e-14)
     assert w_f == pytest.approx(0.0 + 0.0j, abs=1e-14)
-    mid = weak_survival_single_photon(1.0, 0.0, 0.0, 1.0, 2.0)
+    mid = decay_law(1.0, PHOTON_X, 0.0, 1.0, 2.0)
     assert mid == pytest.approx(1.0 / (math.e + 1.0), abs=1e-12)
 
 
 def test_single_photon_large_window_reduces_to_bare_decay():
     for t in np.linspace(0.0, 5.0, 11):
-        w = weak_survival_single_photon(1.0, 0.0, 0.0, t, 50.0)
+        w = decay_law(1.0, PHOTON_X, 0.0, t, 50.0)
         assert abs(w - math.exp(-t)) <= 1e-10
 
 
 def test_single_photon_degenerate_window():
     # a zero window's denominator 1 - e^0 is exactly 0
     with pytest.raises(PostSelectionNull):
-        weak_survival_single_photon(1.0, 0.0, 1.0, 1.0, 1.0)
+        decay_law(1.0, PHOTON_X, 1.0, 1.0, 1.0)
 
 
 def test_asymptotic_post_boundaries_and_value():
-    assert weak_survival_asymptotic_post(1.0, 0.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-    assert weak_survival_asymptotic_post(1.0, 0.0, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
-    mid = weak_survival_asymptotic_post(1.0, 0.0, 1.0, 2.0)
+    assert decay_law(1.0, EMISSION_X, 0.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert decay_law(1.0, EMISSION_X, 0.0, 2.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+    mid = decay_law(1.0, EMISSION_X, 0.0, 1.0, 2.0)
     # independent route: the window factors telescope to 1/(e + 1/e)
     assert mid == pytest.approx(1.0 / (math.e + math.exp(-1.0)), abs=1e-12)
     assert mid.real == pytest.approx(0.3240271368, abs=1e-9)
     # without decay the emission window factor 1 - e^{-2 gamma (t_f - t_i)} vanishes
     with pytest.raises(PostSelectionNull):
-        weak_survival_asymptotic_post(0.0, 0.0, 0.5, 1.0)
+        decay_law(0.0, -0.0, 0.0, 0.5, 1.0)
 
 
 def test_asymptotic_post_large_window_reduces_to_bare_decay():
     for t in np.linspace(0.0, 5.0, 11):
-        w = weak_survival_asymptotic_post(1.0, 0.0, t, 50.0)
+        w = decay_law(1.0, EMISSION_X, 0.0, t, 50.0)
         assert abs(w - math.exp(-t)) <= 1e-10
 
 
@@ -915,9 +916,9 @@ def test_numeric_matches_closed_forms_at_default_bath():
     t_i, t_f = 0.0, 2.0
     for t in (0.5, 1.0, 1.7):
         wp = weak_survival_numeric(bath, t_i, t, t_f, PostSpec.single_photon(1))
-        assert abs(wp - weak_survival_single_photon(1.0, 0.0, t_i, t, t_f)) <= 0.01
+        assert abs(wp - decay_law(1.0, PHOTON_X, t_i, t, t_f)) <= 0.01
         wa = weak_survival_numeric(bath, t_i, t, t_f, PostSpec.asymptotic_emission())
-        assert abs(wa - weak_survival_asymptotic_post(1.0, t_i, t, t_f)) <= 0.01
+        assert abs(wa - decay_law(1.0, EMISSION_X, t_i, t, t_f)) <= 0.01
 
 
 def test_numeric_undecayed_near_one_at_default_bath():
@@ -966,8 +967,8 @@ def test_zero_window_gives_what_its_algebra_gives(gamma):
         functools.partial(weak_survival_closed, post=PostSpec.single_photon(1)),
         functools.partial(weak_survival_closed, post=PostSpec.asymptotic_emission()),
         functools.partial(weak_survival_closed, post=PostSpec.undecayed()),
-        lambda bath, t_i, t, t_f: weak_survival_single_photon(bath.gamma, 0.0, t_i, t, t_f),
-        lambda bath, t_i, t, t_f: weak_survival_asymptotic_post(bath.gamma, t_i, t, t_f),
+        lambda bath, t_i, t, t_f: decay_law(bath.gamma, -bath.gamma + 0j, t_i, t, t_f),
+        lambda bath, t_i, t, t_f: decay_law(bath.gamma, -2.0 * bath.gamma, t_i, t, t_f),
         bath_weak_projector_scan,
     ],
     ids=["numeric-photon", "numeric-asymptotic", "numeric-undecayed", "closed-photon",

@@ -9,19 +9,17 @@ from weakdecay import (
     SumParams,
     interaction_column,
     interaction_element,
-    phased_closed_form,
     phased_lorentzian_sum,
     propagator_column,
     propagator_element,
     spin_weak_closed,
     spin_weak_kernel,
     survival_probability,
-    u00_limit,
-    un0_limit,
     weak_survival_closed,
     weak_survival_numeric,
 )
 from weakdecay import decay, harness
+from weakdecay.laws import lattice_limit, phased_closed_form, survival_limit, u00_limit, un0_limit
 
 TIMES = np.linspace(0.0, 1.5, 7)
 
@@ -54,6 +52,8 @@ CASES = {
     "u00_limit": lambda bath, t: u00_limit(1.0, t),
     "un0_limit": lambda bath, t: un0_limit(1.0, 0.05, 3, t),
     "phased_closed_form": lambda bath, t: phased_closed_form(1.0, 0.05, t),
+    "survival_limit": lambda bath, t: survival_limit(1.0, t),
+    "lattice_limit": lambda bath, t: lattice_limit(1.0, t),
 }
 
 

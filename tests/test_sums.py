@@ -6,13 +6,12 @@ import pytest
 
 from weakdecay import (
     SumParams,
-    lorentzian_closed_form,
     lorentzian_sum,
-    phased_closed_form,
     phased_lorentzian_sum,
     tail_bound,
 )
 from weakdecay import sums
+from weakdecay.laws import phased_closed_form
 
 
 def test_params_validation():
@@ -37,9 +36,9 @@ def test_params_validation():
     [
         lambda: phased_closed_form(1.0, 0.0, 1.0),
         lambda: phased_closed_form(0.0, 0.1, 1.0),
-        lambda: lorentzian_closed_form(1.0, 0.0),
-        lambda: lorentzian_closed_form(0.0, 0.1),
-        lambda: lorentzian_closed_form(math.nan, 0.1),
+        lambda: phased_closed_form(1.0, 0.0, 0.0),
+        lambda: phased_closed_form(0.0, 0.1, 0.0),
+        lambda: phased_closed_form(math.nan, 0.1, 0.0),
         lambda: phased_closed_form(1.0, math.inf, 0.0),
     ],
 )
@@ -50,7 +49,7 @@ def test_closed_forms_reject_what_sum_params_rejects(call):
 
 def test_closed_forms_reach_the_center_term_at_tiny_gamma():
     # 1 - e^{-2 pi gamma / delta_e} rounds to 0 here; its expm1 form does not
-    assert lorentzian_closed_form(1e-100, 0.05) == pytest.approx(0.05 / 1e-200, rel=1e-12)
+    assert phased_closed_form(1e-100, 0.05, 0.0) == pytest.approx(0.05 / 1e-200, rel=1e-12)
     assert phased_closed_form(1e-100, 0.05, 1.0) == pytest.approx(0.05 / 1e-200, rel=1e-12)
 
 
@@ -114,7 +113,7 @@ def test_truncated_sum_matches_closed_form_within_tail():
         closed = phased_closed_form(g, de, t)
         assert abs(numeric - closed) <= tail_bound(p.k_max, de)
     p0 = SumParams(1.0, 0.5, k_max=6000)
-    assert abs(lorentzian_sum(p0) - lorentzian_closed_form(1.0, 0.5)) <= tail_bound(6000, 0.5)
+    assert abs(lorentzian_sum(p0) - phased_closed_form(1.0, 0.5, 0.0)) <= tail_bound(6000, 0.5)
 
 
 def test_closed_form_is_overflow_safe_at_tiny_spacing():

@@ -1,4 +1,4 @@
-"""The repository's pytest settings and the library's dependencies."""
+"""The repository's pytest settings, the library's dependencies and the home of its laws."""
 
 import ast
 import subprocess
@@ -43,3 +43,16 @@ def test_the_library_imports_only_the_standard_library_and_numpy():
                 f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed
             ]
     assert outside == []
+
+
+def test_the_harness_and_the_checks_take_every_law_from_laws():
+    # a reference law written by hand calls exp; weakdecay.laws holds them all
+    calls = []
+    for name in ("harness.py", "checks.py"):
+        tree = ast.parse((PYPROJECT.parent / "src" / "weakdecay" / name).read_text(encoding="utf-8"))
+        calls += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"
+        ]
+    assert calls == []
