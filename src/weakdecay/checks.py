@@ -211,8 +211,8 @@ def check_generalized_decay_laws() -> CheckResult:
     bath = decay.default_bath()
     g, t_i, t_f = bath.gamma, 0.0, 2.0
     grid = np.linspace(t_i, t_f, 101)
-    post_photon = decay.PostSpec.single_photon(1)
-    post_asym = decay.PostSpec.asymptotic_emission()
+    post_photon = decay.PostSpec("photon:1")
+    post_asym = decay.PostSpec("asymptotic")
     wp = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_photon)
     wa = decay.weak_survival_numeric(bath, t_i, grid, t_f, post_asym)
     ref_res = laws.decay_law(g, -g + 0j, t_i, grid, t_f)
@@ -316,7 +316,7 @@ def check_undecayed_identity() -> CheckResult:
         )
         worst = max(worst, abs(ratio - 1.0))
     bath = decay.default_bath()
-    finite = decay.weak_survival_numeric(bath, 0.0, 1.0, 2.0, decay.PostSpec.undecayed())
+    finite = decay.weak_survival_numeric(bath, 0.0, 1.0, 2.0, decay.PostSpec("undecayed"))
     return CheckResult(
         "undecayed_identity",
         worst <= 1e-8,

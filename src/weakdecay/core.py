@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BasisNotComplete,
+    BeyondRecurrence,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -168,6 +169,27 @@ def check_window(t_i: float, t: float | np.ndarray, t_f: float) -> None:
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
 
 
+def check_times(t: float | np.ndarray) -> None:
+    """Raise ValueError unless every time in ``t`` is ``>= 0``; a NaN fails too."""
+    if not np.all(np.asarray(t) >= 0):
+        raise ValueError("t must be nonnegative")
+
+
+def check_recurrence(span: float, delta_e: float) -> None:
+    """Raise BeyondRecurrence unless ``span`` stays below half the recurrence time ``2 pi / delta_e``."""
+    guard = np.pi / delta_e
+    if span >= guard:
+        raise BeyondRecurrence(f"time {span} >= recurrence guard {guard:.3g}")
+
+
+def nonsingular(overlap, what: str):
+    """Return ``overlap`` unchanged; raise PostSelectionNull if any magnitude is at or below DENOM_FLOOR."""
+    smallest = float(np.min(np.abs(overlap), initial=np.inf))
+    if smallest <= DENOM_FLOOR:
+        raise PostSelectionNull(f"{what}: overlap magnitude {smallest:.3e} <= {DENOM_FLOOR:.0e}")
+    return overlap
+
+
 def window_problem(t_i: float, t_f: float) -> Optional[str]:
     """What keeps ``(t_i, t_f)`` from being a window: finite ``t_i < t_f`` and length; or None."""
     if not (np.isfinite(t_i) and np.isfinite(t_f) and t_i < t_f):
@@ -195,12 +217,7 @@ def weak_value(
         raise DimensionMismatch(f"pre/post/observable/u_mid/u_late dimensions differ: {dims}")
     post_c = post.amplitudes.conj()
     evolved = _apply(u_mid.matrix, pre.amplitudes)
-    denom = _apply(u_late.matrix, evolved) @ post_c
-    smallest = float(np.min(np.abs(denom), initial=np.inf))
-    if smallest <= DENOM_FLOOR:
-        raise PostSelectionNull(
-            f"post-selection overlap magnitude {smallest:.3e} <= {DENOM_FLOOR:.0e}"
-        )
+    denom = nonsingular(_apply(u_late.matrix, evolved) @ post_c, "post-selection")
     numer = _apply(u_late.matrix, _apply(observable.entries, evolved)) @ post_c
     return numer / denom
 

@@ -43,8 +43,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import laws, sums
-from .core import DENOM_FLOOR, Propagator, check_window
-from .errors import BeyondRecurrence, DimensionMismatch, PostSelectionNull
+from .core import Propagator, check_recurrence, check_times, check_window, nonsingular
+from .errors import DimensionMismatch
 
 REFERENCE_SLOT = 0
 
@@ -111,16 +111,6 @@ class BathSpec:
     @property
     def recurrence_time(self) -> float:
         return 2.0 * math.pi / self.delta_e
-
-    @property
-    def recurrence_guard(self) -> float:
-        """Largest time at which limit-law comparisons remain meaningful."""
-        return 0.5 * self.recurrence_time
-
-    def check_recurrence(self, span: float) -> None:
-        """Raise BeyondRecurrence unless the time span stays below the recurrence guard."""
-        if span >= self.recurrence_guard:
-            raise BeyondRecurrence(f"time {span} >= recurrence guard {self.recurrence_guard:.3g}")
 
     def bath_atoms(self) -> np.ndarray:
         """Bath atom indices in slot order (slots 1..2N)."""
@@ -747,59 +737,36 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
 
 def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.ndarray:
     """``|U00(t)|^2`` from the numeric propagator, guarded against recurrence."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    bath.check_recurrence(np.max(t, initial=0.0))  # an empty grid has no time to check
+    check_times(t)
+    check_recurrence(np.max(t, initial=0.0), bath.delta_e)  # an empty grid has no time to check
     return np.abs(propagator_element(bath, 0, t)) ** 2
 
 
 @dataclass(frozen=True)
 class PostSpec:
-    """Post-selection for the decay model, named by its config word.
+    """Post-selection for the decay model, built from its config word alone.
 
-    ``word`` is ``photon:K`` (the photon on bath atom ``K``, also held as
+    ``word`` is ``photon:K`` (the photon on bath atom ``K != 0``, derived as
     ``photon_atom``), ``asymptotic`` (the full emission state) or
-    ``undecayed`` (the excited reference atom).
+    ``undecayed`` (the excited reference atom); a ValueError words any other.
     """
 
     word: str
-    photon_atom: Optional[int] = None
+    photon_atom: Optional[int] = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.photon_atom == 0:
-            raise ValueError("atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)")
-        named = ("asymptotic", "undecayed") if self.photon_atom is None else (f"photon:{self.photon_atom}",)
-        if self.word not in named:
-            raise ValueError(f"{self.word!r} with photon_atom={self.photon_atom} names no post-selection")
-
-    @classmethod
-    def parse(cls, word: str) -> "PostSpec":
-        """The post-selection a config word names; a ValueError says what is wrong with it."""
-        if word in ("asymptotic", "undecayed"):
-            return cls(word)
-        if not word.startswith("photon:"):
-            raise ValueError(f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {word!r}")
+        if self.word in ("asymptotic", "undecayed"):
+            return
+        if not self.word.startswith("photon:"):
+            raise ValueError(f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {self.word!r}")
         try:
-            return cls.single_photon(int(word.removeprefix("photon:")))
+            atom = int(self.word.removeprefix("photon:"))
+            if atom == 0:
+                raise ValueError("atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)")
         except ValueError as exc:
-            raise ValueError(f"post: bad photon atom in {word!r}: {exc}") from None
-
-    @classmethod
-    def single_photon(cls, atom: int) -> "PostSpec":
-        """Post-select on bath atom ``atom`` holding the excitation.
-
-        ``atom = 0`` is rejected: the resonant slot is the reference atom, so
-        the nearest-to-resonance photon post-selections are ``atom = +-1``.
-        """
-        return cls(f"photon:{int(atom)}", int(atom))
-
-    @classmethod
-    def asymptotic_emission(cls) -> "PostSpec":
-        return cls("asymptotic")
-
-    @classmethod
-    def undecayed(cls) -> "PostSpec":
-        return cls("undecayed")
+            raise ValueError(f"post: bad photon atom in {self.word!r}: {exc}") from None
+        object.__setattr__(self, "word", f"photon:{atom}")  # one word per post: photon:+1 is kept as photon:1
+        object.__setattr__(self, "photon_atom", atom)
 
 
 def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
@@ -835,14 +802,12 @@ def weak_survival_numeric(
     """
     check_window(t_i, t, t_f)
     window = t_f - t_i
-    bath.check_recurrence(window)
+    check_recurrence(window, bath.delta_e)
     if post.photon_atom is not None:
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch before the solve
     spec = _spectrum(bath)
     overlap = _post_overlap(spec, post, np.append(window, t_f - np.asarray(t)))
-    denom = overlap[0]
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull(f"overlap with the {post.word} post-selection below floor")
+    denom = nonsingular(overlap[0], f"{post.word} post-selection")
     return overlap[1:].reshape(np.shape(t)) * _element(spec, 0, t - t_i, interaction=False) / denom
 
 
@@ -884,11 +849,8 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
     columns over their sum, the window's survival amplitude.
     """
     check_window(t_i, t, t_f)
-    bath.check_recurrence(t_f - t_i)
+    check_recurrence(t_f - t_i, bath.delta_e)
     paths = np.prod(propagator_column(bath, np.array([t_f - t, t - t_i])), axis=0)
-    denom = complex(np.sum(paths))
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull(f"survival amplitude over the window {abs(denom):.3e} below floor")
-    weak = paths / denom
+    weak = paths / nonsingular(complex(np.sum(paths)), "window survival")
     weak.setflags(write=False)
     return weak

@@ -23,7 +23,8 @@ class PostSelectionNull(WeakDecayError):
     Signals a (near-)impossible post-selection, where weak values diverge
     and the computed ratio would be numerical noise.  A zero window
     (``t_i = t_f``) raises it for the photon and emission posts of the decay
-    model, whose overlap at zero time vanishes.
+    model, whose overlap at zero time vanishes.  Raised only by
+    :func:`weakdecay.core.nonsingular`, which every route calls.
     """
 
 
@@ -32,11 +33,12 @@ class BasisNotComplete(WeakDecayError):
 
 
 class BeyondRecurrence(WeakDecayError):
-    """Requested time is beyond the finite bath's recurrence guard.
+    """Requested time is beyond the recurrence guard of a finite bath or a lattice sum.
 
     A finite equispaced bath re-concentrates amplitude in the reference
     atom after roughly one recurrence period; comparisons with the
     continuum-limit decay laws are only meaningful well before that.
+    Raised only by :func:`weakdecay.core.check_recurrence`.
     """
 
 

@@ -25,7 +25,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import decay, laws, spin, sums
-from .core import window_problem
+from .core import check_recurrence, window_problem
 from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDecayError
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
@@ -84,7 +84,7 @@ class ScenarioConfig:
 
     @functools.cached_property
     def decay_post(self) -> decay.PostSpec:
-        spec = decay.PostSpec.parse(self.post)
+        spec = decay.PostSpec(self.post)
         if spec.photon_atom is not None:  # an atom's range is its bath's, so the bath builds first
             try:
                 decay.slot_of_atom(self.bath.n_half, spec.photon_atom)
@@ -288,9 +288,7 @@ def _decay_values(config: ScenarioConfig, grid: np.ndarray):
 
 
 def _sums_values(config: ScenarioConfig, grid: np.ndarray):
-    period = config.sum_params.recurrence_time
-    if grid[-1] >= 0.5 * period:
-        raise BeyondRecurrence(f"t = {grid[-1]} >= half the lattice recurrence {period:.3g}")
+    check_recurrence(grid[-1], config.delta_e)
     return sums.phased_lorentzian_sum(config.sum_params, grid), laws.lattice_limit(config.gamma, grid)
 
 

@@ -17,16 +17,14 @@ import math
 
 import numpy as np
 
-from .core import DENOM_FLOOR, check_window
-from .errors import PostSelectionNull
+from .core import check_times, check_window, nonsingular
 
 
 # ---------------------------------------------------------------- the continuum
 def u00_limit(gamma: float, t: float | np.ndarray) -> complex | np.ndarray:
     """Survival amplitude ``e^{-gamma t}`` of the excited reference atom, per time in ``t``."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    check_times(t)
     return np.exp(-gamma * t) + 0j
 
 
@@ -37,8 +35,7 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
     with the coupling eliminated through ``H = sqrt(gamma * delta_e / pi)``.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    check_times(t)
     if not delta_e > 0:
         raise ValueError("delta_e must be positive")
     h = math.sqrt(gamma * delta_e / math.pi)
@@ -50,6 +47,7 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
 
 def survival_limit(gamma: float, t: float | np.ndarray) -> np.ndarray:
     """Survival probability ``|U00|^2 = e^{-2 gamma t}``, per time ``t >= 0``."""
+    check_times(t)
     return np.exp(-2.0 * gamma * np.asarray(t, dtype=float))
 
 
@@ -62,14 +60,13 @@ def decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | 
     both tend to ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.
     """
     check_window(t_i, t, t_f)
-    denom = 1.0 - np.exp(x * (t_f - t_i))
-    if abs(denom) <= DENOM_FLOOR:
-        raise PostSelectionNull("post-selection denominator vanished")
+    denom = nonsingular(1.0 - np.exp(x * (t_f - t_i)), "decay-law window")
     return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
 
 
 def lattice_limit(gamma: float, t: float | np.ndarray) -> float | np.ndarray:
     """Limit ``(pi/gamma) e^{-gamma t}`` of the phased lattice sum, one ``math.exp`` per time ``t >= 0``."""
+    check_times(t)
     values = [math.pi / gamma * math.exp(-gamma * s) for s in np.ravel(t).tolist()]
     return np.reshape(values, np.shape(t))[()]
 

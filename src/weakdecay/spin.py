@@ -24,15 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    DENOM_FLOOR,
     Propagator,
     StateVector,
     check_window,
+    nonsingular,
     projector_from_state,
     weak_value,
     window_problem,
 )
-from .errors import PostSelectionNull
 
 # Largest half-window phase: near 2**52 the spacing of floats reaches one
 # radian, so the closed forms' cos and sin of it mean nothing.
@@ -103,7 +102,7 @@ def spin_strong_closed(
     axis: SpinAxis, omega: float, t_i: float, t: float | np.ndarray
 ) -> float | np.ndarray:
     """Closed-form strong expectation of the projector along ``axis``, per time in ``t``."""
-    if np.any(t < t_i):
+    if not np.all(t >= t_i):
         raise ValueError(f"need t >= t_i, got t={t}, t_i={t_i}")
     a = omega * (t - t_i)
     if axis is SpinAxis.X_PLUS:
@@ -113,12 +112,6 @@ def spin_strong_closed(
     if axis is SpinAxis.Y_PLUS:
         return 0.5 * (1.0 - np.sin(a))
     return 0.5 * (1.0 + np.sin(a))
-
-
-def _nonsingular(den: float) -> float:
-    if abs(den) <= DENOM_FLOOR:
-        raise PostSelectionNull("post-selection orthogonal to the evolved state")
-    return den
 
 
 def spin_weak_kernel(
@@ -148,11 +141,12 @@ def spin_weak_closed(
     a = 0.5 * omega * (t - t_i)
     b = 0.5 * omega * (t_f - t)
     h = 0.5 * omega * (t_f - t_i)
+    what = f"{post.name} post-selection"
     if post is PostChoice.X_PLUS:
-        value = np.cos(a) * np.cos(b) / _nonsingular(math.cos(h))
+        value = np.cos(a) * np.cos(b) / nonsingular(math.cos(h), what)
     elif post is PostChoice.X_MINUS:
-        value = 0.5 - np.sin(a - b) / (2.0 * _nonsingular(math.sin(h)))
+        value = 0.5 - np.sin(a - b) / (2.0 * nonsingular(math.sin(h), what))
     else:
-        value = np.cos(a) * (np.cos(b) - np.sin(b)) / _nonsingular(math.cos(h) - math.sin(h))
+        value = np.cos(a) * (np.cos(b) - np.sin(b)) / nonsingular(math.cos(h) - math.sin(h), what)
     return value + 0j
 

@@ -7,7 +7,8 @@ time.  The ``sums`` cells move by up to two ulps between one and two BLAS
 threads, so its pins are taken at one thread and compared within a bound.
 
 After a change meant to move a pinned cell, rewrite the files and state the
-largest move:
+largest move; for each file the script first prints ``unchanged``, or how many
+cells differ and the largest absolute move of a number among them:
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -15,7 +16,7 @@ largest move:
 from __future__ import annotations
 
 import os
-import sys
+import re
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -52,13 +53,30 @@ def outputs(name: str) -> tuple[str, str]:
     return csv, harness.summary_to_json(result.summary) + "\n"
 
 
+def change(old: str, new: str) -> str:
+    """``unchanged``, or how many cells of ``old`` differ in ``new`` and the largest move of a number."""
+    if old == new:
+        return "unchanged"
+    before, after = (re.split(r"[,:\n\[\]{}]", text) for text in (old, new))
+    if len(before) != len(after):
+        return f"{len(before)} -> {len(after)} cells"
+    moved = [(a, b) for a, b in zip(before, after) if a != b]
+    moves = []
+    for a, b in moved:
+        try:
+            moves.append(abs(float(b) - float(a)))
+        except ValueError:  # not a number
+            pass
+    return f"{len(moved)} of {len(before)} cells differ" + (f", largest move {max(moves):.3g}" if moves else "")
+
+
 def main() -> int:
     PINS.mkdir(exist_ok=True)
     for name in RUNS:
-        csv, summary = outputs(name)
-        (PINS / f"{name}.csv").write_text(csv, encoding="utf-8")
-        (PINS / f"{name}.json").write_text(summary, encoding="utf-8")
-        print(f"wrote {name}.csv and {name}.json", file=sys.stderr)
+        for kind, text in zip(("csv", "json"), outputs(name)):
+            path = PINS / f"{name}.{kind}"
+            print(f"{path.name}: {change(path.read_text(encoding='utf-8'), text) if path.exists() else 'new'}")
+            path.write_text(text, encoding="utf-8")
     return 0
 
 

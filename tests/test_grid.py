@@ -1,4 +1,4 @@
-"""A time grid passed in one call gives the values of per-time calls."""
+"""A time grid passed in one call gives the values of per-time calls; a time below 0 or NaN is refused."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,14 @@ import pytest
 from weakdecay import (
     PostChoice,
     PostSpec,
+    SpinAxis,
     SumParams,
     interaction_column,
     interaction_element,
     phased_lorentzian_sum,
     propagator_column,
     propagator_element,
+    spin_strong_closed,
     spin_weak_closed,
     spin_weak_kernel,
     survival_probability,
@@ -38,12 +40,12 @@ CASES = {
     "propagator_element": lambda bath, t: propagator_element(bath, 3, t),
     "interaction_element": lambda bath, t: interaction_element(bath, -2, t),
     "survival_probability": survival_probability,
-    "weak_photon": _weak(PostSpec.single_photon(-2)),
-    "weak_asymptotic": _weak(PostSpec.asymptotic_emission()),
-    "weak_undecayed": _weak(PostSpec.undecayed()),
-    "closed_photon": _weak(PostSpec.single_photon(-2), weak_survival_closed),
-    "closed_asymptotic": _weak(PostSpec.asymptotic_emission(), weak_survival_closed),
-    "closed_undecayed": _weak(PostSpec.undecayed(), weak_survival_closed),
+    "weak_photon": _weak(PostSpec("photon:-2")),
+    "weak_asymptotic": _weak(PostSpec("asymptotic")),
+    "weak_undecayed": _weak(PostSpec("undecayed")),
+    "closed_photon": _weak(PostSpec("photon:-2"), weak_survival_closed),
+    "closed_asymptotic": _weak(PostSpec("asymptotic"), weak_survival_closed),
+    "closed_undecayed": _weak(PostSpec("undecayed"), weak_survival_closed),
     "spin_kernel": _spin(PostChoice.Y_PLUS, spin_weak_kernel),
     "spin_closed_xplus": _spin(PostChoice.X_PLUS),
     "spin_closed_xminus": _spin(PostChoice.X_MINUS),
@@ -64,6 +66,22 @@ def test_grid_call_matches_per_time_calls(name, small_bath):
     per_time = np.array([fn(small_bath, t) for t in TIMES])
     assert grid.shape == per_time.shape
     assert np.max(np.abs(grid - per_time)) <= 1e-14
+
+
+# every route that takes survival times t >= 0, the spin's strong expectation t >= t_i
+TIME_ROUTES = {
+    name: CASES[name]
+    for name in ("u00_limit", "un0_limit", "survival_limit", "lattice_limit", "survival_probability",
+                 "lattice_sum", "phased_closed_form")
+} | {"spin_strong_closed": lambda bath, t: spin_strong_closed(SpinAxis.X_PLUS, 1.3, 0.0, t)}
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan])
+@pytest.mark.parametrize("name", TIME_ROUTES)
+def test_a_time_below_zero_or_nan_is_refused(name, bad, small_bath):
+    for t in (bad, np.array([0.5, bad])):
+        with pytest.raises(ValueError):
+            TIME_ROUTES[name](small_bath, t)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pinned import PINS, RUNS, outputs
+from pinned import PINS, RUNS, change, outputs
 
 # Largest move of a ``sums`` value_re or abs_error cell, in ulps of the row's
 # value_re: measured 2 between one and two BLAS threads (22 of 101 rows move).
@@ -45,3 +45,9 @@ def test_default_sums_output_is_within_its_pinned_bound():
     move = abs(got_summary.pop("max_abs_error") - pinned_summary.pop("max_abs_error"))
     assert got_summary == pinned_summary
     assert move <= np.max(bound)
+
+
+def test_the_rewrite_script_states_each_move():
+    assert change("t,x\n0,1.5\n", "t,x\n0,1.5\n") == "unchanged"
+    assert change("t,x\n0,1.5\n", "t,x\n0,1.25\n") == "1 of 5 cells differ, largest move 0.25"
+    assert change('{"post":"a"}', '{"post":"b"}') == "1 of 4 cells differ"

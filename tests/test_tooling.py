@@ -1,4 +1,4 @@
-"""The repository's pytest settings, the library's dependencies and the home of its laws."""
+"""The repository's pytest settings, the library's dependencies and the homes of its laws and checks."""
 
 import ast
 import subprocess
@@ -56,3 +56,26 @@ def test_the_harness_and_the_checks_take_every_law_from_laws():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"
         ]
     assert calls == []
+
+
+def _name(node) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def test_only_core_checks_the_shared_rules():
+    # the null-overlap floor, the recurrence guard and the survival-time rule
+    # are core.nonsingular, core.check_recurrence and core.check_times
+    copies = []
+    for path in sorted((PYPROJECT.parent / "src" / "weakdecay").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                found = any(_name(side) == "DENOM_FLOOR" for side in [node.left, *node.comparators])
+            elif isinstance(node, ast.Raise):
+                found = _name(getattr(node.exc, "func", node.exc)) in ("PostSelectionNull", "BeyondRecurrence")
+            else:
+                found = isinstance(node, ast.Constant) and "t must be nonnegative" in str(node.value)
+            if found:
+                copies.append(f"{path.name}:{node.lineno}")
+    assert copies == []
