@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -746,9 +747,10 @@ def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.nd
 class PostSpec:
     """Post-selection for the decay model, built from its config word alone.
 
-    ``word`` is ``photon:K`` (the photon on bath atom ``K != 0``, derived as
-    ``photon_atom``), ``asymptotic`` (the full emission state) or
-    ``undecayed`` (the excited reference atom); a ValueError words any other.
+    ``word`` is ``photon:K`` (the photon on bath atom ``K != 0``, written as
+    ``-?[1-9][0-9]*`` and derived as ``photon_atom``), ``asymptotic`` (the
+    full emission state) or ``undecayed`` (the excited reference atom); a
+    ValueError words any other.
     """
 
     word: str
@@ -759,14 +761,15 @@ class PostSpec:
             return
         if not self.word.startswith("photon:"):
             raise ValueError(f"post: decay accepts 'photon:K', 'asymptotic' or 'undecayed', got {self.word!r}")
-        try:
-            atom = int(self.word.removeprefix("photon:"))
-            if atom == 0:
-                raise ValueError("atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)")
-        except ValueError as exc:
-            raise ValueError(f"post: bad photon atom in {self.word!r}: {exc}") from None
-        object.__setattr__(self, "word", f"photon:{atom}")  # one word per post: photon:+1 is kept as photon:1
-        object.__setattr__(self, "photon_atom", atom)
+        atom = self.word.removeprefix("photon:")
+        if atom == "0":
+            problem = "atom 0 is the reference; choose a bath atom (use +-1 for near-resonance)"
+        elif not re.fullmatch(r"-?[1-9][0-9]*", atom):
+            problem = "need a nonzero integer, as -?[1-9][0-9]*"
+        else:
+            object.__setattr__(self, "photon_atom", int(atom))
+            return
+        raise ValueError(f"post: bad photon atom in {self.word!r}: {problem}")
 
 
 def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:

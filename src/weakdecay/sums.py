@@ -12,10 +12,11 @@ are checked against.
 
 Accumulation details: terms are combined in (k, -k) pairs so the phased
 sum's imaginary part cancels exactly, partial sums are taken over fixed-size
-chunks of k, and chunk totals are combined per time with compensated
-(TwoSum) summation (Ogita, Rump & Oishi 2005), which for a single chunk
-gives the correctly rounded sum with the center term; million-term sums
-lose several digits if accumulated naively.
+chunks of k (folded one after another into one reused workspace), and chunk
+totals are combined per time with compensated (TwoSum) summation (Ogita,
+Rump & Oishi 2005), which for a single chunk gives the correctly rounded sum
+with the center term; million-term sums lose several digits if accumulated
+naively.
 Within a chunk, the weights lie in rows of width W, with W near sqrt(k_max)
 and at most 1024: row r is centred on B = r W and holds k = B + m for
 -W/2 <= m < W/2 (row 0's entries for k <= 0 are zero, so its large
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import laws
 
-_CHUNK = 1 << 20  # weights formed at once
+_CHUNK = 1 << 19  # weights per chunk; every chunk is folded into one reused workspace
 _WIDTH = 1 << 10  # the widest row, so a chunk has at least _CHUNK / _WIDTH rows
 _FOLD_ENTRIES = 1 << 16  # weights formed at once, within a chunk, before they are folded
 # Times are taken in blocks so that each sine or cosine table (times x offsets,
@@ -134,7 +135,11 @@ def lattice_sum(
     ``K`` is the length of the weights (``sin_weights`` may be None, for no
     sines, or else must have the same length); they go through the same
     rows, tables and compensated summation as the Lorentzian sums.
+    ``angle`` must be a 1-D array of finite angles.
     """
+    angles = np.asarray(angle, dtype=float)
+    if angles.ndim != 1 or not np.all(np.isfinite(angles)):
+        raise ValueError(f"angle: need a 1-D array of finite angles, got {angle}")
     if sin_weights is not None and len(sin_weights) != len(cos_weights):
         raise ValueError(
             f"sin_weights: need {len(cos_weights)} weights, as many as cos_weights, "
@@ -150,7 +155,7 @@ def lattice_sum(
         sines = None if sin_weights is None else padded(sin_weights, start, size)
         return padded(cos_weights, start, size), sines
 
-    return _lattice(np.asarray(angle, dtype=float), len(cos_weights), weights)
+    return _lattice(angles, len(cos_weights), weights)
 
 
 def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np.ndarray:
@@ -166,6 +171,7 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
     chunk = max(1, _CHUNK // width)  # rows
+    folds = None  # one workspace for every chunk, sized by the first, the largest
     values = np.empty(len(angles))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
@@ -174,8 +180,9 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
         total = np.full(len(angle), center)
         error = np.zeros(len(angle))
         for first in range(0, rows, chunk):
-            folds = _fold(weights, first, min(chunk, rows - first), width)
-            part = _chunk_sum(first * width, width, angle, tables, folds)
+            size = min(chunk, rows - first)
+            folds = _fold(weights, first, size, width, folds)
+            part = _chunk_sum(first * width, width, angle, tables, folds[:, :, :size])
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
@@ -185,19 +192,19 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
     return values
 
 
-def _fold(weights, first: int, rows: int, width: int) -> np.ndarray:
+def _fold(weights, first: int, rows: int, width: int, folds: np.ndarray | None) -> np.ndarray:
     """The weights of ``rows`` rows from row ``first``, each folded about its centre.
 
-    Returns a ``(n, 2, rows, W/2 + 1)`` array, ``n = 1`` for cosine weights
-    alone and 2 with sine weights.  Entry ``[i, 0, r, m]`` holds the even part
-    ``w_{B+m} + w_{B-m}`` of row ``r``'s weights about its centre ``B``, and
-    ``[i, 1, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the even
-    part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the row.
-    The weights are formed a few rows at a time, so only the folds are
-    chunk-sized.
+    Fills ``folds[:, :, :rows]`` and returns ``folds``, a ``(n, 2, R, W/2 + 1)``
+    workspace with ``R >= rows``, ``n = 1`` for cosine weights alone and 2
+    with sine weights; when ``folds`` is None, one of ``R = rows`` is made.
+    Entry ``[i, 0, r, m]`` holds the even part ``w_{B+m} + w_{B-m}`` of row
+    ``r``'s weights about its centre ``B``, and ``[i, 1, r, m]`` the odd part
+    ``w_{B+m} - w_{B-m}``; at ``m = 0`` the even part is ``w_B`` alone, and
+    at ``m = W/2`` only ``w_{B-m}`` is in the row.  The weights are formed a
+    few rows at a time, so only the folds are chunk-sized.
     """
     half = width // 2
-    folds = None
     block = max(1, _FOLD_ENTRIES // width)
     for lo in range(0, rows, block):
         size = min(block, rows - lo)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,8 +137,11 @@ def test_any_raw_config_builds_or_raises_config_invalid(model, raw):
 def test_build_config_decay_post_forms():
     cfg = harness.build_config({"model": "decay", "post": "photon:-3", "n_half": "10"})
     assert cfg.post == "photon:-3"
-    with pytest.raises(ConfigInvalid):
-        harness.build_config({"model": "decay", "post": "photon:0"})
+    # the atom is written -?[1-9][0-9]*: int() alone would also read 1_0 as
+    # atom 10, and accept " 2", "01" and "+1"
+    for word in ("photon:0", "photon:1_0", "photon: 2", "photon:01", "photon:+1"):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"post: bad photon atom in '{word}': ")):
+            harness.build_config({"model": "decay", "post": word})
     with pytest.raises(ConfigInvalid):
         harness.build_config({"model": "decay", "post": "photon:11", "n_half": "10"})
 

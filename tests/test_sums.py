@@ -152,10 +152,16 @@ def _term_by_term(g, de, k_max, t):
     return math.fsum([de / g**2, *pairs])
 
 
+# a chunk that holds each sum of the two fsum tests whole, as the default
+# 2^19 does (at most 257 rows here), so those cases run the default's one
+# chunk; it is written out so that the cases keep their names
+_WHOLE = 1 << 20
+
+
 @pytest.mark.parametrize(
     "k_max, chunk",
     # the last case splits into two chunks, the second padded, whose totals meet
-    [(k, sums._CHUNK) for k in (0, 1, 1023, 1024, 1025, 5000)] + [(5000, 1 << 12)],
+    [(k, _WHOLE) for k in (0, 1, 1023, 1024, 1025, 5000)] + [(5000, 1 << 12)],
 )
 def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, monkeypatch):
     monkeypatch.setattr(sums, "_CHUNK", chunk)
@@ -173,8 +179,8 @@ def test_phased_sum_matches_term_by_term_fsum_on_an_uneven_grid(k_max, chunk, mo
     "count, chunk",
     # the last case splits into two chunks, the second padded
     # the counts from 2 on reach every row width, 2, 4, ..., 1024, in turn
-    [(count, sums._CHUNK) for count in (0, 1, 2, 5, 7, 17, 65, 257, 1024, 1025)]
-    + [(count, sums._CHUNK) for count in (4097, 16385, 65537, 262145)]
+    [(count, _WHOLE) for count in (0, 1, 2, 5, 7, 17, 65, 257, 1024, 1025)]
+    + [(count, _WHOLE) for count in (4097, 16385, 65537, 262145)]
     + [(5000, 1 << 12)],
 )
 def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch):
@@ -199,6 +205,12 @@ def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch)
     assert np.max(np.abs(values - reference), initial=0.0) <= 1e-14 * scale
     values = sums.lattice_sum(angles, cos_weights)  # no sines
     assert np.max(np.abs(values - cosines), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("angle", [0.3, np.zeros((2, 3)), np.array([0.1, np.nan, np.inf])])
+def test_lattice_sum_needs_a_1d_array_of_finite_angles(angle):
+    with pytest.raises(ValueError, match="^angle: need a 1-D array of finite angles, got "):
+        sums.lattice_sum(angle, np.ones(3))
 
 
 def test_lattice_sum_needs_as_many_sines_as_cosines():
@@ -264,9 +276,10 @@ def test_phased_sum_memory_does_not_grow_with_the_grid():
 
 
 def test_default_phased_sum_memory_holds_no_second_k_array():
-    # a chunk's 1M weights, folded about their rows' centres, take 8 MiB and
-    # are formed a few rows at a time (peak 11.6 MiB); a k array beside the
-    # whole chunk took the peak to 20.7 MiB
+    # the 1M weights are formed a few rows at a time and folded about their
+    # rows' centres, chunk by chunk, into one reused 4 MiB workspace (peak
+    # 6.5 MiB); one 8 MiB fold array per chunk of 2^20 took the peak to
+    # 11.6 MiB, and a k array beside the whole chunk to 20.7 MiB
     times = np.linspace(0.0, 3.0, 101)
     tracemalloc.start()
     try:
@@ -274,4 +287,4 @@ def test_default_phased_sum_memory_holds_no_second_k_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 8 * 2**20
