@@ -72,7 +72,9 @@ class BathSpec:
 
     def __post_init__(self):
         problems = []
-        if not 1 <= self.n_half <= MAX_N_HALF:
+        if not isinstance(self.n_half, (int, np.integer)):
+            problems.append(f"n_half: need an integer, got {self.n_half}")
+        elif not 1 <= self.n_half <= MAX_N_HALF:
             problems.append(f"n_half: need 1 <= n_half <= {MAX_N_HALF}, got {self.n_half}")
         if not (math.isfinite(self.delta_e) and self.delta_e > 0):
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
@@ -132,10 +134,10 @@ def default_bath() -> BathSpec:
 
 def slot_of_atom(n_half: int, atom: int) -> int:
     """Basis slot of an atom index (0 = reference, otherwise a bath atom)."""
+    if not (isinstance(atom, (int, np.integer)) and -n_half <= atom <= n_half):
+        raise DimensionMismatch(f"atom index {atom} outside [-{n_half}, {n_half}]")
     if atom == 0:
         return REFERENCE_SLOT
-    if not -n_half <= atom <= n_half:
-        raise DimensionMismatch(f"atom index {atom} outside [-{n_half}, {n_half}]")
     return atom + n_half + 1 if atom < 0 else atom + n_half
 
 
@@ -852,6 +854,8 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
     columns over their sum, the window's survival amplitude.
     """
     check_window(t_i, t, t_f)
+    if np.ndim(t) != 0:
+        raise ValueError(f"t: need one time, got {t}")
     check_recurrence(t_f - t_i, bath.delta_e)
     paths = np.prod(propagator_column(bath, np.array([t_f - t, t - t_i])), axis=0)
     weak = paths / nonsingular(complex(np.sum(paths)), "window survival")

@@ -17,11 +17,12 @@ totals are combined per time with compensated (TwoSum) summation (Ogita,
 Rump & Oishi 2005), which for a single chunk gives the correctly rounded sum
 with the center term; million-term sums lose several digits if accumulated
 naively.
-Within a chunk, the weights lie in rows of width W, with W near sqrt(k_max)
-and at most 1024: row r is centred on B = r W and holds k = B + m for
--W/2 <= m < W/2 (row 0's entries for k <= 0 are zero, so its large
-weights near k = 1 meet cos(0) = 1 and sin(0) = 0).  Each +m pairs with its
--m, and with a = delta_e t
+Within a chunk, :func:`_fold` alone lays the weights, formed only for
+1 <= k <= k_max, into rows of width W, with W near sqrt(k_max) and at most
+1024: row r is centred on B = r W and holds k = B + m for -W/2 <= m < W/2
+(zeros pad the last row's tail and row 0's k <= 0, so its large weights
+near k = 1 meet cos(0) = 1 and sin(0) = 0).  Each +m pairs with its -m, and
+with a = delta_e t
 
     c_{B+m} cos((B+m) a) + c_{B-m} cos((B-m) a)
         = cos(B a) cos(m a) (c_{B+m} + c_{B-m}) - sin(B a) sin(m a) (c_{B+m} - c_{B-m}),
@@ -76,7 +77,9 @@ class SumParams:
 
     def __post_init__(self):
         problems = laws.lattice_problems(self.gamma, self.delta_e)
-        if self.k_max < 0:
+        if not isinstance(self.k_max, (int, np.integer)):
+            problems.append(f"k_max: need an integer, got {self.k_max}")
+        elif self.k_max < 0:
             problems.append(f"k_max: need >= 0, got {self.k_max}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -112,18 +115,15 @@ def phased_lorentzian_sum(
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError(f"t: need finite times >= 0, as one time or a 1-D array, got {t}")
 
-    def weights(start: int, size: int) -> tuple[np.ndarray, None]:
-        cos_weights = np.arange(start, start + size, dtype=float)  # k, then in place
-        cos_weights *= cos_weights  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
-        cos_weights *= p.delta_e**2
-        cos_weights += p.gamma**2
-        np.divide(2.0 * p.delta_e, cos_weights, out=cos_weights)
-        cos_weights[: max(0, 1 - start)] = 0.0  # k <= 0
-        cos_weights[p.k_max + 1 - start :] = 0.0  # padding up to a whole row
-        return cos_weights, None
+    def cos_weights(lo: int, hi: int) -> np.ndarray:
+        w = np.arange(lo, hi, dtype=float)  # k, then in place
+        w *= w  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
+        w *= p.delta_e**2
+        w += p.gamma**2
+        return np.divide(2.0 * p.delta_e, w, out=w)
 
     center = p.delta_e / p.gamma**2 if include_center else 0.0
-    values = _lattice(p.delta_e * times, p.k_max, weights, center).astype(complex)
+    values = _lattice(p.delta_e * times, p.k_max, [cos_weights], center).astype(complex)
     return values if np.ndim(t) else complex(values[0])
 
 
@@ -146,24 +146,17 @@ def lattice_sum(
             f"got {len(sin_weights)}"
         )
 
-    def padded(w: np.ndarray, start: int, size: int) -> np.ndarray:
-        part = w[max(start, 1) - 1 : start - 1 + size]
-        before = max(0, 1 - start)  # zeros for k <= 0, then up to a whole row
-        return np.pad(part, (before, size - before - len(part)))
-
-    def weights(start: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
-        sines = None if sin_weights is None else padded(sin_weights, start, size)
-        return padded(cos_weights, start, size), sines
-
-    return _lattice(angles, len(cos_weights), weights)
+    weights = [cos_weights] if sin_weights is None else [cos_weights, sin_weights]
+    forms = [lambda lo, hi, w=np.asarray(w): w[lo - 1 : hi - 1] for w in weights]
+    return _lattice(angles, len(cos_weights), forms)
 
 
-def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np.ndarray:
+def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.ndarray:
     """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``.
 
-    ``weights(start, size)`` forms ``c_k`` and ``s_k`` (or None for no
-    sines) for ``size`` values of ``k`` from ``start``, zero for ``k <= 0``
-    and beyond ``k_max``.  Chunk totals are combined per angle by TwoSum.
+    ``forms`` holds the form of ``c_k`` and, with sines, that of ``s_k``;
+    ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` for any
+    ``1 <= lo <= hi <= k_max + 1``.  Chunk totals are combined per angle by TwoSum.
     """
     # rows of width W, the smallest power of two >= sqrt(k_max) from 2 up to
     # _WIDTH, so that the base and offset tables are about equally costly;
@@ -171,7 +164,7 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
     chunk = max(1, _CHUNK // width)  # rows
-    folds = None  # one workspace for every chunk, sized by the first, the largest
+    folds = np.empty((len(forms), 2, min(chunk, rows), width // 2 + 1))  # for every chunk
     values = np.empty(len(angles))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
@@ -180,9 +173,8 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
         total = np.full(len(angle), center)
         error = np.zeros(len(angle))
         for first in range(0, rows, chunk):
-            size = min(chunk, rows - first)
-            folds = _fold(weights, first, size, width, folds)
-            part = _chunk_sum(first * width, width, angle, tables, folds[:, :, :size])
+            _fold(forms, first * width, k_max, folds[:, :, : rows - first])
+            part = _chunk_sum(first * width, width, angle, tables, folds[:, :, : rows - first])
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
@@ -192,35 +184,37 @@ def _lattice(angles: np.ndarray, k_max: int, weights, center: float = 0.0) -> np
     return values
 
 
-def _fold(weights, first: int, rows: int, width: int, folds: np.ndarray | None) -> np.ndarray:
-    """The weights of ``rows`` rows from row ``first``, each folded about its centre.
+def _fold(forms, base: int, k_max: int, folds: np.ndarray) -> None:
+    """Fill ``folds``, a ``(len(forms), 2, R, W/2 + 1)`` view, with ``R`` rows of folded weights.
 
-    Fills ``folds[:, :, :rows]`` and returns ``folds``, a ``(n, 2, R, W/2 + 1)``
-    workspace with ``R >= rows``, ``n = 1`` for cosine weights alone and 2
-    with sine weights; when ``folds`` is None, one of ``R = rows`` is made.
-    Entry ``[i, 0, r, m]`` holds the even part ``w_{B+m} + w_{B-m}`` of row
-    ``r``'s weights about its centre ``B``, and ``[i, 1, r, m]`` the odd part
-    ``w_{B+m} - w_{B-m}``; at ``m = 0`` the even part is ``w_B`` alone, and
-    at ``m = W/2`` only ``w_{B-m}`` is in the row.  The weights are formed a
-    few rows at a time, so only the folds are chunk-sized.
+    Row ``r`` holds ``k = B + m`` for ``-W/2 <= m < W/2`` about its centre
+    ``B = base + r W``.  Entry ``[i, 0, r, m]`` holds the even part
+    ``w_{B+m} + w_{B-m}`` of the weights that ``forms[i]`` forms, and
+    ``[i, 1, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the
+    even part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the
+    row.  The weights are formed a few rows at a time, so only the folds are
+    chunk-sized, and only for ``1 <= k <= k_max``: a block that runs past
+    either end (row 0's ``k <= 0``, the last row's tail) is padded with zeros.
     """
-    half = width // 2
+    half = folds.shape[-1] - 1
+    width = 2 * half
     block = max(1, _FOLD_ENTRIES // width)
-    for lo in range(0, rows, block):
-        size = min(block, rows - lo)
-        parts = [w for w in weights((first + lo) * width - half, size * width) if w is not None]
-        if folds is None:
-            folds = np.empty((len(parts), 2, rows, half + 1))
-        for w, fold in zip(parts, folds):
+    for lo in range(0, folds.shape[2], block):
+        size = min(block, folds.shape[2] - lo)
+        start = base - half + lo * width  # the block's first k
+        stop = start + size * width
+        inside = max(start, 1), min(stop, k_max + 1)
+        for form, (even, odd) in zip(forms, folds[:, :, lo : lo + size]):
+            w = form(*inside)
+            if inside != (start, stop):
+                w = np.concatenate((np.zeros(inside[0] - start), w, np.zeros(stop - inside[1])))
             w = w.reshape(size, width)  # the centre at column W/2
-            even, odd = fold[:, lo : lo + size]
             above, below = w[:, half + 1 :], w[:, half - 1 : 0 : -1]
             np.add(above, below, out=even[:, 1:half])
             np.subtract(above, below, out=odd[:, 1:half])
             even[:, 0], odd[:, 0] = w[:, half], 0.0
             # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
             even[:, half], odd[:, half] = w[:, 0], -w[:, 0]
-    return folds
 
 
 def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:

@@ -59,6 +59,11 @@ def test_spec_validation():
         BathSpec(5, 1e-300, 1e10)  # the secular equation's (H / delta_e)^2 overflows
     with pytest.raises(ValueError, match="gamma: pi H"):
         BathSpec(2, 1e300, 1e200)  # (H / delta_e)^2 is finite, H^2 is not
+    # a bath of 2.5 atoms read a survival probability of 1.0877 at t = 0
+    for n_half in (2.5, 20.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"^n_half: need an integer, got {n_half}$"):
+            BathSpec.from_gamma(n_half, 1.0, 0.05)
+    assert BathSpec.from_gamma(np.int64(3), 1.0, 0.05) == BathSpec.from_gamma(3, 1.0, 0.05)
 
 
 def test_spec_caps_the_dense_dimension():
@@ -74,8 +79,10 @@ def test_slot_bijection_round_trip():
     atoms = BathSpec(n, 0.1, 0.1).bath_atoms()
     assert slot_of_atom(n, 0) == 0
     assert [slot_of_atom(n, a) for a in atoms] == list(range(1, 2 * n + 1))
-    with pytest.raises(DimensionMismatch):
-        slot_of_atom(n, n + 1)
+    for atom in (n + 1, 2.5, 1.0, np.float64(-1.0)):
+        with pytest.raises(DimensionMismatch, match=f"^atom index {atom} outside"):
+            slot_of_atom(n, atom)
+    assert slot_of_atom(n, np.int64(-1)) == slot_of_atom(n, -1)
 
 
 def test_hamiltonian_smallest_bath():
@@ -890,8 +897,19 @@ def test_query_validates_photon_range(small_bath, no_spectrum):
         (lambda bath: propagator_element(bath, 11, 0.5), DimensionMismatch),
         (lambda bath: interaction_element(bath, -11, 0.5), DimensionMismatch),
         (lambda bath: bath_weak_projector_scan(bath, 0.0, 2.0, 1.5), ValueError),
+        (lambda bath: propagator_element(bath, 2.5, 0.5), DimensionMismatch),
+        (lambda bath: interaction_element(bath, 2.5, 0.5), DimensionMismatch),
+        # two times would each be divided by both times' window survival
+        (lambda bath: bath_weak_projector_scan(bath, 0.0, np.array([1.0, 1.5]), 2.0), ValueError),
     ],
-    ids=["propagator_element", "interaction_element", "scan_inverted_window"],
+    ids=[
+        "propagator_element",
+        "interaction_element",
+        "scan_inverted_window",
+        "propagator_element_half_atom",
+        "interaction_element_half_atom",
+        "scan_time_array",
+    ],
 )
 def test_elements_and_scan_check_before_the_solve(small_bath, no_spectrum, route, error):
     # survival and the scan's recurrence guard are pinned by their guard tests below

@@ -23,6 +23,12 @@ def test_params_validation():
         SumParams(1.0, 1e200)
     with pytest.raises(ValueError, match="^k_max: need >= 0, got -1"):
         SumParams(1.0, 0.1, k_max=-1)
+    for k_max in (1e4, math.nan, 2.5):
+        with pytest.raises(ValueError, match=f"^k_max: need an integer, got {k_max}$"):
+            SumParams(1.0, 0.1, k_max=k_max)
+    assert lorentzian_sum(SumParams(1.0, 0.1, k_max=np.int64(10))) == lorentzian_sum(
+        SumParams(1.0, 0.1, k_max=10)
+    )
     for times in (2.0 * math.pi / 0.1 + 1e-9, np.array([0.5, 70.0]), -1.0):
         with pytest.raises(ValueError, match="closed form valid for 0 <= delta_e"):
             phased_closed_form(1.0, 0.1, times)
@@ -205,6 +211,42 @@ def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch)
     assert np.max(np.abs(values - reference), initial=0.0) <= 1e-14 * scale
     values = sums.lattice_sum(angles, cos_weights)  # no sines
     assert np.max(np.abs(values - cosines), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "count, chunk",
+    [
+        (1, _WHOLE),  # rows of width 2: row 0 holds k = -1, 0 and row 1 k = 1, 2
+        (3, _WHOLE),  # the last row runs past K
+        (1055, _WHOLE),  # rows of width 64: the last row ends at k = K
+        (70000, _WHOLE),  # rows of width 512, in two blocks of forming
+        (3, 2),  # one row per chunk, so row 0's chunk forms no weight
+        (5000, 1 << 12),  # two chunks, the second partial
+    ],
+)
+def test_lattice_sum_forms_each_weight_once_and_only_in_range(count, chunk, monkeypatch):
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    asked = []  # per form, the (lo, hi) ranges it was asked for
+    lattice = sums._lattice
+
+    def recorded(angles, k_max, forms, center=0.0):
+        def record(form, ranges):
+            return lambda lo, hi: ranges.append((lo, hi)) or form(lo, hi)
+
+        asked.extend([] for _ in forms)
+        return lattice(angles, k_max, [record(f, r) for f, r in zip(forms, asked)], center)
+
+    monkeypatch.setattr(sums, "_lattice", recorded)
+    rng = np.random.default_rng(count)
+    cos_weights, sin_weights = rng.standard_normal((2, count))
+    angles = np.array([0.0, 0.3, 1.7])  # one block of times
+    sums.lattice_sum(angles, cos_weights, sin_weights)
+    assert len(asked) == 2 and asked[0] == asked[1]
+    assert all(1 <= lo <= hi <= count + 1 for lo, hi in asked[0])
+    formed = np.zeros(count + 1, dtype=int)
+    for lo, hi in asked[0]:
+        formed[lo:hi] += 1
+    assert np.all(formed[1:] == 1)
 
 
 @pytest.mark.parametrize("angle", [0.3, np.zeros((2, 3)), np.array([0.1, np.nan, np.inf])])
