@@ -43,8 +43,9 @@ def _run_model(args) -> int:
     # looked up on the module at each call, so a patched runner is the one run
     run = harness.convergence_sweep if config.model == "sweep" else harness.run_scenario
     result = run(config)
-    if config.out:
-        Path(config.out).write_text(result.to_csv(), encoding="utf-8")
+    if config.out:  # written block by block, so the whole text never exists
+        with open(config.out, "w", encoding="utf-8") as file:
+            result.to_csv(file)
     print(harness.summary_to_json(result.summary))
     return 0 if result.passed else 1
 

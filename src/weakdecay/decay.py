@@ -605,18 +605,35 @@ def _bessel(alpha: np.ndarray, degree: int) -> np.ndarray:
     ones too.  The running products of the ratios are ``J_k / J_0``, and
     ``J_0 + 2 sum_k J_2k = 1`` fixes ``J_0``.  The error is about
     ``J_(degree+1)(alpha)``, so ``degree`` must reach where the ``J_k`` are
-    negligible.
+    negligible.  Each order costs about four numpy calls over the row, so a
+    narrow table is bound by their overhead: :func:`_band_series` keeps its
+    blocks at least ``_BESSEL_ROOTS`` wide.
     """
     table = np.empty((degree + 1, len(alpha)))
     table[0] = 1.0
+    rows = list(table)  # one view per order, made once: a block makes ~4 numpy calls per order
     ratio, below = np.zeros(len(alpha)), np.empty(len(alpha))
     for k in range(degree, 0, -1):
         np.subtract(2.0 * k, np.multiply(alpha, ratio, below), below)
-        ratio = np.divide(alpha, below, table[k])
+        ratio = np.divide(alpha, below, rows[k])
     for k in range(1, degree + 1):  # row by row: numpy's cumprod down the rows is slower
-        table[k] *= table[k - 1]
+        np.multiply(rows[k], rows[k - 1], rows[k])
     table /= 2.0 * np.sum(table[::2], axis=0) - 1.0
     return table
+
+
+# A Bessel block of the band series holds about _BESSEL_ENTRIES entries (1 MiB),
+# so a warm process's heap does not grow to the largest table a window asks for
+# (3.6 MB at t_f = 3 on the default bath), but at least _BESSEL_ROOTS roots,
+# since _bessel's ~4 numpy calls per order cost the same at any width, and never
+# more entries than _BLOCK_ENTRIES.
+_BESSEL_ENTRIES = 1 << 17
+_BESSEL_ROOTS = 512
+
+
+def _bessel_roots(order: int) -> int:
+    """Roots per Bessel block of the band series at ``order``, by the rule above; at least 1."""
+    return max(1, min(max(_BESSEL_ROOTS, _BESSEL_ENTRIES // (order + 1)), _BLOCK_ENTRIES // (order + 1)))
 
 
 def _degree(z: float) -> int:
@@ -634,10 +651,11 @@ def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     ``eps_k (-1)^floor(k/2) J_k(a)`` times ``cos a`` for even ``k`` and
     ``sin a`` for odd ``k`` (``eps_0 = 1``, else 2): ``U_in``'s series comes
     from :func:`_bessel` in blocks of roots, two trig calls per root; a block
-    stops at its top root's order and holds as many roots as ``_BLOCK_ENTRIES``
-    allows at that order.  Its frequencies stay below ``N delta_e`` and the
-    product's below ``2 N delta_e``, so a wave's ``J_k(z)`` has ``z <= N
-    delta_e top / 2`` or ``N delta_e top``: :func:`_degree` gives each series
+    stops at its top root's order and holds as many roots as
+    :func:`_bessel_roots` gives at that order, about 1 MiB at any window.
+    Its frequencies stay below ``N delta_e`` and the product's below ``2 N
+    delta_e``, so a wave's ``J_k(z)`` has ``z <= N delta_e top / 2`` or
+    ``N delta_e top``: :func:`_degree` gives each series
     its length from the band and the window alone.  ``U_in`` is then summed
     at the product's Chebyshev points ``s = top sin^2(pi j / 2n)`` by an
     inverse FFT, times ``L`` as a lattice sum of :mod:`weakdecay.sums`, and
@@ -651,7 +669,7 @@ def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     top_root = len(alpha)
     while top_root:  # roots ascend: from the top down, each block takes its top root's order
         order = min(inner, _degree(alpha[top_root - 1]))
-        roots = slice(max(0, top_root - max(1, _BLOCK_ENTRIES // (order + 1))), top_root)
+        roots = slice(max(0, top_root - _bessel_roots(order)), top_root)
         bessel = _bessel(alpha[roots], order)
         series[: order + 1 : 2] += bessel[::2] @ (weight[roots] * np.cos(alpha[roots]))
         series[1 : order + 1 : 2] += bessel[1::2] @ (weight[roots] * np.sin(alpha[roots]))

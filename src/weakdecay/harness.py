@@ -30,8 +30,9 @@ from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDeca
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
-# Largest time grid: at this size a spin run takes ~3-3.5 s on one core, peaks near
-# 390 MB and writes an 84 MB CSV.
+# Largest time grid: at this size a spin run takes ~3-4 s on one core, peaks near
+# 125 MB RSS (evaluation in time blocks, the CSV written block by block) and
+# writes an 80 MB CSV.
 MAX_POINTS = 1_000_000
 
 # Rows per CSV render block.  Each block reprs its distinct cells once; one memo
@@ -270,9 +271,11 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
 
 
 def out_problems(out: Optional[str]) -> list[str]:
-    """An output path is checked before any work: its directory must already exist."""
+    """An output path is checked before any work: its directory must already exist, and it must not be one."""
     if not out:
         return []
+    if os.path.isdir(out):
+        return [f"out: {out!r} is a directory, need a file path"]
     directory = os.path.dirname(out) or "."
     return [] if os.path.isdir(directory) else [f"out: directory {directory!r} does not exist"]
 
@@ -331,8 +334,9 @@ class ScenarioResult:
     def passed(self) -> bool:
         return bool(self.summary["passed"])
 
-    def to_csv(self) -> str:
-        return rows_to_csv(self.rows)
+    def to_csv(self, file=None) -> Optional[str]:
+        """The CSV text; with ``file``, an open text file, it is written there block by block instead."""
+        return rows_to_csv(self.rows, file)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -374,14 +378,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(rows, summary)
 
 
-def rows_to_csv(rows: Rows) -> str:
+def rows_to_csv(rows: Rows, file=None) -> Optional[str]:
     """Render rows under the fixed header; bit-exact for identical inputs.
 
     Rows render in blocks of ``_RENDER_ROWS``.  A block keys each cell by its
     float64 bits, so -0.0 stays apart from 0.0 and every NaN reads ``nan``; it
     calls ``repr`` once per distinct key and gathers the strings back in row
     order, so the text is that of a ``repr`` per cell.  After a failure the
-    abs_error cells read ``none``.
+    abs_error cells read ``none``.  Without ``file`` the text is returned;
+    with an open text file each block is written to it as it renders, so the
+    whole text never exists, and None is returned.
     """
     columns = [rows.t, rows.value.real, rows.value.imag, rows.reference.real, rows.reference.imag]
     if not rows.error:
@@ -389,15 +395,17 @@ def rows_to_csv(rows: Rows) -> str:
     # a block's text in row order: every cell followed by its separator
     cells = np.empty((min(len(rows), _RENDER_ROWS), 12), dtype=object)
     cells[:] = [None, ","] * 5 + ["none", "\n"]
-    parts = [CSV_HEADER + "\n"]
+    parts: list[str] = []
+    write = parts.append if file is None else file.write
+    write(CSV_HEADER + "\n")
     for start in range(0, len(rows), _RENDER_ROWS):
         block = np.stack([column[start : start + _RENDER_ROWS] for column in columns], axis=1)
         keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
         text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
         filled = cells[: len(block)]
         filled[:, : 2 * len(columns) : 2] = text[inverse.reshape(block.shape)]
-        parts.append("".join(filled.ravel().tolist()))
-    return "".join(parts)
+        write("".join(filled.ravel().tolist()))
+    return "".join(parts) if file is None else None
 
 
 def summary_to_json(summary: dict) -> str:
@@ -419,12 +427,16 @@ class SweepResult(ScenarioResult):
     def trend(self) -> str:
         return self.summary["trend"]  # "decreasing" | "exact" | "not-decreasing" | "n/a"
 
-    def to_csv(self) -> str:
+    def to_csv(self, file=None) -> Optional[str]:
         lines = ["n_half,max_abs_error,seconds,marker"]
         for r in self.rows:
             err = "none" if r.max_abs_error is None else repr(r.max_abs_error)
             lines.append(f"{r.n_half},{err},{r.seconds:.3f},{r.marker}")
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        if file is None:
+            return text
+        file.write(text)
+        return None
 
 
 def convergence_sweep(config: ScenarioConfig) -> SweepResult:

@@ -37,6 +37,10 @@ from .core import (
 # radian, so the closed forms' cos and sin of it mean nothing.
 MAX_PHASE = 4.5e15
 
+# Times per evaluation block of a long grid: a block's 2x2 propagator stack
+# takes 256 KiB and all the kernel's temporaries about 1.5 MiB, at any grid.
+_BLOCK_TIMES = 1 << 12
+
 X_PLUS = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
 X_MINUS = StateVector(np.array([1.0, -1.0]) / math.sqrt(2.0))
 Y_PLUS = StateVector(np.array([1.0j, -1.0]) / math.sqrt(2.0))
@@ -76,6 +80,24 @@ def _check_operands(omega: float, t_i: float, t, t_f: float) -> None:
     if problem := params_problem(omega, t_i, t_f):
         raise ValueError(problem)
     check_window(t_i, t, t_f)
+
+
+def _in_blocks(per_time, t):
+    """``per_time(t)``, for a 1-D grid in equal blocks of at most ``_BLOCK_TIMES`` times.
+
+    Every value depends on its own time alone, so the blocks keep every bit.
+    Equal blocks hold at least ``_BLOCK_TIMES / 2`` times each: a block of
+    one time would take another BLAS path in the kernel's last product,
+    which can move its last bit.
+    """
+    if np.ndim(t) != 1 or len(t) <= _BLOCK_TIMES:
+        return per_time(t)
+    count = -(-len(t) // _BLOCK_TIMES)
+    edges = [len(t) * k // count for k in range(count + 1)]
+    values = np.empty(len(t), dtype=complex)
+    for lo, hi in zip(edges, edges[1:]):
+        values[lo:hi] = per_time(t[lo:hi])
+    return values
 
 
 class PostChoice(enum.Enum):
@@ -119,12 +141,18 @@ def spin_weak_kernel(
 ) -> complex | np.ndarray:
     """Weak value of the +x projector via the numeric kernel (ground truth).
 
-    ``t`` is one time or a 1-D array of times; an array gives one value per time.
-    The operands are checked before any propagator is built.
+    ``t`` is one time or a 1-D array of times; an array gives one value per
+    time, from propagator stacks of a block of times at a time.  The
+    operands are checked before any propagator is built.
     """
     _check_operands(omega, t_i, t, t_f)
-    u_mid, u_late = spin_propagator(omega, t - t_i), spin_propagator(omega, t_f - t)
-    return weak_value(X_PLUS, post.value, projector_from_state(X_PLUS), u_mid, u_late)
+    observable = projector_from_state(X_PLUS)
+
+    def per_time(times):
+        u_mid, u_late = spin_propagator(omega, times - t_i), spin_propagator(omega, t_f - times)
+        return weak_value(X_PLUS, post.value, observable, u_mid, u_late)
+
+    return _in_blocks(per_time, t)
 
 
 def spin_weak_closed(
@@ -135,18 +163,22 @@ def spin_weak_closed(
     Half-angles below: ``a`` for the elapsed interval, ``b`` for the
     remaining interval, ``h`` for the whole window.  The denominator depends
     on the window only, so it is checked once for every time in ``t`` (one
-    time or a 1-D array).
+    time or a 1-D array), or once per block of times of a long grid.
     """
     _check_operands(omega, t_i, t, t_f)
-    a = 0.5 * omega * (t - t_i)
-    b = 0.5 * omega * (t_f - t)
     h = 0.5 * omega * (t_f - t_i)
     what = f"{post.name} post-selection"
-    if post is PostChoice.X_PLUS:
-        value = np.cos(a) * np.cos(b) / nonsingular(math.cos(h), what)
-    elif post is PostChoice.X_MINUS:
-        value = 0.5 - np.sin(a - b) / (2.0 * nonsingular(math.sin(h), what))
-    else:
-        value = np.cos(a) * (np.cos(b) - np.sin(b)) / nonsingular(math.cos(h) - math.sin(h), what)
-    return value + 0j
+
+    def per_time(times):
+        a = 0.5 * omega * (times - t_i)
+        b = 0.5 * omega * (t_f - times)
+        if post is PostChoice.X_PLUS:
+            value = np.cos(a) * np.cos(b) / nonsingular(math.cos(h), what)
+        elif post is PostChoice.X_MINUS:
+            value = 0.5 - np.sin(a - b) / (2.0 * nonsingular(math.sin(h), what))
+        else:
+            value = np.cos(a) * (np.cos(b) - np.sin(b)) / nonsingular(math.cos(h) - math.sin(h), what)
+        return value + 0j
+
+    return _in_blocks(per_time, t)
 

@@ -135,20 +135,24 @@ def lattice_sum(
     ``K`` is the length of the weights (``sin_weights`` may be None, for no
     sines, or else must have the same length); they go through the same
     rows, tables and compensated summation as the Lorentzian sums.
-    ``angle`` must be a 1-D array of finite angles.
+    ``angle`` must be a 1-D array of finite angles, and each set of weights
+    a 1-D array of finite real weights.
     """
     angles = np.asarray(angle, dtype=float)
     if angles.ndim != 1 or not np.all(np.isfinite(angles)):
         raise ValueError(f"angle: need a 1-D array of finite angles, got {angle}")
-    if sin_weights is not None and len(sin_weights) != len(cos_weights):
+    weights = [np.asarray(cos_weights)] + ([] if sin_weights is None else [np.asarray(sin_weights)])
+    for name, w in zip(("cos_weights", "sin_weights"), weights):
+        if w.ndim != 1 or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
+            raise ValueError(f"{name}: need a 1-D array of finite real weights, got {w}")
+    if len(weights) > 1 and len(weights[1]) != len(weights[0]):
         raise ValueError(
-            f"sin_weights: need {len(cos_weights)} weights, as many as cos_weights, "
-            f"got {len(sin_weights)}"
+            f"sin_weights: need {len(weights[0])} weights, as many as cos_weights, "
+            f"got {len(weights[1])}"
         )
 
-    weights = [cos_weights] if sin_weights is None else [cos_weights, sin_weights]
-    forms = [lambda lo, hi, w=np.asarray(w): w[lo - 1 : hi - 1] for w in weights]
-    return _lattice(angles, len(cos_weights), forms)
+    forms = [lambda lo, hi, w=w: w[lo - 1 : hi - 1] for w in weights]
+    return _lattice(angles, len(weights[0]), forms)
 
 
 def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.ndarray:

@@ -254,12 +254,8 @@ def test_emission_series_tail_at_the_largest_case():
     assert np.max(np.abs(coeffs[-10:])) <= 1e-15 * np.max(np.abs(coeffs))
 
 
-@pytest.mark.parametrize(
-    "n_half, top, steps", [(decay.MAX_N_HALF, 20.0, 8121), (2000, 60.0, 9237), (2000, 2.0, 166)]
-)
-def test_band_series_sizes_each_root_block_by_its_own_order(n_half, top, steps, monkeypatch):
-    # blocks all sized by the whole series' order took 11,908 and 14,445 recurrence
-    # steps on the two long windows; the default bath is one block either way
+def _bessel_blocks(monkeypatch, n_half, top):
+    """``(roots, order)`` of each Bessel block of the band series, from the top root down."""
     blocks = []
     bessel = decay._bessel
 
@@ -269,11 +265,37 @@ def test_band_series_sizes_each_root_block_by_its_own_order(n_half, top, steps, 
 
     monkeypatch.setattr(decay, "_bessel", recorded)
     decay._band_series(decay._spectrum(BathSpec.from_gamma(n_half, 1.0, 0.05)), top)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "n_half, top, steps",
+    [(decay.MAX_N_HALF, 20.0, 9963), (2000, 60.0, 9730), (2000, 2.0, 322), (2000, 3.0, 503)],
+)
+def test_band_series_sizes_each_root_block_by_its_own_order(n_half, top, steps, monkeypatch):
+    # blocks all sized by the whole series' order took 11,908 and 14,445 recurrence
+    # steps on the two long windows; blocks as large as _BLOCK_ENTRIES allows took
+    # 8121 and 9237, and the default bath was one block of 166 steps at top = 2
+    # and 224 at top = 3 (2.7 and 3.6 MB, a table that grew with the window)
+    blocks = _bessel_blocks(monkeypatch, n_half, top)
     assert sum(degree for _, degree in blocks) == steps
     assert sum(count for count, _ in blocks) == n_half - 1
-    # from the top root down, every block but the lowest is as large as its own order allows
-    assert all(count == decay._BLOCK_ENTRIES // (degree + 1) for count, degree in blocks[:-1])
+    # from the top root down, every block but the lowest holds 2^17 entries' worth
+    # of roots, but at least 512 roots, and never more than _BLOCK_ENTRIES entries
+    for count, degree in blocks[:-1]:
+        assert count == min(max(512, 2**17 // (degree + 1)), decay._BLOCK_ENTRIES // (degree + 1))
     assert all(count * (degree + 1) <= decay._BLOCK_ENTRIES for count, degree in blocks)
+
+
+@pytest.mark.parametrize("n_half, top", [(2000, 2.0), (2000, 10.0), (2000, 30.0), (decay.MAX_N_HALF, 20.0)])
+def test_blocked_band_series_meets_a_single_block(n_half, top, monkeypatch):
+    # measured: at most 3.4e-16 of the largest coefficient; each block starts its
+    # recurrence at its own top order, which moves last bits only
+    spec = decay._spectrum(BathSpec.from_gamma(n_half, 1.0, 0.05))
+    blocked = decay._band_series(spec, top)
+    monkeypatch.setattr(decay, "_bessel_roots", lambda order: n_half)
+    single = decay._band_series(spec, top)
+    assert np.max(np.abs(blocked - single)) <= 1e-15 * np.max(np.abs(single))
 
 
 def test_bessel_recurrence_matches_scipy():
@@ -500,6 +522,20 @@ def test_asymptotic_weak_value_memory_forms_no_complex_column():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**20
+
+
+def test_default_asymptotic_weak_value_memory_at_t_f_3():
+    # one Bessel table of all 1999 inner roots to order 224, sized by the window
+    # peaked at 3.62 MiB; blocks of about 2^17 entries, at 1.19 MiB
+    bath = default_bath()
+    grid = np.linspace(0.0, 3.0, 101)
+    tracemalloc.start()
+    try:
+        weak_survival_numeric(bath, 0.0, grid, 3.0, PostSpec("asymptotic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_a_long_grid_frees_each_block_before_the_next():

@@ -691,6 +691,67 @@ def test_cli_out_into_a_missing_directory_exits_2_before_any_work(
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("command", ["spin", "check"])
+def test_cli_out_naming_a_directory_exits_2_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # an existing directory passed the parent-directory check: spin then ran its
+    # job and check its whole battery before the write raised IsADirectoryError
+    def no_work(*args):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "run_scenario", no_work)
+    monkeypatch.setattr(checks, "run_battery", no_work)
+    assert cli.main([command, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: out: {str(tmp_path)!r} is a directory, need a file path" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, sets",
+    [
+        ("spin", [f"n_points={2 * harness._RENDER_ROWS + 1}"]),
+        # cos(h) = 0 over the window [0, pi]: every row fails and abs_error reads none
+        ("spin", [f"n_points={2 * harness._RENDER_ROWS + 1}", f"t_f={math.pi}"]),
+        ("sweep", ["levels=20,40", "n_points=5"]),
+    ],
+    ids=["three-blocks", "failed-run", "sweep"],
+)
+def test_cli_streams_the_csv_that_to_csv_renders(command, sets, tmp_path, monkeypatch, capsys):
+    results = []
+
+    def recorded(run):
+        def call(config):
+            results.append(run(config))
+            return results[-1]
+
+        return call
+
+    for name in ("run_scenario", "convergence_sweep"):
+        monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
+    out = tmp_path / "rows.csv"
+    cli.main([command, *_set_args(sets), "--out", str(out)])
+    (result,) = results
+    assert out.read_bytes() == result.to_csv().encode("utf-8")
+    if f"t_f={math.pi}" in sets:
+        assert result.rows.error and out.read_text(encoding="utf-8").count(",none\n") == len(result.rows)
+
+
+def test_spin_cli_memory_at_1e5_points(tmp_path, capsys):
+    # whole-grid propagator stacks and the CSV's text, joined and then encoded
+    # whole, peaked at 35.9 MiB here; time blocks and a CSV streamed to its
+    # file, at 9.2 MiB, most of it the grid's own columns
+    out = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["spin", "--set", "n_points=100000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8").count("\n") == 100_001
+    assert peak <= 12 * 2**20
+
+
 def _set_args(sets):
     return [arg for item in sets for arg in ("--set", item)]
 

@@ -18,6 +18,7 @@ from weakdecay import (
     strong_expectation,
     weak_value,
 )
+from weakdecay import spin
 from weakdecay.spin import X_MINUS, X_PLUS, Y_PLUS, params_problem
 
 
@@ -181,3 +182,20 @@ def test_out_of_window_time_rejected():
     for route in (spin_weak_closed, spin_weak_kernel):
         with pytest.raises(ValueError, match="need t_i <= t <= t_f"):
             route(1.0, 0.0, 1.5, 1.0, PostChoice.X_PLUS)
+
+
+@pytest.mark.parametrize("post", list(PostChoice))
+@pytest.mark.parametrize("route", [spin_weak_kernel, spin_weak_closed])
+def test_time_blocks_keep_every_bit(route, post, monkeypatch):
+    # 10001 times take three equal blocks at the default size, eleven at 1000
+    # and two at 5000; blocks of 1000 and a last one of a single time moved
+    # the kernel's last bit there
+    grid = np.linspace(0.0, 1.1, 10001)
+    assert len(grid) > 2 * spin._BLOCK_TIMES
+    values = {}
+    for size in (spin._BLOCK_TIMES, 1000, 5000, len(grid)):
+        monkeypatch.setattr(spin, "_BLOCK_TIMES", size)
+        values[size] = route(1.3, 0.0, grid, 1.1, post)
+    whole = values.pop(len(grid))
+    assert all(np.array_equal(blocked, whole) for blocked in values.values())
+    assert whole.dtype == complex and whole.shape == grid.shape

@@ -255,6 +255,20 @@ def test_lattice_sum_needs_a_1d_array_of_finite_angles(angle):
         sums.lattice_sum(angle, np.ones(3))
 
 
+@pytest.mark.parametrize("name", ["cos_weights", "sin_weights"])
+@pytest.mark.parametrize(
+    "weights",
+    [np.ones((3, 2)), np.ones(3, dtype=complex), np.array([1.0, np.nan, 2.0]), np.array([np.inf, 0.0, 1.0])],
+    ids=["2-D", "complex", "nan", "inf"],
+)
+def test_lattice_sum_needs_a_1d_array_of_finite_real_weights(name, weights):
+    # a 2-D array failed inside _fold, complex weights with a UFuncTypeError, and
+    # a NaN weight summed to NaN
+    given = {"cos_weights": np.ones(3), "sin_weights": np.ones(3), name: weights}
+    with pytest.raises(ValueError, match=f"^{name}: need a 1-D array of finite real weights, got "):
+        sums.lattice_sum(np.array([0.1, 0.2]), **given)
+
+
 def test_lattice_sum_needs_as_many_sines_as_cosines():
     message = "^sin_weights: need 3 weights, as many as cos_weights, got 2"
     with pytest.raises(ValueError, match=message):
