@@ -30,17 +30,18 @@ from .errors import BeyondRecurrence, ConfigInvalid, DimensionMismatch, WeakDeca
 
 CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
-# Largest time grid: at this size a spin run takes ~3-4 s on one core, peaks near
-# 125 MB RSS (evaluation in time blocks, the CSV written block by block) and
-# writes an 80 MB CSV.
+# Largest time grid: at this size a spin run takes ~2.5-3 s on one core, peaks near
+# 92 MB RSS (evaluation in time blocks, the CSV written block by block) and
+# writes an 80 MB CSV; an asymptotic decay run peaks near 125 MB, inside its route.
 MAX_POINTS = 1_000_000
 
 # Rows per CSV render block.  Each block reprs its distinct cells once; one memo
 # over a whole 1e6-row table raised that run's peak RSS from 390 to 727 MB.
 _RENDER_ROWS = 2048
 
-# Largest lattice-sum job (n_points * k_max terms): ~2.4-2.8 s on one core at
-# 2 points, where forming the k_max weights dominates; ~0.6 s at 10 points.
+# Largest lattice-sum job (n_points * k_max terms): ~2.7-2.9 s on one core at
+# 2 points, where forming the k_max weights dominates, and 33 MB peak RSS;
+# ~0.8 s at 10 points.
 MAX_SUM_TERMS = 10**9
 
 _SPIN_POSTS = {
@@ -347,9 +348,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         )
     grid = np.linspace(config.t_start, config.t_end, config.n_points)
     try:
-        values, references = _EVALUATORS[config.model](config, grid)
-        # + 0.0 turns a signed zero into 0.0 and leaves every other bit, so no cell reads -0.0
-        rows = Rows(grid, np.asarray(values, complex) + 0.0, np.asarray(references, complex) + 0.0)
+        # every evaluator returns new, writable arrays, so they are changed in place:
+        # adding 0.0 turns a signed zero into 0.0 and leaves every other bit, so no
+        # cell reads -0.0
+        value, reference = (np.asarray(a, complex) for a in _EVALUATORS[config.model](config, grid))
+        value += 0.0
+        reference += 0.0
+        rows = Rows(grid, value, reference)
     except WeakDecayError as exc:
         value = np.full(grid.shape, complex(math.nan, 0.0))
         reference = np.full(grid.shape, complex(math.nan, math.nan))

@@ -159,7 +159,7 @@ def _term_by_term(g, de, k_max, t):
 
 
 # a chunk that holds each sum of the two fsum tests whole, as the default
-# 2^19 does (at most 257 rows here), so those cases run the default's one
+# 2^18 does (at most 257 rows here), so those cases run the default's one
 # chunk; it is written out so that the cases keep their names
 _WHOLE = 1 << 20
 
@@ -331,16 +331,26 @@ def test_phased_sum_memory_does_not_grow_with_the_grid():
     assert peak <= 48 * 2**20
 
 
-def test_default_phased_sum_memory_holds_no_second_k_array():
-    # the 1M weights are formed a few rows at a time and folded about their
-    # rows' centres, chunk by chunk, into one reused 4 MiB workspace (peak
-    # 6.5 MiB); one 8 MiB fold array per chunk of 2^20 took the peak to
-    # 11.6 MiB, and a k array beside the whole chunk to 20.7 MiB
+def _default_sum_peak():
+    """Traced peak of the default phased sum: 101 times on [0, 3], k_max = 1e6."""
     times = np.linspace(0.0, 3.0, 101)
     tracemalloc.start()
     try:
         phased_lorentzian_sum(SumParams(1.0, 0.05), times)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+
+
+def test_default_phased_sum_memory_holds_no_second_k_array():
+    # the 1M weights are formed a few rows at a time and folded about their
+    # rows' centres, chunk by chunk, into one reused workspace (4 MiB at
+    # chunks of 2^19, peak 6.5 MiB); one 8 MiB fold array per chunk of 2^20
+    # took the peak to 11.6 MiB, and a k array beside the whole chunk to 20.7 MiB
+    assert _default_sum_peak() <= 8 * 2**20
+
+
+def test_default_phased_sum_memory_stays_within_a_2_mib_workspace():
+    # chunks of 2^18 weights fold into a 2 MiB workspace: the default sum
+    # peaks at 3.6 MiB traced, against 6.5 MiB with chunks of 2^19
+    assert _default_sum_peak() <= 4 * 2**20
