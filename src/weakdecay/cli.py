@@ -8,8 +8,9 @@ Each model command runs the harness model of its name: a scenario's rows
 (a sweep's levels) go to the CSV given by --out (or the config's ``out``
 key); a single-line JSON summary always goes to stdout.  A config's
 ``model`` must match the command.  Exit codes: 0 all tolerances met, 1
-tolerance breach or numerical failure inside a scenario grid (reported as
-row errors), 2 invalid input, 3 numerical failure outside a scenario grid.
+tolerance breach or numerical failure inside a scenario grid (reported
+once, in ``row_errors``), 2 invalid input, 3 numerical failure outside a
+scenario grid.
 """
 
 from __future__ import annotations

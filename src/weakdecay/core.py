@@ -153,8 +153,11 @@ class Propagator:
         m = np.array(self.matrix, dtype=complex, copy=True)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise DimensionMismatch(f"propagator must be a square matrix, got shape {m.shape}")
-        defect = _unitarity_defect(m)
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf entry fails the check, not a warning
+            defect = _unitarity_defect(m)
         if not defect <= UNITARY_TOL:
+            if not np.all(np.isfinite(m)):  # looked at only after a failed check, so it costs nothing
+                raise ValueError("matrix is not unitary: its entries are not all finite")
             raise ValueError(f"matrix is not unitary: max|U^H U - 1| = {defect:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -173,6 +176,12 @@ def check_times(t: float | np.ndarray) -> None:
     """Raise ValueError unless every time in ``t`` is ``>= 0``; a NaN fails too."""
     if not np.all(np.asarray(t) >= 0):
         raise ValueError("t must be nonnegative")
+
+
+def check_finite_times(t: float | np.ndarray) -> None:
+    """Raise ValueError unless every time in ``t`` is finite; negative times pass."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
 
 
 def check_recurrence(span: float, delta_e: float) -> None:

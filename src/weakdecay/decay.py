@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import laws, sums
-from .core import Propagator, check_recurrence, check_times, check_window, nonsingular
+from .core import Propagator, check_finite_times, check_recurrence, check_times, check_window, nonsingular
 from .errors import DimensionMismatch
 
 REFERENCE_SLOT = 0
@@ -424,8 +424,10 @@ def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
     eigenvalues.  Builds (and unitarity-checks) the full ``dim x dim``
     matrix, one per time for an array ``t``, which costs O(dim^3) each; use
     :func:`propagator_column` / :func:`propagator_element` for large baths
-    when only amplitudes out of the reference slot are needed.
+    when only amplitudes out of the reference slot are needed.  Every time
+    must be finite.
     """
+    check_finite_times(t)
     spec = _spectrum(bath)
     cell = np.concatenate([[0.0], spec.cell, -spec.cell])
     offset = np.concatenate([[0.0], spec.offset, -spec.offset])
@@ -561,25 +563,29 @@ def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
 
     An array ``t`` gives one column per time, shape ``t.shape + (dim,)``.
     The ``T`` times cost one real ``2T x N x N`` product with the paired
-    Cauchy kernel (see :func:`_pair_kernel`).
+    Cauchy kernel (see :func:`_pair_kernel`).  Every time must be finite.
     """
+    check_finite_times(t)
     return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=False)
 
 
 def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
-    """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per time in ``t``."""
+    """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per finite time in ``t``."""
+    check_finite_times(t)
     return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=True)
 
 
 def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
-    """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per time."""
+    """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per finite time."""
     slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
+    check_finite_times(t)
     return _element(_spectrum(bath), atom, t, interaction=False)
 
 
 def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
-    """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``."""
+    """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``, per finite time."""
     slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
+    check_finite_times(t)
     return _element(_spectrum(bath), atom, t, interaction=True)
 
 
@@ -792,19 +798,6 @@ class PostSpec:
         raise ValueError(f"post: bad photon atom in {self.word!r}: {problem}")
 
 
-def _post_overlap(spec: _Spectrum, post: PostSpec, t: float | np.ndarray) -> complex | np.ndarray:
-    """Overlap of the post-selected state with the reference evolved for ``t``.
-
-    Bath states are read in the interaction picture, the convention of the
-    closed forms; the emission state is left unnormalized, since its norm
-    cancels between the numerator and the denominator of a weak value.  The
-    reference atom has no free phase, so the undecayed overlap is its element.
-    """
-    if post.word == "asymptotic":
-        return _emission_overlap(spec, t)
-    return _element(spec, post.photon_atom or 0, t, interaction=True)
-
-
 def weak_survival_numeric(
     bath: BathSpec, t_i: float, t: float | np.ndarray, t_f: float, post: PostSpec
 ) -> complex | np.ndarray:
@@ -812,9 +805,13 @@ def weak_survival_numeric(
 
     Every post-selection gives the ratio
     ``<f|U(t_f - t)|0> U00(t - t_i) / <f|U(t_f - t_i)|0>`` of overlaps out
-    of the reference slot.  The undecayed one is the finite-bath counterpart
-    of an identity that is exactly 1 in the scaling limit; at finite N it
-    deviates at the band-width level.
+    of the reference slot.  A bath state is read in the interaction picture,
+    the convention of the closed forms, and the emission state
+    (:func:`_emission_overlap`) is left unnormalized, since its norm cancels
+    between the numerator and the denominator.  The reference atom has no
+    free phase, so the undecayed overlap is its element; that weak value is
+    the finite-bath counterpart of an identity that is exactly 1 in the
+    scaling limit, and at finite N it deviates at the band-width level.
 
     ``t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated with the grid and checked once.
@@ -829,7 +826,11 @@ def weak_survival_numeric(
     if post.photon_atom is not None:
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch before the solve
     spec = _spectrum(bath)
-    overlap = _post_overlap(spec, post, np.append(window, t_f - np.asarray(t)))
+    times = np.append(window, t_f - np.asarray(t))
+    if post.word == "asymptotic":
+        overlap = _emission_overlap(spec, times)
+    else:
+        overlap = _element(spec, post.photon_atom or 0, times, interaction=True)
     denom = nonsingular(overlap[0], f"{post.word} post-selection")
     return overlap[1:].reshape(np.shape(t)) * _element(spec, 0, t - t_i, interaction=False) / denom
 

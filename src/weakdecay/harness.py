@@ -5,7 +5,8 @@ grid point with the numeric value, the closed-form comparator and their
 absolute difference.  Identical configs produce byte-identical output.  Every
 model evaluates its grid in one call, held as arrays; a numerical failure (a
 vanishing post-selection, a window or grid beyond the recurrence guard) does
-not depend on the probe time, so it is one error name that marks every row.
+not depend on the probe time, so it is one error name that marks every row
+and that the summary states once.
 The ``sweep`` model is the survival law over bath sizes, one row per level.
 
 Config files are flat ``key = value`` lines with ``#`` comments; every key
@@ -369,7 +370,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         "max_abs_error": max_err,
         "tolerance": config.tolerance,
         "passed": bool(max_err is not None and max_err <= config.tolerance),
-        "row_errors": [{"t": t, "error": rows.error} for t in grid.tolist()] if rows.error else [],
+        "row_errors": [{"error": rows.error, "rows": len(rows)}] if rows.error else [],
     }
     if config.model == "decay":
         summary["recurrence_time"] = config.bath.recurrence_time

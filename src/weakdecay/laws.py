@@ -36,8 +36,10 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
     """
     t = np.asarray(t, dtype=float)
     check_times(t)
-    if not delta_e > 0:
-        raise ValueError("delta_e must be positive")
+    if not (math.isfinite(delta_e) and delta_e > 0):
+        raise ValueError(f"delta_e must be positive and finite, got {delta_e}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     h = math.sqrt(gamma * delta_e / math.pi)
     pole = gamma - 1j * n * delta_e
     if abs(pole) == 0.0:
@@ -65,23 +67,33 @@ def decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | 
 
 
 def lattice_limit(gamma: float, t: float | np.ndarray) -> float | np.ndarray:
-    """Limit ``(pi/gamma) e^{-gamma t}`` of the phased lattice sum, one ``math.exp`` per time ``t >= 0``."""
+    """Limit ``(pi/gamma) e^{-gamma t}`` of the phased lattice sum, one ``math.exp`` per time ``t >= 0``.
+
+    ``gamma`` must be a finite rate > 0, as :func:`lattice_problems` words it.
+    """
+    if problem := _rate_problem("gamma", gamma):
+        raise ValueError(problem)
     check_times(t)
     values = [math.pi / gamma * math.exp(-gamma * s) for s in np.ravel(t).tolist()]
     return np.reshape(values, np.shape(t))[()]
 
 
 # ---------------------------------------------------------------- a fixed spacing
+def _rate_problem(name: str, value: float) -> str | None:
+    """What keeps the parameter ``name`` from a finite ``value > 0``; or None."""
+    return None if math.isfinite(value) and value > 0 else f"{name}: need a finite value > 0, got {value}"
+
+
 def lattice_problems(gamma: float, delta_e: float) -> list[str]:
     """What keeps ``(gamma, delta_e)`` from naming a Lorentzian lattice, one line each."""
     problems = []
     square = gamma * gamma  # the center term is delta_e / gamma**2
-    if not (math.isfinite(gamma) and gamma > 0):
-        problems.append(f"gamma: need a finite value > 0, got {gamma}")
+    if problem := _rate_problem("gamma", gamma):
+        problems.append(problem)
     elif math.isfinite(delta_e) and not (0.0 < square < math.inf and math.isfinite(delta_e / square)):
         problems.append(f"gamma: center term delta_e / gamma**2 is not finite at {gamma}")
-    if not (math.isfinite(delta_e) and delta_e > 0):
-        problems.append(f"delta_e: need a finite value > 0, got {delta_e}")
+    if problem := _rate_problem("delta_e", delta_e):
+        problems.append(problem)
     elif not math.isfinite(delta_e * delta_e):  # the terms use delta_e**2
         problems.append(f"delta_e: delta_e**2 is not finite at {delta_e}")
     elif not math.isfinite(2.0 * math.pi / delta_e):

@@ -112,11 +112,16 @@ class PostChoice(enum.Enum):
 
 
 def spin_propagator(omega: float, t: float | np.ndarray) -> Propagator:
-    """Exact propagator ``diag(e^{i w t/2}, e^{-i w t/2})``, one per time for an array ``t``."""
-    phase = 0.5 * omega * np.asarray(t, dtype=float)
-    m = np.zeros(phase.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = np.exp(1j * phase)
-    m[..., 1, 1] = np.exp(-1j * phase)
+    """Exact propagator ``diag(e^{i w t/2}, e^{-i w t/2})``, one per time for an array ``t``.
+
+    A non-finite ``omega`` or time gives non-finite entries, which the
+    :class:`~weakdecay.core.Propagator` check reports as such.
+    """
+    with np.errstate(invalid="ignore"):  # an infinite phase turns NaN here, not a warning
+        phase = 0.5 * omega * np.asarray(t, dtype=float)
+        m = np.zeros(phase.shape + (2, 2), dtype=complex)
+        m[..., 0, 0] = np.exp(1j * phase)
+        m[..., 1, 1] = np.exp(-1j * phase)
     return Propagator(m)
 
 

@@ -163,6 +163,25 @@ def test_nan_fails_every_tolerance_check():
         )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spin_propagator(1.0, math.nan),
+        lambda: spin_propagator(1.0, math.inf),
+        lambda: spin_propagator(1.0, [0.0, -math.inf]),
+        lambda: spin_propagator(math.nan, 1.0),
+        lambda: spin_propagator(math.inf, 0.0),
+        lambda: Propagator(np.array([[math.inf]])),
+        lambda: Propagator(np.diag([1.0, math.nan, 1.0])),
+    ],
+    ids=["t_nan", "t_inf", "t_minus_inf", "omega_nan", "omega_inf", "inf_entry", "nan_entry"],
+)
+def test_a_non_finite_propagator_is_named_as_such(build):
+    # these read "max|U^H U - 1| = nan", or an infinity raised a RuntimeWarning first
+    with pytest.raises(ValueError, match="^matrix is not unitary: its entries are not all finite$"):
+        build()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_expectations_take_one_propagator_not_a_stack(n):
     stack = spin_propagator(1.0, np.linspace(0.0, 1.5, n))

@@ -809,6 +809,22 @@ def test_un0_limit_values():
     assert abs(late) == pytest.approx(h, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, math.inf, 3, 1.0), "^delta_e must be positive and finite, got inf$"),
+        ((math.nan, 0.05, 3, 1.0), "^gamma must be finite and >= 0, got nan$"),
+        ((math.inf, 0.05, 3, 1.0), "^gamma must be finite and >= 0, got inf$"),
+        ((-1.0, 0.05, 3, 1.0), r"^gamma must be finite and >= 0, got -1\.0$"),
+    ],
+)
+def test_un0_limit_refuses_a_rate_it_cannot_take(args, message):
+    # an infinite delta_e or a NaN gamma warned and gave NaN, a negative gamma
+    # failed in sqrt with "math domain error"
+    with pytest.raises(ValueError, match=message):
+        un0_limit(*args)
+
+
 def test_un0_limit_agrees_with_finite_bath_at_scale():
     bath = BathSpec.from_gamma(2000, 1.0, 0.005)
     finite = interaction_element(bath, 40, 1.0)
@@ -951,6 +967,31 @@ def test_elements_and_scan_check_before_the_solve(small_bath, no_spectrum, route
     # survival and the scan's recurrence guard are pinned by their guard tests below
     with pytest.raises(error):
         route(small_bath)
+
+
+AMPLITUDE_ROUTES = {
+    "propagator_element": lambda bath, t: propagator_element(bath, 3, t),
+    "interaction_element": lambda bath, t: interaction_element(bath, -2, t),
+    "propagator_column": propagator_column,
+    "interaction_column": interaction_column,
+    "bath_propagator": lambda bath, t: bath_propagator(bath, t).matrix,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", AMPLITUDE_ROUTES)
+def test_amplitude_routes_refuse_a_non_finite_time_before_the_solve(small_bath, no_spectrum, name, bad):
+    # a NaN time gave NaN amplitudes, an infinite one a cosine warning and NaN
+    for t in (bad, np.array([0.5, bad])):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            AMPLITUDE_ROUTES[name](small_bath, t)
+
+
+@pytest.mark.parametrize("name", AMPLITUDE_ROUTES)
+def test_amplitude_routes_take_a_negative_time(small_bath, name):
+    # H is real, so U(-t) is the complex conjugate of U(t), and so is every route's value
+    forward, backward = (AMPLITUDE_ROUTES[name](small_bath, t) for t in (0.7, -0.7))
+    assert np.max(np.abs(backward - np.conj(forward))) <= 1e-14
 
 
 def test_numeric_single_photon_boundaries(small_bath):

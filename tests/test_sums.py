@@ -11,7 +11,7 @@ from weakdecay import (
     tail_bound,
 )
 from weakdecay import sums
-from weakdecay.laws import phased_closed_form
+from weakdecay.laws import lattice_limit, phased_closed_form
 
 
 def test_params_validation():
@@ -51,6 +51,13 @@ def test_params_validation():
 def test_closed_forms_reject_what_sum_params_rejects(call):
     with pytest.raises(ValueError, match="^(gamma|delta_e): need a finite value > 0"):
         call()
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_lattice_limit_refuses_a_rate_it_cannot_take(gamma):
+    # 0 raised ZeroDivisionError; a negative gamma gave negative values, NaN and inf gave NaN
+    with pytest.raises(ValueError, match=f"^gamma: need a finite value > 0, got {gamma}$"):
+        lattice_limit(gamma, np.array([0.0, 1.0]))
 
 
 def test_closed_forms_reach_the_center_term_at_tiny_gamma():

@@ -63,8 +63,9 @@ def _name(node) -> str | None:
 
 
 def test_only_core_checks_the_shared_rules():
-    # the null-overlap floor, the recurrence guard and the survival-time rule
-    # are core.nonsingular, core.check_recurrence and core.check_times
+    # the null-overlap floor, the recurrence guard, the survival-time rule and
+    # the finite-time rule are core.nonsingular, core.check_recurrence,
+    # core.check_times and core.check_finite_times
     copies = []
     for path in sorted((PYPROJECT.parent / "src" / "weakdecay").glob("*.py")):
         if path.name == "core.py":
@@ -75,7 +76,9 @@ def test_only_core_checks_the_shared_rules():
             elif isinstance(node, ast.Raise):
                 found = _name(getattr(node.exc, "func", node.exc)) in ("PostSelectionNull", "BeyondRecurrence")
             else:
-                found = isinstance(node, ast.Constant) and "t must be nonnegative" in str(node.value)
+                found = isinstance(node, ast.Constant) and any(
+                    rule in str(node.value) for rule in ("t must be nonnegative", "t must be finite")
+                )
             if found:
                 copies.append(f"{path.name}:{node.lineno}")
     assert copies == []
