@@ -184,6 +184,19 @@ def check_finite_times(t: float | np.ndarray) -> None:
         raise ValueError("t must be finite")
 
 
+def check_phase_times(t: float | np.ndarray, frequency: float) -> None:
+    """Raise ValueError unless every time in ``t`` is finite, and so is its phase at ``frequency``.
+
+    ``frequency`` bounds every frequency that turns a time into a phase; the
+    phase ``frequency |t|`` must stay finite twice over, to spare the
+    rounding of a frequency at the bound.  Negative times pass.
+    """
+    check_finite_times(t)
+    largest = float(np.max(np.abs(t), initial=0.0))
+    if largest and not np.isfinite(2.0 * frequency * largest):
+        raise ValueError(f"t: the phase {frequency:.6g} t overflows at |t| = {largest}")
+
+
 def check_recurrence(span: float, delta_e: float) -> None:
     """Raise BeyondRecurrence unless ``span`` stays below half the recurrence time ``2 pi / delta_e``."""
     guard = np.pi / delta_e

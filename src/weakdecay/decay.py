@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import laws, sums
-from .core import Propagator, check_finite_times, check_recurrence, check_times, check_window, nonsingular
+from .core import Propagator, check_phase_times, check_recurrence, check_times, check_window, nonsingular
 from .errors import DimensionMismatch
 
 REFERENCE_SLOT = 0
@@ -130,6 +130,12 @@ def default_bath() -> BathSpec:
     leaves ample room for windows up to t_f ~ 10.
     """
     return BathSpec.from_gamma(2000, 1.0, 0.05)
+
+
+def _top_frequency(bath: BathSpec) -> float:
+    """``sqrt(N^2 + 2 N g) delta_e``: no eigenvalue or bath energy is larger (see :func:`_outer_start`)."""
+    root = math.sqrt(2.0 * bath.n_half) * (bath.coupling / bath.delta_e)  # sqrt(2 N g)
+    return math.hypot(bath.n_half, root) * bath.delta_e
 
 
 def slot_of_atom(n_half: int, atom: int) -> int:
@@ -425,9 +431,9 @@ def bath_propagator(bath: BathSpec, t: float | np.ndarray) -> Propagator:
     matrix, one per time for an array ``t``, which costs O(dim^3) each; use
     :func:`propagator_column` / :func:`propagator_element` for large baths
     when only amplitudes out of the reference slot are needed.  Every time
-    must be finite.
+    must be finite, and so must its phase at the top eigenvalue.
     """
-    check_finite_times(t)
+    check_phase_times(t, _top_frequency(bath))
     spec = _spectrum(bath)
     cell = np.concatenate([[0.0], spec.cell, -spec.cell])
     offset = np.concatenate([[0.0], spec.offset, -spec.offset])
@@ -563,29 +569,30 @@ def propagator_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
 
     An array ``t`` gives one column per time, shape ``t.shape + (dim,)``.
     The ``T`` times cost one real ``2T x N x N`` product with the paired
-    Cauchy kernel (see :func:`_pair_kernel`).  Every time must be finite.
+    Cauchy kernel (see :func:`_pair_kernel`).  Every time must be finite,
+    and so must its phase at the top eigenvalue.
     """
-    check_finite_times(t)
+    check_phase_times(t, _top_frequency(bath))
     return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=False)
 
 
 def interaction_column(bath: BathSpec, t: float | np.ndarray) -> np.ndarray:
     """Interaction-picture column ``e^{+i E_n t} U[n, 0](t)``, one per finite time in ``t``."""
-    check_finite_times(t)
+    check_phase_times(t, _top_frequency(bath))
     return _amplitudes(_spectrum(bath), np.arange(1.0, bath.n_half + 1.0), t, interaction=True)
 
 
 def propagator_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single Schroedinger element ``U[atom, 0](t)``, O(dim) per finite time."""
     slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
-    check_finite_times(t)
+    check_phase_times(t, _top_frequency(bath))
     return _element(_spectrum(bath), atom, t, interaction=False)
 
 
 def interaction_element(bath: BathSpec, atom: int, t: float | np.ndarray) -> complex | np.ndarray:
     """Single interaction-picture element ``e^{+i E_atom t} U[atom, 0](t)``, per finite time."""
     slot_of_atom(bath.n_half, atom)  # raises DimensionMismatch before the solve
-    check_finite_times(t)
+    check_phase_times(t, _top_frequency(bath))
     return _element(_spectrum(bath), atom, t, interaction=True)
 
 
@@ -600,8 +607,8 @@ def _emission_weights(bath: BathSpec) -> tuple[np.ndarray, np.ndarray]:
     return bath.gamma / norm / norm, energy / norm / norm
 
 
-def _bessel(alpha: np.ndarray, degree: int) -> np.ndarray:
-    """``J_k(alpha)`` for ``k = 0..degree``, orders down and the ``alpha`` across.
+def _bessel(alpha: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """``J_k(alpha) / J_0(alpha)`` for ``k = 0..degree`` (orders down, the ``alpha`` across), and ``1 / J_0``.
 
     Miller's backward recurrence (Abramowitz & Stegun 9.12) in ratio form,
     ``r_k = J_k / J_(k-1) = alpha / (2k - alpha r_(k+1))`` from ``r_(degree+1)
@@ -609,7 +616,9 @@ def _bessel(alpha: np.ndarray, degree: int) -> np.ndarray:
     way down, past the float range at a tiny ``alpha``; their ratios do not,
     so every ``alpha`` starts at the same order, ``alpha = 0`` and subnormal
     ones too.  The running products of the ratios are ``J_k / J_0``, and
-    ``J_0 + 2 sum_k J_2k = 1`` fixes ``J_0``.  The error is about
+    ``J_0 + 2 sum_k J_2k = 1`` gives ``1 / J_0 = 2 sum_k J_2k / J_0 - 1``
+    (``k >= 0``); the caller divides by it, so the table is not passed over
+    again.  The error of ``J_k`` is about
     ``J_(degree+1)(alpha)``, so ``degree`` must reach where the ``J_k`` are
     negligible.  Each order costs about four numpy calls over the row, so a
     narrow table is bound by their overhead: :func:`_band_series` keeps its
@@ -624,8 +633,7 @@ def _bessel(alpha: np.ndarray, degree: int) -> np.ndarray:
         ratio = np.divide(alpha, below, rows[k])
     for k in range(1, degree + 1):  # row by row: numpy's cumprod down the rows is slower
         np.multiply(rows[k], rows[k - 1], rows[k])
-    table /= 2.0 * np.sum(table[::2], axis=0) - 1.0
-    return table
+    return table, 2.0 * np.sum(table[::2], axis=0) - 1.0
 
 
 # A Bessel block of the band series holds about _BESSEL_ENTRIES entries (1 MiB),
@@ -647,8 +655,8 @@ def _degree(z: float) -> int:
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0)) + 10
 
 
-def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
-    """Chebyshev coefficients of ``U_in(s) L(s)`` on ``[0, top]``, in ``x = 1 - 2 s / top``.
+def _band_series(spec: _Spectrum, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev coefficients of ``U_in(s) L(s)``, and of ``U_in``, on ``[0, top]`` in ``x = 1 - 2 s / top``.
 
     ``U_in`` is the survival amplitude without the outer root pair and
     ``L(s) = 2 sum_m (gamma cos(E_m s) + E_m sin(E_m s)) / (gamma^2 + E_m^2)``.
@@ -656,9 +664,10 @@ def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     top / 2``, and by Jacobi-Anger its coefficient of ``T_k`` is
     ``eps_k (-1)^floor(k/2) J_k(a)`` times ``cos a`` for even ``k`` and
     ``sin a`` for odd ``k`` (``eps_0 = 1``, else 2): ``U_in``'s series comes
-    from :func:`_bessel` in blocks of roots, two trig calls per root; a block
-    stops at its top root's order and holds as many roots as
-    :func:`_bessel_roots` gives at that order, about 1 MiB at any window.
+    from :func:`_bessel` in blocks of roots, two trig calls per root, each
+    root's weight divided by its ``1 / J_0``; a block stops at its top
+    root's order and holds as many roots as :func:`_bessel_roots` gives at
+    that order, about 1 MiB at any window.
     Its frequencies stay below ``N delta_e`` and the product's below ``2 N
     delta_e``, so a wave's ``J_k(z)`` has ``z <= N delta_e top / 2`` or
     ``N delta_e top``: :func:`_degree` gives each series
@@ -676,38 +685,47 @@ def _band_series(spec: _Spectrum, top: float) -> np.ndarray:
     while top_root:  # roots ascend: from the top down, each block takes its top root's order
         order = min(inner, _degree(alpha[top_root - 1]))
         roots = slice(max(0, top_root - _bessel_roots(order)), top_root)
-        bessel = _bessel(alpha[roots], order)
-        series[: order + 1 : 2] += bessel[::2] @ (weight[roots] * np.cos(alpha[roots]))
-        series[1 : order + 1 : 2] += bessel[1::2] @ (weight[roots] * np.sin(alpha[roots]))
+        bessel, norm = _bessel(alpha[roots], order)
+        scaled = weight[roots] / norm
+        series[: order + 1 : 2] += bessel[::2] @ (scaled * np.cos(alpha[roots]))
+        series[1 : order + 1 : 2] += bessel[1::2] @ (scaled * np.sin(alpha[roots]))
         del bessel  # the next block forms without this one
         top_root = roots.start
     series[2::4] *= -1.0  # (-1)^floor(k/2)
     series[3::4] *= -1.0
     series[0] += spec.weight0
     # series holds c_k / eps_k; the even extension's spectrum is 2n c_0, n c_k and 2n c_n
+    u_in = 2.0 * series
+    u_in[0] = series[0]
     series[-1] *= 2.0
     samples = np.fft.irfft(series, 2 * degree)[: degree + 1] * (2.0 * degree)
     nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
     samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *_emission_weights(spec.bath))
     coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
     coeffs[[0, -1]] *= 0.5
-    return coeffs
+    return coeffs, u_in
 
 
-def _band_integral(spec: _Spectrum, times: np.ndarray, top: float) -> np.ndarray:
-    """``int_0^tau U_in(s) L(s) ds`` for each time ``tau`` in ``[0, top]``.
+def _band_integral(spec: _Spectrum, times: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """``int_0^tau U_in(s) L(s) ds`` and ``U_in(top - tau)`` for each time ``tau`` in ``[0, top]``.
 
     With ``s = top (1 - cos theta) / 2`` the series of :func:`_band_series`
     has the antiderivative coefficients ``d_k = (c_{k-1} - c_{k+1}) / 2k``
     (``c_0`` counted twice at ``k = 1``), and the integral is
     ``top/2 sum_k d_k (1 - cos k theta)``: a lattice sum at ``theta``.
+    ``top - tau`` sits at the mirrored angle ``pi - theta``, where
+    ``cos(k (pi - theta)) = (-1)^k cos(k theta)``, so ``U_in``'s own series
+    with alternating signs is a second row of the same lattice pass.
     """
-    coeffs = _band_series(spec, top)
+    coeffs, u_in = _band_series(spec, top)
     padded = np.append(coeffs, [0.0, 0.0])
     antider = (padded[:-2] - padded[2:]) / (2.0 * np.arange(1.0, len(coeffs) + 1.0))
     antider[0] += 0.5 * coeffs[0]
+    mirrored = np.append(u_in[1:], 0.0)  # k = 1.., as many as antider
+    mirrored[::2] *= -1.0  # (-1)^k
     theta = 2.0 * np.arcsin(np.sqrt(times / top))
-    return 0.5 * top * (math.fsum(antider) - sums.lattice_sum(theta, antider))
+    integral, waves = sums.lattice_sums(theta, np.stack((antider, mirrored)))
+    return 0.5 * top * (math.fsum(antider) - integral), u_in[0] + waves
 
 
 def _outer_integral(spec: _Spectrum, times: np.ndarray) -> np.ndarray:
@@ -732,8 +750,9 @@ def _outer_integral(spec: _Spectrum, times: np.ndarray) -> np.ndarray:
     p, q = above + below, above - below
     angle = bath.delta_e * times
     phase = times * spec.lam[-1]
-    outer = np.cos(phase) * sums.lattice_sum(angle, -sin_w * p, cos_w * p)
-    outer += np.sin(phase) * sums.lattice_sum(angle, cos_w * q, sin_w * q)
+    x, y = sums.lattice_sums(angle, np.stack((-sin_w * p, cos_w * q)), np.stack((cos_w * p, sin_w * q)))
+    outer = np.cos(phase) * x
+    outer += np.sin(phase) * y
     outer += math.fsum(sin_w * p)
     # m = N: (a_N sin u - b_N (1 - cos u)) / (s delta_e) with u = s delta_e tau, as
     # tau (a_N sinc(u) - b_N sin(u/2) sinc(u/2)); numpy's sinc(x) is sin(pi x) / (pi x)
@@ -742,8 +761,8 @@ def _outer_integral(spec: _Spectrum, times: np.ndarray) -> np.ndarray:
     return outer + times * small
 
 
-def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.ndarray:
-    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots.
+def _emission_overlap(spec: _Spectrum, t: float | np.ndarray, lapse=None):
+    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots (and ``U00(lapse)``).
 
     The interaction amplitudes obey ``db_n/ds = -i H e^{i E_n s} U00(s)``
     from ``b_n(0) = 0`` (Weisskopf & Wigner), so the overlap at ``tau`` is
@@ -755,11 +774,22 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray) -> complex | np.nd
     :func:`_outer_integral` the outer pair in closed form.  ``U_in``'s
     series costs a few flops per root and Chebyshev order and two trig
     calls per root, ``L`` a lattice sum per node, and each time O(N).
+
+    ``lapse``, one per time, must be ``top - t`` to rounding, with ``top``
+    the largest time (a weak value's ``t - t_i``, with ``t_f - t`` as
+    ``t``); the overlap then comes with ``U00(lapse)``: ``U_in`` from the
+    same series at the mirrored angles (:func:`_band_integral`) and the
+    outer pair at ``lapse`` itself.  An all-zero grid takes ``top = 1``.
     """
     times = np.asarray(t, dtype=float).reshape(-1)
     top = np.max(times, initial=0.0) or 1.0  # an all-zero grid takes any window
-    total = _band_integral(spec, times, top) + 2.0 * spec.weight[-1] * _outer_integral(spec, times)
-    return (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()]
+    band, inner = _band_integral(spec, times, top)
+    total = band + 2.0 * spec.weight[-1] * _outer_integral(spec, times)
+    overlap = (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()]
+    if lapse is None:
+        return overlap
+    inner += 2.0 * spec.weight[-1] * np.cos(spec.lam[-1] * np.reshape(lapse, -1))
+    return overlap, inner.reshape(np.shape(t))[()]
 
 
 def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.ndarray:
@@ -815,6 +845,8 @@ def weak_survival_numeric(
 
     ``t`` may be a 1-D array of times, giving one value per time; the
     window-level denominator is evaluated with the grid and checked once.
+    The emission post takes ``U00(t - t_i)`` from its overlap's own band
+    series (see :func:`_emission_overlap`), the other posts from the roots.
     The window and a photon atom outside the bath are rejected before the
     bath spectrum is solved, once for both overlaps and ``U00``.  A zero
     window is no error: the undecayed value is ``U00(0) ~ 1``, and the bath
@@ -827,12 +859,14 @@ def weak_survival_numeric(
         slot_of_atom(bath.n_half, post.photon_atom)  # raises DimensionMismatch before the solve
     spec = _spectrum(bath)
     times = np.append(window, t_f - np.asarray(t))
-    if post.word == "asymptotic":
-        overlap = _emission_overlap(spec, times)
+    if post.word == "asymptotic":  # U00 from the emission overlap's own series
+        overlap, survival = _emission_overlap(spec, times, np.append(0.0, t - t_i))
+        survival = survival[1:]
     else:
         overlap = _element(spec, post.photon_atom or 0, times, interaction=True)
+        survival = _element(spec, 0, np.reshape(t - t_i, -1), interaction=False)
     denom = nonsingular(overlap[0], f"{post.word} post-selection")
-    return overlap[1:].reshape(np.shape(t)) * _element(spec, 0, t - t_i, interaction=False) / denom
+    return (overlap[1:] * survival / denom).reshape(np.shape(t))[()]
 
 
 def weak_survival_closed(

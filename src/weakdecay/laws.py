@@ -40,7 +40,10 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
         raise ValueError(f"delta_e must be positive and finite, got {delta_e}")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    h = math.sqrt(gamma * delta_e / math.pi)
+    square = gamma * delta_e / math.pi
+    if not math.isfinite(square):
+        raise ValueError(f"gamma: H^2 = gamma delta_e / pi overflows at ({gamma}, {delta_e})")
+    h = math.sqrt(square)
     pole = gamma - 1j * n * delta_e
     if abs(pole) == 0.0:
         raise ValueError("gamma and the detuning cannot both vanish")

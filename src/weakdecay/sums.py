@@ -38,7 +38,9 @@ Times are taken in blocks so that the tables stay small for any
 grid size.  :func:`lattice_sum` runs the same route on a caller's cosine
 and sine weights, whose sines pair the same way, the even part against
 cos(m a) and the odd part against sin(m a): the decay model's emission
-overlap sums its bath lattice through it.
+overlap sums its bath lattice through it.  :func:`lattice_sums` takes a
+stack of such weight sets at the same angles in one pass: every set meets
+the same tables, in one matrix product per table and chunk.
 
 The optional ``include_center`` flag drops the k = 0 term.  The decay bath
 has no level at zero detuning, so the centerless sum is the physically
@@ -56,17 +58,18 @@ import numpy as np
 
 from . import laws
 
-# Weights per chunk; every chunk is folded into one reused workspace, 2 MiB at
-# the default width (4 MiB at 2^19), and the weights are formed in blocks of
-# _FOLD_ENTRIES, which pay for the extra chunks: the default sum (101 times,
-# k_max = 1e6, four chunks) runs as fast as it did in two chunks of 2^19.
+# Weights per chunk and set; every chunk is folded into one reused workspace,
+# 2 MiB per set at the default width (4 MiB at 2^19), and the weights are
+# formed in blocks of _FOLD_ENTRIES, which pay for the extra chunks: the
+# default sum (101 times, k_max = 1e6, four chunks) runs as fast as it did in
+# two chunks of 2^19.
 # Chunks of 2^17 ran it 7% slower: eight chunks, each with its own base-table
 # _trig call, and products over 128 rows, which BLAS runs less well than 256.
 _CHUNK = 1 << 18
 _WIDTH = 1 << 10  # the widest row, so a chunk has at least _CHUNK / _WIDTH rows
-# Weights formed at once, within a chunk, before they are folded: 256 KiB, so a
-# block and its folds stay in L2 cache.  The default sum ran 12% faster than
-# with blocks of 2^16, and 6% faster than with blocks of 2^14.
+# Weights formed at once (of all sets), within a chunk, before they are folded:
+# 256 KiB, so a block and its folds stay in L2 cache.  The default sum ran 12%
+# faster than with blocks of 2^16, and 6% faster than with blocks of 2^14.
 _FOLD_ENTRIES = 1 << 15
 # Times are taken in blocks so that each sine or cosine table (times x offsets,
 # times x bases) holds at most this many entries, whatever the grid's size.
@@ -131,10 +134,10 @@ def phased_lorentzian_sum(
         w *= w  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
         w *= p.delta_e**2
         w += p.gamma**2
-        return np.divide(2.0 * p.delta_e, w, out=w)
+        return np.divide(2.0 * p.delta_e, w, out=w)[None]  # the one set
 
     center = p.delta_e / p.gamma**2 if include_center else 0.0
-    values = _lattice(p.delta_e * times, p.k_max, [cos_weights], center).astype(complex)
+    values = _lattice(p.delta_e * times, p.k_max, [cos_weights], center)[0].astype(complex)
     return values if np.ndim(t) else complex(values[0])
 
 
@@ -145,115 +148,149 @@ def lattice_sum(
 
     ``K`` is the length of the weights (``sin_weights`` may be None, for no
     sines, or else must have the same length); they go through the same
-    rows, tables and compensated summation as the Lorentzian sums.
-    ``angle`` must be a 1-D array of finite angles, and each set of weights
-    a 1-D array of finite real weights.
+    rows, tables and compensated summation as the Lorentzian sums, as the
+    one row of :func:`lattice_sums`.  ``angle`` must be a 1-D array of
+    finite angles, and each set of weights a 1-D array of finite real weights.
+    """
+    rows = _checked({"cos_weights": cos_weights, "sin_weights": sin_weights}, 1)
+    return lattice_sums(angle, *(w[None] for w in rows))[0]
+
+
+def lattice_sums(angle: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray | None = None) -> np.ndarray:
+    """:func:`lattice_sum` for each row of ``cos_rows`` (and of ``sin_rows``), one row out per row in.
+
+    ``cos_rows`` is a 2-D array of finite real weights, one set per row, and
+    ``sin_rows`` is None or has its shape.  Every set meets the same offset
+    and base tables, formed once for the angles, in one matrix product per
+    table and chunk, so a stack costs the trig calls of one set.  A row's
+    value may differ from its own :func:`lattice_sum` call in the last bits,
+    as wider products are summed in another order.
     """
     angles = np.asarray(angle, dtype=float)
     if angles.ndim != 1 or not np.all(np.isfinite(angles)):
         raise ValueError(f"angle: need a 1-D array of finite angles, got {angle}")
-    weights = [np.asarray(cos_weights)] + ([] if sin_weights is None else [np.asarray(sin_weights)])
-    for name, w in zip(("cos_weights", "sin_weights"), weights):
-        if w.ndim != 1 or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
-            raise ValueError(f"{name}: need a 1-D array of finite real weights, got {w}")
-    if len(weights) > 1 and len(weights[1]) != len(weights[0]):
-        raise ValueError(
-            f"sin_weights: need {len(weights[0])} weights, as many as cos_weights, "
-            f"got {len(weights[1])}"
-        )
-
-    forms = [lambda lo, hi, w=w: w[lo - 1 : hi - 1] for w in weights]
-    return _lattice(angles, len(weights[0]), forms)
+    rows = _checked({"cos_rows": cos_rows, "sin_rows": sin_rows}, 2)
+    forms = [lambda lo, hi, w=w: w[:, lo - 1 : hi - 1] for w in rows]
+    return _lattice(angles, rows[0].shape[1], forms, sets=len(rows[0]))
 
 
-def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.ndarray:
-    """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``.
+def _checked(weights: dict, ndim: int) -> list[np.ndarray]:
+    """The arrays of ``weights`` that are not None, each an ``ndim``-D array of finite real weights.
+
+    The second, the sines, must have the shape of the first; a ValueError
+    names the first that fails.
+    """
+    given = {name: np.asarray(w) for name, w in weights.items() if w is not None}
+    for name, w in given.items():
+        if w.ndim != ndim or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
+            raise ValueError(f"{name}: need a {ndim}-D array of finite real weights, got {w}")
+    (cos_name, cos), *sines = given.items()
+    for sin_name, sin in sines:
+        if sin.shape != cos.shape:
+            need, got = (" x ".join(map(str, w.shape)) for w in (cos, sin))
+            raise ValueError(f"{sin_name}: need {need} weights, as many as {cos_name}, got {got}")
+    return list(given.values())
+
+
+def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0, sets: int = 1) -> np.ndarray:
+    """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``, one row per set.
 
     ``forms`` holds the form of ``c_k`` and, with sines, that of ``s_k``;
-    ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` for any
-    ``1 <= lo <= hi <= k_max + 1``.  Chunk totals are combined per angle by TwoSum.
+    ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` of all ``sets``
+    sets, one row each, for any ``1 <= lo <= hi <= k_max + 1``.  Chunk
+    totals are combined per set and angle by TwoSum.
     """
     # rows of width W, the smallest power of two >= sqrt(k_max) from 2 up to
     # _WIDTH, so that the base and offset tables are about equally costly;
     # row r holds k = r W + m with -W/2 <= m < W/2
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
-    chunk = max(1, _CHUNK // width)  # rows
-    folds = np.empty((len(forms), 2, min(chunk, rows), width // 2 + 1))  # for every chunk
-    values = np.empty(len(angles))
+    # rows per chunk, as for one set: every set's phases round as in its own sum
+    chunk = max(1, _CHUNK // width)
+    # one workspace for every chunk, viewed whole at each chunk's own row count,
+    # so that the rows of all sets meet each table in one product
+    workspace = np.empty(len(forms) * 2 * sets * min(chunk, rows) * (width // 2 + 1))
+    values = np.empty((sets, len(angles)))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
         angle = angles[lo : lo + step]
         tables = _trig(angle, 0, 1, width // 2 + 1)  # the offsets 0 <= m <= W/2
-        total = np.full(len(angle), center)
-        error = np.zeros(len(angle))
+        total = np.full((sets, len(angle)), center)
+        error = np.zeros((sets, len(angle)))
         for first in range(0, rows, chunk):
-            _fold(forms, first * width, k_max, folds[:, :, : rows - first])
-            part = _chunk_sum(first * width, width, angle, tables, folds[:, :, : rows - first])
+            shape = (len(forms), 2, sets, min(chunk, rows - first), width // 2 + 1)
+            folds = workspace[: math.prod(shape)].reshape(shape)
+            _fold(forms, first * width, k_max, folds)
+            part = _chunk_sum(first * width, width, angle, tables, folds)
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
             error += (total - (new - seen)) + (part - seen)
             total = new
-        values[lo : lo + step] = total + error
+        values[:, lo : lo + step] = total + error
     return values
 
 
 def _fold(forms, base: int, k_max: int, folds: np.ndarray) -> None:
-    """Fill ``folds``, a ``(len(forms), 2, R, W/2 + 1)`` view, with ``R`` rows of folded weights.
+    """Fill ``folds``, a ``(len(forms), 2, S, R, W/2 + 1)`` array, with ``R`` rows of folded weights per set.
 
     Row ``r`` holds ``k = B + m`` for ``-W/2 <= m < W/2`` about its centre
-    ``B = base + r W``.  Entry ``[i, 0, r, m]`` holds the even part
-    ``w_{B+m} + w_{B-m}`` of the weights that ``forms[i]`` forms, and
-    ``[i, 1, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the
-    even part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the
-    row.  The weights are formed a few rows at a time, so only the folds are
-    chunk-sized, and only for ``1 <= k <= k_max``: a block that runs past
-    either end (row 0's ``k <= 0``, the last row's tail) is padded with zeros.
+    ``B = base + r W``.  Entry ``[i, 0, j, r, m]`` holds the even part
+    ``w_{B+m} + w_{B-m}`` of the weights of set ``j`` that ``forms[i]``
+    forms, and ``[i, 1, j, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at
+    ``m = 0`` the even part is ``w_B`` alone, and at ``m = W/2`` only
+    ``w_{B-m}`` is in the row.  The weights are formed a few rows at a time,
+    so only the folds are chunk-sized, and only for ``1 <= k <= k_max``: a
+    block that runs past either end (row 0's ``k <= 0``, the last row's
+    tail) is padded with zeros.
     """
-    half = folds.shape[-1] - 1
+    sets, half = folds.shape[2], folds.shape[-1] - 1
     width = 2 * half
-    block = max(1, _FOLD_ENTRIES // width)
-    for lo in range(0, folds.shape[2], block):
-        size = min(block, folds.shape[2] - lo)
+    block = max(1, _FOLD_ENTRIES // (width * max(sets, 1)))
+    for lo in range(0, folds.shape[3], block):
+        size = min(block, folds.shape[3] - lo)
         start = base - half + lo * width  # the block's first k
         stop = start + size * width
         inside = max(start, 1), min(stop, k_max + 1)
-        for form, (even, odd) in zip(forms, folds[:, :, lo : lo + size]):
+        for form, (even, odd) in zip(forms, folds[:, :, :, lo : lo + size]):
             w = form(*inside)
             if inside != (start, stop):
-                w = np.concatenate((np.zeros(inside[0] - start), w, np.zeros(stop - inside[1])))
-            w = w.reshape(size, width)  # the centre at column W/2
-            above, below = w[:, half + 1 :], w[:, half - 1 : 0 : -1]
-            np.add(above, below, out=even[:, 1:half])
-            np.subtract(above, below, out=odd[:, 1:half])
-            even[:, 0], odd[:, 0] = w[:, half], 0.0
+                pads = np.zeros((sets, inside[0] - start)), np.zeros((sets, stop - inside[1]))
+                w = np.concatenate((pads[0], w, pads[1]), axis=1)
+            w = w.reshape(sets, size, width)  # the centre at column W/2
+            above, below = w[..., half + 1 :], w[..., half - 1 : 0 : -1]
+            np.add(above, below, out=even[..., 1:half])
+            np.subtract(above, below, out=odd[..., 1:half])
+            even[..., 0], odd[..., 0] = w[..., half], 0.0
             # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
-            even[:, half], odd[:, half] = w[:, 0], -w[:, 0]
+            even[..., half], odd[..., half] = w[..., 0], -w[..., 0]
 
 
 def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:
-    """``sum_k c_k cos(k a) + s_k sin(k a)`` over a chunk of folded rows, per angle ``a``.
+    """``sum_k c_k cos(k a) + s_k sin(k a)`` over a chunk of folded rows, per set and angle ``a``.
 
     Row ``r``'s centre is ``B = base + r W``.  With ``e`` and ``o`` the even
     and odd parts of its weights (:func:`_fold`), the pairs ``B +- m`` give
     ``cos(B a) (e_c cos(m a) + o_s sin(m a)) - sin(B a) (o_c sin(m a) - e_s cos(m a))``,
-    so the rows meet the offset tables in matrix products over ``W/2 + 1``
-    offsets.
+    so the rows of every set meet each offset table in one matrix product
+    over ``W/2 + 1`` offsets, and all sets share the base tables.
     """
     offset_cos, offset_sin = tables
-    even, odd = folds[0].transpose(0, 2, 1)  # offsets x rows
-    base_cos, base_sin = _trig(angle, base, width, even.shape[1])
-    along = offset_cos @ even
-    across = offset_sin @ odd
-    if len(folds) > 1:
-        sin_even, sin_odd = folds[1].transpose(0, 2, 1)
-        along += offset_sin @ sin_odd
-        across -= offset_cos @ sin_even
-    along *= base_cos
-    across *= base_sin
+    forms, _, sets, rows, offsets = folds.shape
+    parts = folds.reshape(forms, 2, sets * rows, offsets).transpose(0, 1, 3, 2)  # offsets x (sets x rows)
+    base_cos, base_sin = _trig(angle, base, width, rows)
+    along = offset_cos @ parts[0, 0]
+    across = offset_sin @ parts[0, 1]
+    if forms > 1:
+        along += offset_sin @ parts[1, 1]
+        across -= offset_cos @ parts[1, 0]
+    shape = (len(angle), sets, rows)
+    along = along.reshape(shape)
+    across = across.reshape(shape)
+    along *= base_cos[:, None]
+    across *= base_sin[:, None]
     along -= across
-    return np.sum(along, axis=1)
+    return np.sum(along, axis=-1).T
 
 
 def _trig(angle: np.ndarray, first: int, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:

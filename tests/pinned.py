@@ -11,10 +11,14 @@ largest move; for each file the script first prints ``unchanged``, or how many
 cells differ and the largest absolute move of a number among them:
 
     PYTHONPATH=src python tests/pinned.py
+
+With ``--check`` it prints the same lines but writes nothing, and exits 1 if
+any pin would move, so a move can be stated before the pins are rewritten.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 from pathlib import Path
@@ -70,14 +74,21 @@ def change(old: str, new: str) -> str:
     return f"{len(moved)} of {len(before)} cells differ" + (f", largest move {max(moves):.3g}" if moves else "")
 
 
-def main() -> int:
-    PINS.mkdir(exist_ok=True)
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the pinned default outputs, or check them.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if any pin would move")
+    check = parser.parse_args(argv).check
+    moved = False
     for name in RUNS:
         for kind, text in zip(("csv", "json"), outputs(name)):
             path = PINS / f"{name}.{kind}"
-            print(f"{path.name}: {change(path.read_text(encoding='utf-8'), text) if path.exists() else 'new'}")
-            path.write_text(text, encoding="utf-8")
-    return 0
+            old = path.read_text(encoding="utf-8") if path.exists() else None
+            print(f"{path.name}: {'new' if old is None else change(old, text)}")
+            moved |= old != text
+            if not check:
+                PINS.mkdir(exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+    return int(check and moved)
 
 
 if __name__ == "__main__":

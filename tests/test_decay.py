@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -30,7 +31,7 @@ from weakdecay import (
     weak_survival_numeric,
     weak_value,
 )
-from weakdecay import decay
+from weakdecay import decay, sums
 from weakdecay.core import DENOM_FLOOR
 from weakdecay.laws import decay_law, u00_limit, un0_limit
 
@@ -250,7 +251,7 @@ def test_emission_series_tail_at_the_largest_case():
     # N = MAX_N_HALF on the long window of the memory test below (degree
     # 4201): the series is resolved to rounding
     bath = BathSpec.from_gamma(decay.MAX_N_HALF, 1.0, 0.05)
-    coeffs = decay._band_series(decay._spectrum(bath), 20.0)
+    coeffs, _ = decay._band_series(decay._spectrum(bath), 20.0)
     assert np.max(np.abs(coeffs[-10:])) <= 1e-15 * np.max(np.abs(coeffs))
 
 
@@ -292,9 +293,9 @@ def test_blocked_band_series_meets_a_single_block(n_half, top, monkeypatch):
     # measured: at most 3.4e-16 of the largest coefficient; each block starts its
     # recurrence at its own top order, which moves last bits only
     spec = decay._spectrum(BathSpec.from_gamma(n_half, 1.0, 0.05))
-    blocked = decay._band_series(spec, top)
+    blocked, _ = decay._band_series(spec, top)
     monkeypatch.setattr(decay, "_bessel_roots", lambda order: n_half)
-    single = decay._band_series(spec, top)
+    single, _ = decay._band_series(spec, top)
     assert np.max(np.abs(blocked - single)) <= 1e-15 * np.max(np.abs(single))
 
 
@@ -305,14 +306,16 @@ def test_bessel_recurrence_matches_scipy():
     # and N pi / 2 at the cap, the largest a = lam top / 2 below the recurrence guard
     alpha = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.5, 30.0, decay.MAX_N_HALF * math.pi / 2])
     degree = decay._degree(alpha[-1])
-    error = np.abs(decay._bessel(alpha, degree) - jv(np.arange(degree + 1.0)[:, None], alpha))
+    table, norm = decay._bessel(alpha, degree)
+    error = np.abs(table / norm - jv(np.arange(degree + 1.0)[:, None], alpha))
     # measured: 1.7e-16 up to a = 30; at a = 6283 scipy's jv is itself off by
     # 6.9e-14 (J_184; the recurrence's value is within 2e-17 of a 40-digit one)
     assert np.max(error[:, :-1]) <= 1e-15
     assert np.max(error[:, -1]) <= 1e-13
     for a in alpha[:-1]:  # each started at its own order, as a block of low roots is
         order = decay._degree(a)
-        own = decay._bessel(np.array([a]), order)[:, 0]
+        table, norm = decay._bessel(np.array([a]), order)
+        own = table[:, 0] / norm[0]
         assert np.max(np.abs(own - jv(np.arange(order + 1.0), a))) <= 1e-15
 
 
@@ -340,7 +343,7 @@ def test_band_series_matches_the_sampled_series(n_half, gamma, top, monkeypatch)
         raise AssertionError("the band series sampled U_in through _element")
 
     monkeypatch.setattr(decay, "_element", element)
-    coeffs = decay._band_series(spec, top)
+    coeffs, _ = decay._band_series(spec, top)
     assert len(coeffs) == len(reference)
     assert np.max(np.abs(coeffs - reference)) <= 1e-15 * np.max(np.abs(reference))
 
@@ -355,7 +358,92 @@ def test_emission_overlap_at_strong_coupling_keeps_the_band_node_count():
     reference = _emission_reference(strong, times)
     fold = decay._emission_overlap(spec, times)
     assert np.max(np.abs(fold - reference)) <= 1e-13 * np.max(np.abs(reference))
-    assert len(decay._band_series(spec, 2.0)) == len(decay._band_series(decay._spectrum(weak), 2.0))
+    assert len(decay._band_series(spec, 2.0)[0]) == len(decay._band_series(decay._spectrum(weak), 2.0)[0])
+
+
+def _survival_error(bath, t_i, t_f, rng):
+    """Largest gap between a weak value's mirrored survival factor and ``_element`` at ``t - t_i``.
+
+    The grid is not a progression, so the reference takes one library cosine per root and time.
+    """
+    spec = decay._spectrum(bath)
+    t = np.concatenate([[t_i, t_f], rng.uniform(t_i, t_f, 40)])
+    _, survival = decay._emission_overlap(spec, np.append(t_f - t_i, t_f - t), np.append(0.0, t - t_i))
+    return np.max(np.abs(survival[1:] - decay._element(spec, 0, t - t_i, interaction=False)))
+
+
+# measured: at most 3.9e-15 (N = 2000, gamma = 1, t_f = 30) over these cases
+# and 300 random baths; the mirrored angle rounds top - tau, not t - t_i
+SURVIVAL_BOUND = 8e-15
+
+
+@pytest.mark.parametrize(
+    "n_half, gamma, top",
+    [
+        (2000, 1.0, 1.5),
+        (2000, 1.0, 3.0),
+        (1, 1.0, 2.0),
+        (2000, 1e6, 2.0),
+        (2000, 1e-6, 2.0),
+        (decay.MAX_N_HALF, 1.0, 20.0),
+        (2000, 1.0, 30.0),
+        (2000, 1.0, 1e-300),
+        (2000, 1.0, 1e-8),
+        (2000, 1.0, 5e-324),
+    ],
+)
+def test_the_asymptotic_survival_factor_meets_the_element(n_half, gamma, top):
+    bath = BathSpec.from_gamma(n_half, gamma, 0.05)
+    assert _survival_error(bath, 0.0, top, np.random.default_rng(n_half)) <= SURVIVAL_BOUND
+
+
+def test_the_asymptotic_survival_factor_meets_the_element_on_random_baths():
+    rng = np.random.default_rng(40)
+    for _ in range(12):
+        delta_e = rng.uniform(0.01, 0.5)
+        bath = BathSpec.from_gamma(int(rng.integers(1, 600)), 10.0 ** rng.uniform(-4.0, 4.0), delta_e)
+        t_i = rng.uniform(-3.0, 3.0)
+        t_f = t_i + rng.uniform(1e-3, 0.99) * math.pi / delta_e
+        assert _survival_error(bath, t_i, t_f, rng) <= SURVIVAL_BOUND, bath
+
+
+def test_an_asymptotic_weak_value_reads_survival_from_its_series(monkeypatch):
+    # U00(t - t_i) came from per-time waves (_phase_sums on a progression, and
+    # _amplitudes off its end), and X and Y of the outer integral each formed
+    # offset tables at the same angles; now every angle set forms them once:
+    # the Chebyshev nodes, the band angles theta and the bath angles delta_e tau
+    calls = []
+    for name in ("_phase_sums", "_amplitudes"):
+
+        def counted(*args, name=name, route=getattr(decay, name)):
+            calls.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(decay, name, counted)
+    offsets, trig = [], sums._trig
+
+    def recorded(angle, first, step, count):
+        if step == 1:  # the offset tables; base tables step by a row's width
+            offsets.append(angle.copy())
+        return trig(angle, first, step, count)
+
+    monkeypatch.setattr(sums, "_trig", recorded)
+    weak_survival_numeric(default_bath(), 0.0, np.linspace(0.0, 2.0, 101), 2.0, PostSpec("asymptotic"))
+    assert calls == []
+    assert len(offsets) == 3
+    assert not any(np.array_equal(a, b) for a, b in itertools.combinations(offsets, 2))
+
+
+def test_a_zero_window_raises_before_its_survival_factor_is_used(small_bath):
+    # every overlap time is 0, so top is 1.0 and not the window: the mirrored
+    # factor is U_in(1) plus the outer pair at 0, not U00(0); the null
+    # overlap must stop the weak value first
+    spec = decay._spectrum(small_bath)
+    overlap, survival = decay._emission_overlap(spec, np.zeros(2), np.zeros(2))
+    assert np.max(np.abs(overlap)) <= DENOM_FLOOR
+    assert abs(survival[1] - decay._element(spec, 0, 0.0, interaction=False)) > 0.01
+    with pytest.raises(PostSelectionNull):
+        weak_survival_numeric(small_bath, 0.5, 0.5, 0.5, PostSpec("asymptotic"))
 
 
 def test_emission_overlap_memory_at_the_cap_on_a_long_window():
@@ -816,11 +904,13 @@ def test_un0_limit_values():
         ((math.nan, 0.05, 3, 1.0), "^gamma must be finite and >= 0, got nan$"),
         ((math.inf, 0.05, 3, 1.0), "^gamma must be finite and >= 0, got inf$"),
         ((-1.0, 0.05, 3, 1.0), r"^gamma must be finite and >= 0, got -1\.0$"),
+        ((1e300, 1e300, 3, 1.0), r"^gamma: H\^2 = gamma delta_e / pi overflows at \(1e\+300, 1e\+300\)$"),
     ],
 )
 def test_un0_limit_refuses_a_rate_it_cannot_take(args, message):
     # an infinite delta_e or a NaN gamma warned and gave NaN, a negative gamma
-    # failed in sqrt with "math domain error"
+    # failed in sqrt with "math domain error", and an H = sqrt(gamma delta_e /
+    # pi) that overflowed warned and gave NaN
     with pytest.raises(ValueError, match=message):
         un0_limit(*args)
 
@@ -992,6 +1082,23 @@ def test_amplitude_routes_take_a_negative_time(small_bath, name):
     # H is real, so U(-t) is the complex conjugate of U(t), and so is every route's value
     forward, backward = (AMPLITUDE_ROUTES[name](small_bath, t) for t in (0.7, -0.7))
     assert np.max(np.abs(backward - np.conj(forward))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", AMPLITUDE_ROUTES)
+def test_amplitude_routes_refuse_a_time_whose_phase_overflows(name, no_spectrum):
+    # lam t overflowed to inf in the phase tables: a warning, then NaN amplitudes
+    bath = BathSpec.from_gamma(5, 1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e308, np.array([0.5, -1e308])):
+            with pytest.raises(ValueError, match=r"^t: the phase 2\.80028 t overflows at \|t\| = 1e\+308$"):
+                AMPLITUDE_ROUTES[name](bath, t)
+
+
+def test_the_phase_rule_bounds_every_eigenvalue():
+    for bath in (BathSpec.from_gamma(1, 1.0, 0.05), default_bath(), BathSpec.from_gamma(2000, 1e6, 0.05)):
+        assert np.max(decay._spectrum(bath).lam) <= decay._top_frequency(bath)
+        assert bath.n_half * bath.delta_e <= decay._top_frequency(bath)
 
 
 def test_numeric_single_photon_boundaries(small_bath):

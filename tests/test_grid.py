@@ -155,6 +155,11 @@ def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
     # OpenBLAS's remainder kernels, which sum in another order and can move
     # the last bit; the per-time test above bounds those at 1e-14.  Survival
     # on a progression grid takes its own products per base, at any width.
+    # The emission series' Bessel blocks of roots keep their default, one
+    # block of every root here: how roots split moves last bits, as
+    # test_blocked_band_series_meets_a_single_block bounds.
+    assert decay._BESSEL_ROOTS >= small_bath.n_half
+    monkeypatch.setattr(decay, "_bessel_roots", lambda order: small_bath.n_half)
     monkeypatch.setattr(decay, "_BLOCK_ENTRIES", 4 * small_bath.n_half)
     for name, fn in BLOCKED.items():
         assert np.array_equal(fn(small_bath, TIMES), whole[name]), name

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import pinned
 from pinned import PINS, RUNS, change, outputs
 
 # Largest move of a ``sums`` value_re or abs_error cell, in ulps of the row's
@@ -51,3 +52,20 @@ def test_the_rewrite_script_states_each_move():
     assert change("t,x\n0,1.5\n", "t,x\n0,1.5\n") == "unchanged"
     assert change("t,x\n0,1.5\n", "t,x\n0,1.25\n") == "1 of 5 cells differ, largest move 0.25"
     assert change('{"post":"a"}', '{"post":"b"}') == "1 of 4 cells differ"
+
+
+def test_the_check_writes_nothing_and_fails_on_a_move(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pinned, "RUNS", {"spin": RUNS["spin"]})
+    monkeypatch.setattr(pinned, "PINS", tmp_path)
+    csv, summary = _pinned("spin")
+    (tmp_path / "spin.json").write_text(summary, encoding="utf-8")
+    (tmp_path / "spin.csv").write_text(csv, encoding="utf-8")
+    assert pinned.main(["--check"]) == 0
+    assert capsys.readouterr().out == "spin.csv: unchanged\nspin.json: unchanged\n"
+    moved = summary.replace('"model":"spin"', '"model":"spun"')
+    assert moved != summary
+    (tmp_path / "spin.json").write_text(moved, encoding="utf-8")
+    assert pinned.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith("spin.json: 1 of ")
+    assert (tmp_path / "spin.json").read_text(encoding="utf-8") == moved  # written by nobody
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spin.csv", "spin.json"]

@@ -236,12 +236,12 @@ def test_lattice_sum_forms_each_weight_once_and_only_in_range(count, chunk, monk
     asked = []  # per form, the (lo, hi) ranges it was asked for
     lattice = sums._lattice
 
-    def recorded(angles, k_max, forms, center=0.0):
+    def recorded(angles, k_max, forms, center=0.0, sets=1):
         def record(form, ranges):
             return lambda lo, hi: ranges.append((lo, hi)) or form(lo, hi)
 
         asked.extend([] for _ in forms)
-        return lattice(angles, k_max, [record(f, r) for f, r in zip(forms, asked)], center)
+        return lattice(angles, k_max, [record(f, r) for f, r in zip(forms, asked)], center, sets)
 
     monkeypatch.setattr(sums, "_lattice", recorded)
     rng = np.random.default_rng(count)
@@ -280,6 +280,54 @@ def test_lattice_sum_needs_as_many_sines_as_cosines():
     message = "^sin_weights: need 3 weights, as many as cos_weights, got 2"
     with pytest.raises(ValueError, match=message):
         sums.lattice_sum(np.array([0.1]), np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize("sines", [False, True], ids=["cosines", "sines"])
+@pytest.mark.parametrize(
+    "count, chunk",
+    [(count, _WHOLE) for count in (3, 65, 1055, 5000, 20000, 70000)] + [(5000, 1 << 12), (20000, 1 << 12)],
+)
+def test_each_row_of_a_stacked_sum_meets_its_own_lattice_sum(count, chunk, sines, monkeypatch):
+    # measured: at most a quarter ulp of the row's sum of |weights|; the rows
+    # share every table and chunk, and only the wider products sum in another order
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
+    rng = np.random.default_rng(count)
+    cos_rows, sin_rows = rng.standard_normal((2, 3, count)) * [[[1.0]], [[float(sines)]]]
+    angles = rng.uniform(-4.0, 4.0, 37)
+    stacked = sums.lattice_sums(angles, cos_rows, sin_rows if sines else None)
+    assert stacked.shape == (3, len(angles))
+    for row, cos_weights, sin_weights in zip(stacked, cos_rows, sin_rows):
+        own = sums.lattice_sum(angles, cos_weights, sin_weights if sines else None)
+        scale = np.sum(np.abs(cos_weights) + np.abs(sin_weights))
+        assert np.max(np.abs(row - own)) <= 2 * np.spacing(scale)
+
+
+def test_a_one_row_stack_is_the_one_set_sum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cos_weights, sin_weights = rng.standard_normal((2, 5000))
+    angles = rng.uniform(-4.0, 4.0, 37)
+    alone = sums.lattice_sum(angles, cos_weights, sin_weights)
+    assert np.array_equal(sums.lattice_sums(angles, cos_weights[None], sin_weights[None])[0], alone)
+    assert sums.lattice_sums(angles, np.ones((0, 4))).shape == (0, 37)
+
+
+@pytest.mark.parametrize("name", ["cos_rows", "sin_rows"])
+@pytest.mark.parametrize(
+    "rows",
+    [np.ones(3), np.ones((2, 3, 1)), np.ones((2, 3), dtype=complex), np.array([[1.0, np.nan, 2.0]] * 2),
+     np.array([[np.inf, 0.0, 1.0]] * 2)],
+    ids=["1-D", "3-D", "complex", "nan", "inf"],
+)
+def test_lattice_sums_need_a_2d_array_of_finite_real_weights(name, rows):
+    given = {"cos_rows": np.ones((2, 3)), "sin_rows": np.ones((2, 3)), name: rows}
+    with pytest.raises(ValueError, match=f"^{name}: need a 2-D array of finite real weights, got "):
+        sums.lattice_sums(np.array([0.1, 0.2]), **given)
+
+
+@pytest.mark.parametrize("sin_rows, got", [(np.ones((2, 4)), "2 x 4"), (np.ones((3, 3)), "3 x 3")])
+def test_lattice_sums_need_as_many_sines_as_cosines(sin_rows, got):
+    with pytest.raises(ValueError, match=f"^sin_rows: need 2 x 3 weights, as many as cos_rows, got {got}$"):
+        sums.lattice_sums(np.array([0.1]), np.ones((2, 3)), sin_rows)
 
 
 def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation():
