@@ -761,8 +761,10 @@ def _outer_integral(spec: _Spectrum, times: np.ndarray) -> np.ndarray:
     return outer + times * small
 
 
-def _emission_overlap(spec: _Spectrum, t: float | np.ndarray, lapse=None):
-    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots (and ``U00(lapse)``).
+def _emission_overlap(
+    spec: _Spectrum, t: float | np.ndarray, lapse: float | np.ndarray
+) -> tuple[complex | np.ndarray, float | np.ndarray]:
+    """``sum_n interaction_column(t)[n] / (gamma + i n delta_e)`` over the bath slots, and ``U00(lapse)``.
 
     The interaction amplitudes obey ``db_n/ds = -i H e^{i E_n s} U00(s)``
     from ``b_n(0) = 0`` (Weisskopf & Wigner), so the overlap at ``tau`` is
@@ -775,21 +777,18 @@ def _emission_overlap(spec: _Spectrum, t: float | np.ndarray, lapse=None):
     series costs a few flops per root and Chebyshev order and two trig
     calls per root, ``L`` a lattice sum per node, and each time O(N).
 
-    ``lapse``, one per time, must be ``top - t`` to rounding, with ``top``
-    the largest time (a weak value's ``t - t_i``, with ``t_f - t`` as
-    ``t``); the overlap then comes with ``U00(lapse)``: ``U_in`` from the
-    same series at the mirrored angles (:func:`_band_integral`) and the
-    outer pair at ``lapse`` itself.  An all-zero grid takes ``top = 1``.
+    ``lapse``, of the shape of ``t``, must be ``top - t`` to rounding, with
+    ``top`` the largest time (a weak value's ``t - t_i``, with ``t_f - t``
+    as ``t``); ``U00(lapse)`` is ``U_in`` from the same series at the
+    mirrored angles (:func:`_band_integral`) and the outer pair at
+    ``lapse`` itself.  An all-zero grid takes ``top = 1``.
     """
     times = np.asarray(t, dtype=float).reshape(-1)
     top = np.max(times, initial=0.0) or 1.0  # an all-zero grid takes any window
     band, inner = _band_integral(spec, times, top)
     total = band + 2.0 * spec.weight[-1] * _outer_integral(spec, times)
-    overlap = (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()]
-    if lapse is None:
-        return overlap
     inner += 2.0 * spec.weight[-1] * np.cos(spec.lam[-1] * np.reshape(lapse, -1))
-    return overlap, inner.reshape(np.shape(t))[()]
+    return (-1j * spec.bath.coupling * total).reshape(np.shape(t))[()], inner.reshape(np.shape(t))[()]
 
 
 def survival_probability(bath: BathSpec, t: float | np.ndarray) -> float | np.ndarray:

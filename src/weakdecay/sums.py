@@ -67,9 +67,9 @@ from . import laws
 # _trig call, and products over 128 rows, which BLAS runs less well than 256.
 _CHUNK = 1 << 18
 _WIDTH = 1 << 10  # the widest row, so a chunk has at least _CHUNK / _WIDTH rows
-# Weights formed at once (of all sets), within a chunk, before they are folded:
-# 256 KiB, so a block and its folds stay in L2 cache.  The default sum ran 12%
-# faster than with blocks of 2^16, and 6% faster than with blocks of 2^14.
+# Weights formed at once, within a chunk, before they are folded: 256 KiB, so a
+# block and its folds stay in L2 cache.  The default sum ran 12% faster than
+# with blocks of 2^16, and 6% faster than with blocks of 2^14.
 _FOLD_ENTRIES = 1 << 15
 # Times are taken in blocks so that each sine or cosine table (times x offsets,
 # times x bases) holds at most this many entries, whatever the grid's size.
@@ -134,10 +134,10 @@ def phased_lorentzian_sum(
         w *= w  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
         w *= p.delta_e**2
         w += p.gamma**2
-        return np.divide(2.0 * p.delta_e, w, out=w)[None]  # the one set
+        return np.divide(2.0 * p.delta_e, w, out=w)
 
     center = p.delta_e / p.gamma**2 if include_center else 0.0
-    values = _lattice(p.delta_e * times, p.k_max, [cos_weights], center)[0].astype(complex)
+    values = _lattice(p.delta_e * times, p.k_max, [[cos_weights]], center)[0].astype(complex)
     return values if np.ndim(t) else complex(values[0])
 
 
@@ -152,8 +152,7 @@ def lattice_sum(
     one row of :func:`lattice_sums`.  ``angle`` must be a 1-D array of
     finite angles, and each set of weights a 1-D array of finite real weights.
     """
-    rows = _checked({"cos_weights": cos_weights, "sin_weights": sin_weights}, 1)
-    return lattice_sums(angle, *(w[None] for w in rows))[0]
+    return _stacked_sums(angle, {"cos_weights": cos_weights, "sin_weights": sin_weights}, 1)[0]
 
 
 def lattice_sums(angle: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray | None = None) -> np.ndarray:
@@ -162,24 +161,22 @@ def lattice_sums(angle: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray |
     ``cos_rows`` is a 2-D array of finite real weights, one set per row, and
     ``sin_rows`` is None or has its shape.  Every set meets the same offset
     and base tables, formed once for the angles, in one matrix product per
-    table and chunk, so a stack costs the trig calls of one set.  A row's
-    value may differ from its own :func:`lattice_sum` call in the last bits,
-    as wider products are summed in another order.
+    table and chunk, so a stack costs the trig calls of one set.  Each row
+    is its own :func:`lattice_sum` call's value, bit for bit.
+    """
+    return _stacked_sums(angle, {"cos_rows": cos_rows, "sin_rows": sin_rows}, 2)
+
+
+def _stacked_sums(angle: np.ndarray, weights: dict, ndim: int) -> np.ndarray:
+    """The lattice sums at ``angle`` of the ``ndim``-D cosine (and sine) weights in ``weights``, one row per set.
+
+    The angles are checked first, then each array that is not None, in
+    order; the second, the sines, must have the shape of the first.  A
+    ValueError names the first that fails.
     """
     angles = np.asarray(angle, dtype=float)
     if angles.ndim != 1 or not np.all(np.isfinite(angles)):
         raise ValueError(f"angle: need a 1-D array of finite angles, got {angle}")
-    rows = _checked({"cos_rows": cos_rows, "sin_rows": sin_rows}, 2)
-    forms = [lambda lo, hi, w=w: w[:, lo - 1 : hi - 1] for w in rows]
-    return _lattice(angles, rows[0].shape[1], forms, sets=len(rows[0]))
-
-
-def _checked(weights: dict, ndim: int) -> list[np.ndarray]:
-    """The arrays of ``weights`` that are not None, each an ``ndim``-D array of finite real weights.
-
-    The second, the sines, must have the shape of the first; a ValueError
-    names the first that fails.
-    """
     given = {name: np.asarray(w) for name, w in weights.items() if w is not None}
     for name, w in given.items():
         if w.ndim != ndim or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
@@ -189,15 +186,17 @@ def _checked(weights: dict, ndim: int) -> list[np.ndarray]:
         if sin.shape != cos.shape:
             need, got = (" x ".join(map(str, w.shape)) for w in (cos, sin))
             raise ValueError(f"{sin_name}: need {need} weights, as many as {cos_name}, got {got}")
-    return list(given.values())
+    stacks = [np.atleast_2d(w) for w in given.values()]  # a 1-D set as one row
+    forms = [[lambda lo, hi, w=w: w[lo - 1 : hi - 1] for w in stack] for stack in stacks]
+    return _lattice(angles, cos.shape[-1], forms)
 
 
-def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0, sets: int = 1) -> np.ndarray:
+def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.ndarray:
     """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``, one row per set.
 
-    ``forms`` holds the form of ``c_k`` and, with sines, that of ``s_k``;
-    ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` of all ``sets``
-    sets, one row each, for any ``1 <= lo <= hi <= k_max + 1``.  Chunk
+    ``forms[0][j]`` is the form of set ``j``'s ``c_k`` and, with sines,
+    ``forms[1][j]`` that of its ``s_k``; ``form(lo, hi)`` returns the weights
+    of ``lo <= k < hi`` for any ``1 <= lo <= hi <= k_max + 1``.  Chunk
     totals are combined per set and angle by TwoSum.
     """
     # rows of width W, the smallest power of two >= sqrt(k_max) from 2 up to
@@ -205,11 +204,9 @@ def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0, sets: i
     # row r holds k = r W + m with -W/2 <= m < W/2
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
-    # rows per chunk, as for one set: every set's phases round as in its own sum
-    chunk = max(1, _CHUNK // width)
-    # one workspace for every chunk, viewed whole at each chunk's own row count,
-    # so that the rows of all sets meet each table in one product
-    workspace = np.empty(len(forms) * 2 * sets * min(chunk, rows) * (width // 2 + 1))
+    sets = len(forms[0])
+    chunk = max(1, _CHUNK // width)  # rows of each set
+    folds = np.empty((len(forms), 2, sets, min(chunk, rows), width // 2 + 1))  # for every chunk
     values = np.empty((sets, len(angles)))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
@@ -218,10 +215,8 @@ def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0, sets: i
         total = np.full((sets, len(angle)), center)
         error = np.zeros((sets, len(angle)))
         for first in range(0, rows, chunk):
-            shape = (len(forms), 2, sets, min(chunk, rows - first), width // 2 + 1)
-            folds = workspace[: math.prod(shape)].reshape(shape)
-            _fold(forms, first * width, k_max, folds)
-            part = _chunk_sum(first * width, width, angle, tables, folds)
+            _fold(forms, first * width, k_max, folds[:, :, :, : rows - first])
+            part = _chunk_sum(first * width, width, angle, tables, folds[:, :, :, : rows - first])
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
@@ -232,38 +227,38 @@ def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0, sets: i
 
 
 def _fold(forms, base: int, k_max: int, folds: np.ndarray) -> None:
-    """Fill ``folds``, a ``(len(forms), 2, S, R, W/2 + 1)`` array, with ``R`` rows of folded weights per set.
+    """Fill ``folds``, a ``(len(forms), 2, S, R, W/2 + 1)`` view, with ``R`` rows of folded weights per set.
 
     Row ``r`` holds ``k = B + m`` for ``-W/2 <= m < W/2`` about its centre
     ``B = base + r W``.  Entry ``[i, 0, j, r, m]`` holds the even part
-    ``w_{B+m} + w_{B-m}`` of the weights of set ``j`` that ``forms[i]``
-    forms, and ``[i, 1, j, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at
-    ``m = 0`` the even part is ``w_B`` alone, and at ``m = W/2`` only
-    ``w_{B-m}`` is in the row.  The weights are formed a few rows at a time,
-    so only the folds are chunk-sized, and only for ``1 <= k <= k_max``: a
-    block that runs past either end (row 0's ``k <= 0``, the last row's
-    tail) is padded with zeros.
+    ``w_{B+m} + w_{B-m}`` of the weights that ``forms[i][j]`` forms, and
+    ``[i, 1, j, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the
+    even part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the
+    row.  The weights are formed a few rows at a time, so only the folds are
+    chunk-sized, and only for ``1 <= k <= k_max``: a block that runs past
+    either end (row 0's ``k <= 0``, the last row's tail) is padded with zeros.
     """
-    sets, half = folds.shape[2], folds.shape[-1] - 1
+    half = folds.shape[-1] - 1
     width = 2 * half
-    block = max(1, _FOLD_ENTRIES // (width * max(sets, 1)))
+    block = max(1, _FOLD_ENTRIES // width)
     for lo in range(0, folds.shape[3], block):
         size = min(block, folds.shape[3] - lo)
         start = base - half + lo * width  # the block's first k
         stop = start + size * width
         inside = max(start, 1), min(stop, k_max + 1)
-        for form, (even, odd) in zip(forms, folds[:, :, :, lo : lo + size]):
-            w = form(*inside)
-            if inside != (start, stop):
-                pads = np.zeros((sets, inside[0] - start)), np.zeros((sets, stop - inside[1]))
-                w = np.concatenate((pads[0], w, pads[1]), axis=1)
-            w = w.reshape(sets, size, width)  # the centre at column W/2
-            above, below = w[..., half + 1 :], w[..., half - 1 : 0 : -1]
-            np.add(above, below, out=even[..., 1:half])
-            np.subtract(above, below, out=odd[..., 1:half])
-            even[..., 0], odd[..., 0] = w[..., half], 0.0
-            # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
-            even[..., half], odd[..., half] = w[..., 0], -w[..., 0]
+        for kind_forms, kind_folds in zip(forms, folds):  # the cosines', then the sines'
+            for j, form in enumerate(kind_forms):
+                even, odd = kind_folds[:, j, lo : lo + size]
+                w = form(*inside)
+                if inside != (start, stop):
+                    w = np.concatenate((np.zeros(inside[0] - start), w, np.zeros(stop - inside[1])))
+                w = w.reshape(size, width)  # the centre at column W/2
+                above, below = w[:, half + 1 :], w[:, half - 1 : 0 : -1]
+                np.add(above, below, out=even[:, 1:half])
+                np.subtract(above, below, out=odd[:, 1:half])
+                even[:, 0], odd[:, 0] = w[:, half], 0.0
+                # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
+                even[:, half], odd[:, half] = w[:, 0], -w[:, 0]
 
 
 def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:
@@ -272,25 +267,23 @@ def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.nd
     Row ``r``'s centre is ``B = base + r W``.  With ``e`` and ``o`` the even
     and odd parts of its weights (:func:`_fold`), the pairs ``B +- m`` give
     ``cos(B a) (e_c cos(m a) + o_s sin(m a)) - sin(B a) (o_c sin(m a) - e_s cos(m a))``,
-    so the rows of every set meet each offset table in one matrix product
-    over ``W/2 + 1`` offsets, and all sets share the base tables.
+    so each set's rows meet the offset tables in matrix products over ``W/2
+    + 1`` offsets, one per table for all sets, and all sets share the base
+    tables.  Every set's product has the shape of its own sum's.
     """
     offset_cos, offset_sin = tables
-    forms, _, sets, rows, offsets = folds.shape
-    parts = folds.reshape(forms, 2, sets * rows, offsets).transpose(0, 1, 3, 2)  # offsets x (sets x rows)
-    base_cos, base_sin = _trig(angle, base, width, rows)
-    along = offset_cos @ parts[0, 0]
-    across = offset_sin @ parts[0, 1]
-    if forms > 1:
-        along += offset_sin @ parts[1, 1]
-        across -= offset_cos @ parts[1, 0]
-    shape = (len(angle), sets, rows)
-    along = along.reshape(shape)
-    across = across.reshape(shape)
-    along *= base_cos[:, None]
-    across *= base_sin[:, None]
+    even, odd = folds[0].transpose(0, 1, 3, 2)  # sets x offsets x rows
+    base_cos, base_sin = _trig(angle, base, width, even.shape[-1])
+    along = offset_cos @ even  # sets x angles x rows
+    across = offset_sin @ odd
+    if len(folds) > 1:
+        sin_even, sin_odd = folds[1].transpose(0, 1, 3, 2)
+        along += offset_sin @ sin_odd
+        across -= offset_cos @ sin_even
+    along *= base_cos
+    across *= base_sin
     along -= across
-    return np.sum(along, axis=-1).T
+    return np.sum(along, axis=-1)
 
 
 def _trig(angle: np.ndarray, first: int, step: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -205,7 +205,7 @@ def test_emission_fold_matches_the_complex_column_sum(n_half):
     # the independent route: every bath slot of the interaction column times its weight
     weights = 1.0 / (bath.gamma + 1j * bath.bath_atoms() * bath.delta_e)
     reference = np.sum(weights * interaction_column(bath, times)[:, 1:], axis=-1)
-    fold = decay._emission_overlap(decay._spectrum(bath), times)
+    fold = decay._emission_overlap(decay._spectrum(bath), times, 2.0 - times)[0]
     assert np.all(fold.real == 0.0)
     assert np.max(np.abs(fold - reference)) <= 1e-14 * np.max(np.abs(reference))
     weak = weak_survival_numeric(bath, 0.0, grid, 2.0, PostSpec("asymptotic"))
@@ -222,7 +222,7 @@ def test_emission_fold_matches_the_dense_propagator(n_half):
     weights = np.exp(1j * np.multiply.outer(times, energy)) / (bath.gamma + 1j * energy)
     dense = np.array([bath_propagator(bath, tau).matrix[1:, 0] for tau in times])
     reference = np.sum(weights * dense, axis=-1)
-    fold = decay._emission_overlap(decay._spectrum(bath), times)
+    fold = decay._emission_overlap(decay._spectrum(bath), times, 2.0 - times)[0]
     assert np.max(np.abs(fold - reference)) <= 1e-12
 
 
@@ -239,7 +239,8 @@ def test_emission_overlap_grows_at_the_rate_of_its_equation_of_motion(n_half, ga
     # (h omega)^4 / 30 for the fastest wave, omega ~ 2 N delta_e
     bath = BathSpec.from_gamma(n_half, gamma, delta_e)
     taus, h = np.array([0.4, 1.1, 1.7]), 2e-4
-    values = decay._emission_overlap(decay._spectrum(bath), np.add.outer(taus, h * np.array([-2, -1, 1, 2])))
+    times = np.add.outer(taus, h * np.array([-2, -1, 1, 2]))
+    values = decay._emission_overlap(decay._spectrum(bath), times, np.max(times) - times)[0]
     rate = (values[:, 0] - 8.0 * values[:, 1] + 8.0 * values[:, 2] - values[:, 3]) / (12.0 * h)
     energy = bath.bath_atoms() * bath.delta_e
     lattice = np.sum(np.exp(1j * np.multiply.outer(taus, energy)) / (bath.gamma + 1j * energy), axis=-1)
@@ -290,13 +291,15 @@ def test_band_series_sizes_each_root_block_by_its_own_order(n_half, top, steps, 
 
 @pytest.mark.parametrize("n_half, top", [(2000, 2.0), (2000, 10.0), (2000, 30.0), (decay.MAX_N_HALF, 20.0)])
 def test_blocked_band_series_meets_a_single_block(n_half, top, monkeypatch):
-    # measured: at most 3.4e-16 of the largest coefficient; each block starts its
-    # recurrence at its own top order, which moves last bits only
+    # measured: at most 3.4e-16 of the largest coefficient of U_in L's series and
+    # 5.9e-16 of U_in's; each block starts its recurrence at its own top order,
+    # which moves last bits only
     spec = decay._spectrum(BathSpec.from_gamma(n_half, 1.0, 0.05))
-    blocked, _ = decay._band_series(spec, top)
+    blocked = decay._band_series(spec, top)
     monkeypatch.setattr(decay, "_bessel_roots", lambda order: n_half)
-    single, _ = decay._band_series(spec, top)
-    assert np.max(np.abs(blocked - single)) <= 1e-15 * np.max(np.abs(single))
+    single = decay._band_series(spec, top)
+    for blocked_series, single_series in zip(blocked, single):  # U_in L's, then U_in's
+        assert np.max(np.abs(blocked_series - single_series)) <= 1e-15 * np.max(np.abs(single_series))
 
 
 def test_bessel_recurrence_matches_scipy():
@@ -356,7 +359,7 @@ def test_emission_overlap_at_strong_coupling_keeps_the_band_node_count():
     assert spec.lam[-1] > 500.0 * strong.n_half * strong.delta_e
     times = np.append(2.0, 2.0 - np.linspace(0.0, 2.0, 9))
     reference = _emission_reference(strong, times)
-    fold = decay._emission_overlap(spec, times)
+    fold = decay._emission_overlap(spec, times, 2.0 - times)[0]
     assert np.max(np.abs(fold - reference)) <= 1e-13 * np.max(np.abs(reference))
     assert len(decay._band_series(spec, 2.0)[0]) == len(decay._band_series(decay._spectrum(weak), 2.0)[0])
 
@@ -456,7 +459,7 @@ def test_emission_overlap_memory_at_the_cap_on_a_long_window():
     times = np.linspace(0.0, 20.0, 2001)
     tracemalloc.start()
     try:
-        decay._emission_overlap(spec, times)
+        decay._emission_overlap(spec, times, 20.0 - times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,7 +505,7 @@ def test_emission_overlap_matches_the_dense_propagator_on_random_baths(case):
     weights = np.exp(1j * np.multiply.outer(times, energy)) / (bath.gamma + 1j * energy)
     dense = bath_propagator(bath, times).matrix[:, 1:, 0]
     reference = np.sum(weights * dense, axis=-1)
-    fold = decay._emission_overlap(decay._spectrum(bath), t)
+    fold = decay._emission_overlap(decay._spectrum(bath), t, np.max(t) - t)[0]
     assert np.shape(fold) == np.shape(t)
     scale = bath.coupling * np.max(times) * np.sum(np.abs(1.0 / (bath.gamma + 1j * energy)))
     assert np.max(np.abs(np.atleast_1d(fold) - reference)) <= 1e-13 * scale

@@ -155,11 +155,16 @@ def test_time_blocks_do_not_change_values(small_bath, monkeypatch):
     # OpenBLAS's remainder kernels, which sum in another order and can move
     # the last bit; the per-time test above bounds those at 1e-14.  Survival
     # on a progression grid takes its own products per base, at any width.
-    # The emission series' Bessel blocks of roots keep their default, one
-    # block of every root here: how roots split moves last bits, as
-    # test_blocked_band_series_meets_a_single_block bounds.
-    assert decay._BESSEL_ROOTS >= small_bath.n_half
-    monkeypatch.setattr(decay, "_bessel_roots", lambda order: small_bath.n_half)
+    # The emission series' Bessel blocks shrink with them, to at most three of
+    # the nine inner roots: a root split sums the series in another order, so
+    # the asymptotic weak value moves by last bits (measured: 2.2e-16 of its
+    # largest value here), bounded as test_blocked_band_series_meets_a_single_block
+    # bounds the series.
     monkeypatch.setattr(decay, "_BLOCK_ENTRIES", 4 * small_bath.n_half)
+    assert decay._bessel_roots(decay._degree(0.0)) <= 3
     for name, fn in BLOCKED.items():
-        assert np.array_equal(fn(small_bath, TIMES), whole[name]), name
+        blocked = fn(small_bath, TIMES)
+        if name == "weak_asymptotic":
+            assert np.max(np.abs(blocked - whole[name])) <= 1e-15 * np.max(np.abs(whole[name]))
+        else:
+            assert np.array_equal(blocked, whole[name]), name

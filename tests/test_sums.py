@@ -236,12 +236,12 @@ def test_lattice_sum_forms_each_weight_once_and_only_in_range(count, chunk, monk
     asked = []  # per form, the (lo, hi) ranges it was asked for
     lattice = sums._lattice
 
-    def recorded(angles, k_max, forms, center=0.0, sets=1):
+    def recorded(angles, k_max, forms, center=0.0):
         def record(form, ranges):
             return lambda lo, hi: ranges.append((lo, hi)) or form(lo, hi)
 
         asked.extend([] for _ in forms)
-        return lattice(angles, k_max, [record(f, r) for f, r in zip(forms, asked)], center, sets)
+        return lattice(angles, k_max, [[record(f, r)] for (f,), r in zip(forms, asked)], center)
 
     monkeypatch.setattr(sums, "_lattice", recorded)
     rng = np.random.default_rng(count)
@@ -288,8 +288,8 @@ def test_lattice_sum_needs_as_many_sines_as_cosines():
     [(count, _WHOLE) for count in (3, 65, 1055, 5000, 20000, 70000)] + [(5000, 1 << 12), (20000, 1 << 12)],
 )
 def test_each_row_of_a_stacked_sum_meets_its_own_lattice_sum(count, chunk, sines, monkeypatch):
-    # measured: at most a quarter ulp of the row's sum of |weights|; the rows
-    # share every table and chunk, and only the wider products sum in another order
+    # the rows share every table and chunk, and each set's products have the
+    # shape of its own call's, so each row is its own sum bit for bit
     monkeypatch.setattr(sums, "_CHUNK", chunk)
     rng = np.random.default_rng(count)
     cos_rows, sin_rows = rng.standard_normal((2, 3, count)) * [[[1.0]], [[float(sines)]]]
@@ -298,8 +298,7 @@ def test_each_row_of_a_stacked_sum_meets_its_own_lattice_sum(count, chunk, sines
     assert stacked.shape == (3, len(angles))
     for row, cos_weights, sin_weights in zip(stacked, cos_rows, sin_rows):
         own = sums.lattice_sum(angles, cos_weights, sin_weights if sines else None)
-        scale = np.sum(np.abs(cos_weights) + np.abs(sin_weights))
-        assert np.max(np.abs(row - own)) <= 2 * np.spacing(scale)
+        assert np.array_equal(row, own)
 
 
 def test_a_one_row_stack_is_the_one_set_sum_bit_for_bit():
