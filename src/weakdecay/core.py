@@ -178,12 +178,6 @@ def check_times(t: float | np.ndarray) -> None:
         raise ValueError("t must be nonnegative")
 
 
-def check_finite_times(t: float | np.ndarray) -> None:
-    """Raise ValueError unless every time in ``t`` is finite; negative times pass."""
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
-
-
 def check_phase_times(t: float | np.ndarray, frequency: float) -> None:
     """Raise ValueError unless every time in ``t`` is finite, and so is its phase at ``frequency``.
 
@@ -191,7 +185,8 @@ def check_phase_times(t: float | np.ndarray, frequency: float) -> None:
     phase ``frequency |t|`` must stay finite twice over, to spare the
     rounding of a frequency at the bound.  Negative times pass.
     """
-    check_finite_times(t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
     largest = float(np.max(np.abs(t), initial=0.0))
     if largest and not np.isfinite(2.0 * frequency * largest):
         raise ValueError(f"t: the phase {frequency:.6g} t overflows at |t| = {largest}")

@@ -700,7 +700,8 @@ def _band_series(spec: _Spectrum, top: float) -> tuple[np.ndarray, np.ndarray]:
     series[-1] *= 2.0
     samples = np.fft.irfft(series, 2 * degree)[: degree + 1] * (2.0 * degree)
     nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
-    samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *_emission_weights(spec.bath))
+    cos_w, sin_w = _emission_weights(spec.bath)
+    samples *= 2.0 * sums.lattice_sums(spec.bath.delta_e * nodes, cos_w[None], sin_w[None])[0]
     coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
     coeffs[[0, -1]] *= 0.5
     return coeffs, u_in

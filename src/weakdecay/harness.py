@@ -33,7 +33,7 @@ CSV_HEADER = "t,value_re,value_im,reference_re,reference_im,abs_error"
 
 # Largest time grid: at this size a spin run takes ~2.5-3 s on one core, peaks near
 # 92 MB RSS (evaluation in time blocks, the CSV written block by block) and
-# writes an 80 MB CSV; an asymptotic decay run peaks near 125 MB, inside its route.
+# writes an 80 MB CSV; an asymptotic decay run peaks near 154 MiB, inside its route.
 MAX_POINTS = 1_000_000
 
 # Rows per CSV render block.  Each block reprs its distinct cells once; one memo

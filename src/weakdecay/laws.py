@@ -33,6 +33,7 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
 
     On the bath atom detuned by ``n * delta_e``, in the interaction picture,
     with the coupling eliminated through ``H = sqrt(gamma * delta_e / pi)``.
+    The bracket is formed by ``expm1``, so a small exponent keeps its digits.
     """
     t = np.asarray(t, dtype=float)
     check_times(t)
@@ -43,11 +44,19 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
     square = gamma * delta_e / math.pi
     if not math.isfinite(square):
         raise ValueError(f"gamma: H^2 = gamma delta_e / pi overflows at ({gamma}, {delta_e})")
+    detuning = n * delta_e
+    if not math.isfinite(detuning):
+        raise ValueError(f"n: the detuning n delta_e overflows at ({n}, {delta_e})")
     h = math.sqrt(square)
-    pole = gamma - 1j * n * delta_e
+    pole = gamma - 1j * detuning
     if abs(pole) == 0.0:
         raise ValueError("gamma and the detuning cannot both vanish")
-    return 1j * h * (np.exp((-gamma + 1j * n * delta_e) * t) - 1.0) / pole
+    if not math.isfinite(h / abs(pole)):
+        raise ValueError(f"gamma: the scale H / |gamma - i n delta_e| overflows at ({gamma}, {delta_e}, {n})")
+    exponent = np.asarray((-gamma + 1j * detuning) * t)
+    decayed = exponent.real == -np.inf  # e^{x t} is 0 there, but expm1 of an infinite phase is NaN
+    bracket = np.expm1(exponent, out=np.full(exponent.shape, -1.0 + 0j), where=~decayed)
+    return 1j * (h / pole) * bracket  # H / pole first: H (e^{x t} - 1) may underflow
 
 
 def survival_limit(gamma: float, t: float | np.ndarray) -> np.ndarray:

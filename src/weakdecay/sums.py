@@ -35,12 +35,12 @@ sin(B a) and the offset tables hold (k_max / W + W / 2) T entries, each one
 angle addition from a coarse and a fine table of library sines and cosines
 of about sqrt(width) entries each, so no error builds up along a table.
 Times are taken in blocks so that the tables stay small for any
-grid size.  :func:`lattice_sum` runs the same route on a caller's cosine
-and sine weights, whose sines pair the same way, the even part against
-cos(m a) and the odd part against sin(m a): the decay model's emission
-overlap sums its bath lattice through it.  :func:`lattice_sums` takes a
-stack of such weight sets at the same angles in one pass: every set meets
-the same tables, in one matrix product per table and chunk.
+grid size.  :func:`lattice_sums` runs the same route on a stack of a
+caller's cosine and sine weight sets at the same angles, whose sines pair
+the same way, the even part against cos(m a) and the odd part against
+sin(m a): every set meets the same tables, in one matrix product per table
+and chunk.  The decay model's emission overlap sums its bath lattice
+through it.
 
 The optional ``include_center`` flag drops the k = 0 term.  The decay bath
 has no level at zero detuning, so the centerless sum is the physically
@@ -129,84 +129,60 @@ def phased_lorentzian_sum(
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError(f"t: need finite times >= 0, as one time or a 1-D array, got {t}")
 
-    def cos_weights(lo: int, hi: int) -> np.ndarray:
+    def form(lo: int, hi: int) -> np.ndarray:
         w = np.arange(lo, hi, dtype=float)  # k, then in place
         w *= w  # 2 delta_e / (gamma^2 + k^2 delta_e^2)
         w *= p.delta_e**2
         w += p.gamma**2
-        return np.divide(2.0 * p.delta_e, w, out=w)
+        return np.divide(2.0 * p.delta_e, w, out=w)[None, None]  # one kind (cosines) of one set
 
     center = p.delta_e / p.gamma**2 if include_center else 0.0
-    values = _lattice(p.delta_e * times, p.k_max, [[cos_weights]], center)[0].astype(complex)
+    values = _lattice(p.delta_e * times, p.k_max, form, center)[0].astype(complex)
     return values if np.ndim(t) else complex(values[0])
 
 
-def lattice_sum(
-    angle: np.ndarray, cos_weights: np.ndarray, sin_weights: np.ndarray | None = None
-) -> np.ndarray:
-    """``sum_{k=1}^K cos_weights[k-1] cos(k a) + sin_weights[k-1] sin(k a)`` for each angle ``a``.
-
-    ``K`` is the length of the weights (``sin_weights`` may be None, for no
-    sines, or else must have the same length); they go through the same
-    rows, tables and compensated summation as the Lorentzian sums, as the
-    one row of :func:`lattice_sums`.  ``angle`` must be a 1-D array of
-    finite angles, and each set of weights a 1-D array of finite real weights.
-    """
-    return _stacked_sums(angle, {"cos_weights": cos_weights, "sin_weights": sin_weights}, 1)[0]
-
-
 def lattice_sums(angle: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray | None = None) -> np.ndarray:
-    """:func:`lattice_sum` for each row of ``cos_rows`` (and of ``sin_rows``), one row out per row in.
+    """``sum_{k=1}^K cos_rows[j, k-1] cos(k a) + sin_rows[j, k-1] sin(k a)`` for each row ``j`` and angle ``a``.
 
-    ``cos_rows`` is a 2-D array of finite real weights, one set per row, and
-    ``sin_rows`` is None or has its shape.  Every set meets the same offset
-    and base tables, formed once for the angles, in one matrix product per
-    table and chunk, so a stack costs the trig calls of one set.  Each row
-    is its own :func:`lattice_sum` call's value, bit for bit.
-    """
-    return _stacked_sums(angle, {"cos_rows": cos_rows, "sin_rows": sin_rows}, 2)
-
-
-def _stacked_sums(angle: np.ndarray, weights: dict, ndim: int) -> np.ndarray:
-    """The lattice sums at ``angle`` of the ``ndim``-D cosine (and sine) weights in ``weights``, one row per set.
-
-    The angles are checked first, then each array that is not None, in
-    order; the second, the sines, must have the shape of the first.  A
-    ValueError names the first that fails.
+    ``angle`` must be a 1-D array of finite angles, ``cos_rows`` a 2-D array
+    of finite real weights, one set of ``K`` per row, and ``sin_rows`` None,
+    for no sines, or such an array of the same shape; a ValueError names the
+    first that fails.  The sets go through the same rows, tables and
+    compensated summation as the Lorentzian sums: they meet the offset and
+    base tables, formed once for the angles, in one matrix product per table
+    and chunk, so a stack costs the trig calls of one set, and each row of
+    the result is that row's sum alone (a one-row stack), bit for bit.
     """
     angles = np.asarray(angle, dtype=float)
     if angles.ndim != 1 or not np.all(np.isfinite(angles)):
         raise ValueError(f"angle: need a 1-D array of finite angles, got {angle}")
-    given = {name: np.asarray(w) for name, w in weights.items() if w is not None}
-    for name, w in given.items():
-        if w.ndim != ndim or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
-            raise ValueError(f"{name}: need a {ndim}-D array of finite real weights, got {w}")
-    (cos_name, cos), *sines = given.items()
-    for sin_name, sin in sines:
-        if sin.shape != cos.shape:
-            need, got = (" x ".join(map(str, w.shape)) for w in (cos, sin))
-            raise ValueError(f"{sin_name}: need {need} weights, as many as {cos_name}, got {got}")
-    stacks = [np.atleast_2d(w) for w in given.values()]  # a 1-D set as one row
-    forms = [[lambda lo, hi, w=w: w[lo - 1 : hi - 1] for w in stack] for stack in stacks]
-    return _lattice(angles, cos.shape[-1], forms)
+    kinds = [np.asarray(cos_rows)] + ([] if sin_rows is None else [np.asarray(sin_rows)])
+    for name, w in zip(("cos_rows", "sin_rows"), kinds):
+        if w.ndim != 2 or w.dtype.kind not in "iuf" or not np.all(np.isfinite(w)):
+            raise ValueError(f"{name}: need a 2-D array of finite real weights, got {w}")
+    if kinds[1:] and kinds[1].shape != kinds[0].shape:
+        need, got = (" x ".join(map(str, w.shape)) for w in kinds)
+        raise ValueError(f"sin_rows: need {need} weights, as many as cos_rows, got {got}")
+    weights = np.stack(kinds).astype(float, copy=False)  # kinds x sets x K
+    return _lattice(angles, weights.shape[-1], lambda lo, hi: weights[:, :, lo - 1 : hi - 1])
 
 
-def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.ndarray:
+def _lattice(angles: np.ndarray, k_max: int, form, center: float = 0.0) -> np.ndarray:
     """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``, one row per set.
 
-    ``forms[0][j]`` is the form of set ``j``'s ``c_k`` and, with sines,
-    ``forms[1][j]`` that of its ``s_k``; ``form(lo, hi)`` returns the weights
-    of ``lo <= k < hi`` for any ``1 <= lo <= hi <= k_max + 1``.  Chunk
-    totals are combined per set and angle by TwoSum.
+    ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` for any ``1 <=
+    lo <= hi <= k_max + 1`` as a ``(kinds, sets, hi - lo)`` block: kind 0
+    holds each set's ``c_k`` and kind 1, if there are sines, its ``s_k``.
+    Chunk totals are combined per set and angle by TwoSum.
     """
     # rows of width W, the smallest power of two >= sqrt(k_max) from 2 up to
     # _WIDTH, so that the base and offset tables are about equally costly;
     # row r holds k = r W + m with -W/2 <= m < W/2
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
-    sets = len(forms[0])
+    kinds, sets, _ = form(1, 1).shape
     chunk = max(1, _CHUNK // width)  # rows of each set
-    folds = np.empty((len(forms), 2, sets, min(chunk, rows), width // 2 + 1))  # for every chunk
+    folds = np.empty((kinds, 2, sets, min(chunk, rows), width // 2 + 1))  # for every chunk
     values = np.empty((sets, len(angles)))
     step = _TABLE_ENTRIES // width
     for lo in range(0, len(angles), step):
@@ -215,7 +191,7 @@ def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.n
         total = np.full((sets, len(angle)), center)
         error = np.zeros((sets, len(angle)))
         for first in range(0, rows, chunk):
-            _fold(forms, first * width, k_max, folds[:, :, :, : rows - first])
+            _fold(form, first * width, k_max, folds[:, :, :, : rows - first])
             part = _chunk_sum(first * width, width, angle, tables, folds[:, :, :, : rows - first])
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
@@ -226,17 +202,18 @@ def _lattice(angles: np.ndarray, k_max: int, forms, center: float = 0.0) -> np.n
     return values
 
 
-def _fold(forms, base: int, k_max: int, folds: np.ndarray) -> None:
-    """Fill ``folds``, a ``(len(forms), 2, S, R, W/2 + 1)`` view, with ``R`` rows of folded weights per set.
+def _fold(form, base: int, k_max: int, folds: np.ndarray) -> None:
+    """Fill ``folds``, a ``(kinds, 2, S, R, W/2 + 1)`` view, with ``R`` rows of folded weights per set.
 
     Row ``r`` holds ``k = B + m`` for ``-W/2 <= m < W/2`` about its centre
     ``B = base + r W``.  Entry ``[i, 0, j, r, m]`` holds the even part
-    ``w_{B+m} + w_{B-m}`` of the weights that ``forms[i][j]`` forms, and
-    ``[i, 1, j, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m = 0`` the
-    even part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}`` is in the
-    row.  The weights are formed a few rows at a time, so only the folds are
-    chunk-sized, and only for ``1 <= k <= k_max``: a block that runs past
-    either end (row 0's ``k <= 0``, the last row's tail) is padded with zeros.
+    ``w_{B+m} + w_{B-m}`` of the weights ``form`` gives as kind ``i`` of set
+    ``j``, and ``[i, 1, j, r, m]`` the odd part ``w_{B+m} - w_{B-m}``; at ``m
+    = 0`` the even part is ``w_B`` alone, and at ``m = W/2`` only ``w_{B-m}``
+    is in the row.  The weights are formed a few rows at a time, one block
+    per call of ``form``, so only the folds are chunk-sized, and only for
+    ``1 <= k <= k_max``: a block that runs past either end (row 0's ``k <=
+    0``, the last row's tail) is padded with zeros.
     """
     half = folds.shape[-1] - 1
     width = 2 * half
@@ -246,19 +223,20 @@ def _fold(forms, base: int, k_max: int, folds: np.ndarray) -> None:
         start = base - half + lo * width  # the block's first k
         stop = start + size * width
         inside = max(start, 1), min(stop, k_max + 1)
-        for kind_forms, kind_folds in zip(forms, folds):  # the cosines', then the sines'
-            for j, form in enumerate(kind_forms):
+        w = form(*inside)
+        if inside != (start, stop):  # not np.pad, three times as slow on such a block
+            w, inner = np.zeros(w.shape[:2] + (stop - start,)), w
+            w[:, :, inside[0] - start : inside[1] - start] = inner
+        w = w.reshape(w.shape[:2] + (size, width))  # each row's centre at column W/2
+        for kind_w, kind_folds in zip(w, folds):  # the cosines', then the sines'
+            for j, rows in enumerate(kind_w):
                 even, odd = kind_folds[:, j, lo : lo + size]
-                w = form(*inside)
-                if inside != (start, stop):
-                    w = np.concatenate((np.zeros(inside[0] - start), w, np.zeros(stop - inside[1])))
-                w = w.reshape(size, width)  # the centre at column W/2
-                above, below = w[:, half + 1 :], w[:, half - 1 : 0 : -1]
+                above, below = rows[:, half + 1 :], rows[:, half - 1 : 0 : -1]
                 np.add(above, below, out=even[:, 1:half])
                 np.subtract(above, below, out=odd[:, 1:half])
-                even[:, 0], odd[:, 0] = w[:, half], 0.0
+                even[:, 0], odd[:, 0] = rows[:, half], 0.0
                 # not np.negative(..., out=): numpy 2.4 miscomputes it on such strided columns
-                even[:, half], odd[:, half] = w[:, 0], -w[:, 0]
+                even[:, half], odd[:, half] = rows[:, 0], -rows[:, 0]
 
 
 def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:

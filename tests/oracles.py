@@ -95,7 +95,8 @@ def sampled_band_series(spec, top: float) -> np.ndarray:
     nodes = top * np.sin(np.arange(degree + 1) * (0.5 * math.pi / degree)) ** 2
     inner = decay._Spectrum(*(part[:-1] for part in spec[:4]), spec.weight0, spec.scale, spec.bath)
     samples = decay._element(inner, 0, nodes, interaction=False).real
-    samples *= 2.0 * sums.lattice_sum(spec.bath.delta_e * nodes, *decay._emission_weights(spec.bath))
+    cos_w, sin_w = decay._emission_weights(spec.bath)
+    samples *= 2.0 * sums.lattice_sums(spec.bath.delta_e * nodes, cos_w[None], sin_w[None])[0]
     coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
     coeffs[[0, -1]] *= 0.5
     return coeffs

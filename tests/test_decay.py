@@ -888,6 +888,7 @@ def test_un0_limit_values():
     h = math.sqrt(1.0 * 0.05 / math.pi)
     late = un0_limit(1.0, 0.05, 0, 60.0)
     assert late == pytest.approx(-1j * h, abs=1e-12)  # late-time resonant amplitude
+    assert un0_limit(1.0, 0.05, 3, math.inf) == pytest.approx(-1j * h / (1.0 - 0.15j), abs=1e-15)
     for args, message in (
         ((1.0, 0.05, 3, -0.1), "t must be nonnegative"),
         ((1.0, 0.05, 3, np.array([0.5, -0.1])), "t must be nonnegative"),
@@ -908,14 +909,26 @@ def test_un0_limit_values():
         ((math.inf, 0.05, 3, 1.0), "^gamma must be finite and >= 0, got inf$"),
         ((-1.0, 0.05, 3, 1.0), r"^gamma must be finite and >= 0, got -1\.0$"),
         ((1e300, 1e300, 3, 1.0), r"^gamma: H\^2 = gamma delta_e / pi overflows at \(1e\+300, 1e\+300\)$"),
+        ((1.0, 1e300, 10**10, 1.0), r"^n: the detuning n delta_e overflows at \(10000000000, 1e\+300\)$"),
+        ((1e-320, 1e300, 0, 1.0), r"^gamma: the scale H / \|gamma - i n delta_e\| overflows at \(1e-320, 1e\+300, 0\)$"),
     ],
 )
 def test_un0_limit_refuses_a_rate_it_cannot_take(args, message):
     # an infinite delta_e or a NaN gamma warned and gave NaN, a negative gamma
     # failed in sqrt with "math domain error", and an H = sqrt(gamma delta_e /
-    # pi) that overflowed warned and gave NaN
+    # pi), a detuning n delta_e or a scale H / |gamma - i n delta_e| that
+    # overflowed warned (an error under the suite's warning filter)
     with pytest.raises(ValueError, match=message):
         un0_limit(*args)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-12])
+def test_un0_limit_keeps_a_small_rate_on_resonance(gamma):
+    # e^{-gamma t} - 1 formed as exp then - 1 lost every digit at 1e-300 (0j)
+    # and all but five at 1e-12; to second order it is -gamma t (1 - gamma t / 2)
+    h = math.sqrt(gamma * 0.05 / math.pi)
+    expected = -1j * h * (1.0 - gamma / 2.0)
+    assert abs(un0_limit(gamma, 0.05, 0, 1.0) - expected) <= 1e-15 * abs(expected)
 
 
 def test_un0_limit_agrees_with_finite_bath_at_scale():

@@ -210,11 +210,11 @@ def test_sums_scenario():
 
 def test_sums_scenario_sums_the_grid_in_one_call(monkeypatch):
     calls = []
-    lattice_sum = sums.phased_lorentzian_sum
+    phased_sum = sums.phased_lorentzian_sum
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return lattice_sum(*args, **kwargs)
+        return phased_sum(*args, **kwargs)
 
     monkeypatch.setattr(sums, "phased_lorentzian_sum", counted)
     cfg = harness.build_config({"model": "sums", "k_max": "20000", "n_points": "7"})

@@ -214,9 +214,9 @@ def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch)
     ]
     cosines = [math.fsum(cos_weights * np.cos(k * a)) for a in angles]
     scale = np.sum(np.abs(cos_weights) + np.abs(sin_weights))
-    values = sums.lattice_sum(angles, cos_weights, sin_weights)
+    values = sums.lattice_sums(angles, cos_weights[None], sin_weights[None])[0]
     assert np.max(np.abs(values - reference), initial=0.0) <= 1e-14 * scale
-    values = sums.lattice_sum(angles, cos_weights)  # no sines
+    values = sums.lattice_sums(angles, cos_weights[None])[0]  # no sines
     assert np.max(np.abs(values - cosines), initial=0.0) <= 1e-14 * scale
 
 
@@ -233,25 +233,25 @@ def test_lattice_sum_with_caller_weights_matches_fsum(count, chunk, monkeypatch)
 )
 def test_lattice_sum_forms_each_weight_once_and_only_in_range(count, chunk, monkeypatch):
     monkeypatch.setattr(sums, "_CHUNK", chunk)
-    asked = []  # per form, the (lo, hi) ranges it was asked for
+    asked = []  # the (lo, hi) ranges the one form was asked for, and the shapes it gave
     lattice = sums._lattice
 
-    def recorded(angles, k_max, forms, center=0.0):
-        def record(form, ranges):
-            return lambda lo, hi: ranges.append((lo, hi)) or form(lo, hi)
+    def recorded(angles, k_max, form, center=0.0):
+        def record(lo, hi):
+            block = form(lo, hi)
+            asked.append((lo, hi, block.shape))
+            return block
 
-        asked.extend([] for _ in forms)
-        return lattice(angles, k_max, [[record(f, r)] for (f,), r in zip(forms, asked)], center)
+        return lattice(angles, k_max, record, center)
 
     monkeypatch.setattr(sums, "_lattice", recorded)
     rng = np.random.default_rng(count)
     cos_weights, sin_weights = rng.standard_normal((2, count))
     angles = np.array([0.0, 0.3, 1.7])  # one block of times
-    sums.lattice_sum(angles, cos_weights, sin_weights)
-    assert len(asked) == 2 and asked[0] == asked[1]
-    assert all(1 <= lo <= hi <= count + 1 for lo, hi in asked[0])
+    sums.lattice_sums(angles, cos_weights[None], sin_weights[None])
+    assert all(1 <= lo <= hi <= count + 1 and shape == (2, 1, hi - lo) for lo, hi, shape in asked)
     formed = np.zeros(count + 1, dtype=int)
-    for lo, hi in asked[0]:
+    for lo, hi, _ in asked:
         formed[lo:hi] += 1
     assert np.all(formed[1:] == 1)
 
@@ -259,27 +259,7 @@ def test_lattice_sum_forms_each_weight_once_and_only_in_range(count, chunk, monk
 @pytest.mark.parametrize("angle", [0.3, np.zeros((2, 3)), np.array([0.1, np.nan, np.inf])])
 def test_lattice_sum_needs_a_1d_array_of_finite_angles(angle):
     with pytest.raises(ValueError, match="^angle: need a 1-D array of finite angles, got "):
-        sums.lattice_sum(angle, np.ones(3))
-
-
-@pytest.mark.parametrize("name", ["cos_weights", "sin_weights"])
-@pytest.mark.parametrize(
-    "weights",
-    [np.ones((3, 2)), np.ones(3, dtype=complex), np.array([1.0, np.nan, 2.0]), np.array([np.inf, 0.0, 1.0])],
-    ids=["2-D", "complex", "nan", "inf"],
-)
-def test_lattice_sum_needs_a_1d_array_of_finite_real_weights(name, weights):
-    # a 2-D array failed inside _fold, complex weights with a UFuncTypeError, and
-    # a NaN weight summed to NaN
-    given = {"cos_weights": np.ones(3), "sin_weights": np.ones(3), name: weights}
-    with pytest.raises(ValueError, match=f"^{name}: need a 1-D array of finite real weights, got "):
-        sums.lattice_sum(np.array([0.1, 0.2]), **given)
-
-
-def test_lattice_sum_needs_as_many_sines_as_cosines():
-    message = "^sin_weights: need 3 weights, as many as cos_weights, got 2"
-    with pytest.raises(ValueError, match=message):
-        sums.lattice_sum(np.array([0.1]), np.ones(3), np.ones(2))
+        sums.lattice_sums(angle, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("sines", [False, True], ids=["cosines", "sines"])
@@ -289,25 +269,17 @@ def test_lattice_sum_needs_as_many_sines_as_cosines():
 )
 def test_each_row_of_a_stacked_sum_meets_its_own_lattice_sum(count, chunk, sines, monkeypatch):
     # the rows share every table and chunk, and each set's products have the
-    # shape of its own call's, so each row is its own sum bit for bit
+    # shape of its own sum's, so each row is its own one-row stack bit for bit
     monkeypatch.setattr(sums, "_CHUNK", chunk)
     rng = np.random.default_rng(count)
     cos_rows, sin_rows = rng.standard_normal((2, 3, count)) * [[[1.0]], [[float(sines)]]]
     angles = rng.uniform(-4.0, 4.0, 37)
     stacked = sums.lattice_sums(angles, cos_rows, sin_rows if sines else None)
     assert stacked.shape == (3, len(angles))
-    for row, cos_weights, sin_weights in zip(stacked, cos_rows, sin_rows):
-        own = sums.lattice_sum(angles, cos_weights, sin_weights if sines else None)
-        assert np.array_equal(row, own)
-
-
-def test_a_one_row_stack_is_the_one_set_sum_bit_for_bit():
-    rng = np.random.default_rng(7)
-    cos_weights, sin_weights = rng.standard_normal((2, 5000))
-    angles = rng.uniform(-4.0, 4.0, 37)
-    alone = sums.lattice_sum(angles, cos_weights, sin_weights)
-    assert np.array_equal(sums.lattice_sums(angles, cos_weights[None], sin_weights[None])[0], alone)
-    assert sums.lattice_sums(angles, np.ones((0, 4))).shape == (0, 37)
+    for j, row in enumerate(stacked):
+        own = sums.lattice_sums(angles, cos_rows[j : j + 1], sin_rows[j : j + 1] if sines else None)
+        assert np.array_equal(row, own[0])
+    assert sums.lattice_sums(angles, np.ones((0, count))).shape == (0, len(angles))
 
 
 @pytest.mark.parametrize("name", ["cos_rows", "sin_rows"])

@@ -65,7 +65,7 @@ def _name(node) -> str | None:
 def test_only_core_checks_the_shared_rules():
     # the null-overlap floor, the recurrence guard, the survival-time rule and
     # the finite-time rule are core.nonsingular, core.check_recurrence,
-    # core.check_times and core.check_finite_times
+    # core.check_times and core.check_phase_times
     copies = []
     for path in sorted((PYPROJECT.parent / "src" / "weakdecay").glob("*.py")):
         if path.name == "core.py":
