@@ -165,7 +165,7 @@ def check_weak_equals_strong() -> CheckResult:
         s = strong_expectation(pre, obs, u_mid)
         worst = max(worst, abs(w - s))
     # small bath, dim 21
-    bath = decay.BathSpec.from_gamma(10, 1.0, 0.05)
+    bath = decay.BathSpec(10, 1.0, 0.05)
     for _ in range(OBSERVABLES):
         t_i = 0.0
         t_f = rng.uniform(0.5, 3.0)
@@ -272,7 +272,7 @@ def check_complement_rule() -> CheckResult:
             w = weak_value(spin.X_PLUS, choice.value, p_xp, u_mid, u_late)
             w_comp = weak_value(spin.X_PLUS, choice.value, comp_xp, u_mid, u_late)
             worst = max(worst, abs(w + w_comp - 1.0))
-    bath = decay.BathSpec.from_gamma(5, 1.0, 0.2)
+    bath = decay.BathSpec(5, 1.0, 0.2)
     eye = np.eye(bath.dim)
     for _ in range(50):
         t_f = rng.uniform(0.5, 3.0)
@@ -330,7 +330,7 @@ SCAN_TIMES = (0.0, 1.0, 2.0)
 
 
 def _scan() -> np.ndarray:
-    bath = decay.BathSpec.from_gamma(*SCAN_BATH)
+    bath = decay.BathSpec(*SCAN_BATH)
     return decay.bath_weak_projector_scan(bath, *SCAN_TIMES)
 
 
@@ -416,7 +416,7 @@ def check_lattice_sum_convergence_order() -> CheckResult:
 def check_decomposition_identity() -> CheckResult:
     """C9: post-selection decomposition reproduces the strong expectation (dim 21)."""
     rng = _rng()
-    bath = decay.BathSpec.from_gamma(10, 1.0, 0.05)
+    bath = decay.BathSpec(10, 1.0, 0.05)
     dim = bath.dim
     worst = 0.0
     for _ in range(DECOMPOSITION_TRIALS):

@@ -61,14 +61,14 @@ class BathSpec:
 
     ``n_half`` is N: the bath holds 2N atoms at detunings ``n*delta_e`` for
     ``-N <= n <= N``, ``n != 0``; the resonant slot (n = 0) is the reference
-    atom itself.  ``gamma`` is derived as ``pi * coupling**2 / delta_e`` and
-    stored exactly.
+    atom itself.  ``gamma`` is kept as given; the coupling is derived from
+    it as ``H = sqrt(gamma * delta_e / pi)``.
     """
 
     n_half: int
+    gamma: float
     delta_e: float
-    coupling: float
-    gamma: float = field(init=False)
+    coupling: float = field(init=False)
 
     def __post_init__(self):
         problems = []
@@ -76,36 +76,22 @@ class BathSpec:
             problems.append(f"n_half: need an integer, got {self.n_half}")
         elif not 1 <= self.n_half <= MAX_N_HALF:
             problems.append(f"n_half: need 1 <= n_half <= {MAX_N_HALF}, got {self.n_half}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            problems.append(f"gamma: need a finite value >= 0, got {self.gamma}")
         if not (math.isfinite(self.delta_e) and self.delta_e > 0):
             problems.append(f"delta_e: need a finite value > 0, got {self.delta_e}")
-        if not (math.isfinite(self.coupling) and self.coupling >= 0):
-            problems.append(f"coupling: need a finite value >= 0, got {self.coupling}")
         if problems:
             raise ValueError("; ".join(problems))
-        ratio = self.coupling / self.delta_e
-        if not math.isfinite(ratio * ratio):  # g of the secular equation
+        square = self.gamma * self.delta_e / math.pi
+        if not math.isfinite(square):
+            raise ValueError(f"gamma: H^2 = gamma delta_e / pi overflows at ({self.gamma}, {self.delta_e})")
+        if not math.isfinite(self.gamma / (math.pi * self.delta_e)):  # g of the secular equation
             raise ValueError(
-                "coupling/delta_e: (coupling / delta_e)**2 overflows at "
-                f"({self.coupling}, {self.delta_e})"
+                f"gamma: (H / delta_e)^2 = gamma / (pi delta_e) overflows at ({self.gamma}, {self.delta_e})"
             )
         if not math.isfinite(self.recurrence_time):
             raise ValueError(f"delta_e: recurrence time 2 pi / delta_e overflows at {self.delta_e}")
-        try:  # a product overflows to inf, but coupling**2 raises
-            gamma = math.pi * self.coupling**2 / self.delta_e
-        except OverflowError:
-            gamma = math.inf
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma: pi H^2 / delta_e overflows at ({self.coupling}, {self.delta_e})")
-        object.__setattr__(self, "gamma", gamma)
-
-    @classmethod
-    def from_gamma(cls, n_half: int, gamma: float, delta_e: float) -> "BathSpec":
-        """Pick the coupling so the derived decay constant equals ``gamma``."""
-        if not (math.isfinite(gamma) and gamma >= 0):
-            raise ValueError(f"gamma: need a finite value >= 0, got {gamma}")
-        # an invalid spacing is reported by the constructor, not by sqrt
-        spacing = delta_e if math.isfinite(delta_e) and delta_e > 0 else 0.0
-        return cls(n_half, delta_e, math.sqrt(gamma * spacing / math.pi))
+        object.__setattr__(self, "coupling", math.sqrt(square))
 
     @property
     def dim(self) -> int:
@@ -129,7 +115,7 @@ def default_bath() -> BathSpec:
     below the percent level, while the recurrence guard (~62 time units)
     leaves ample room for windows up to t_f ~ 10.
     """
-    return BathSpec.from_gamma(2000, 1.0, 0.05)
+    return BathSpec(2000, 1.0, 0.05)
 
 
 def _top_frequency(bath: BathSpec) -> float:

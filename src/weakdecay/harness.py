@@ -83,7 +83,7 @@ class ScenarioConfig:
 
     @functools.cached_property
     def bath(self) -> decay.BathSpec:
-        return decay.BathSpec.from_gamma(self.n_half, self.gamma, self.delta_e)
+        return decay.BathSpec(self.n_half, self.gamma, self.delta_e)
 
     @functools.cached_property
     def decay_post(self) -> decay.PostSpec:
@@ -105,11 +105,11 @@ class ScenarioConfig:
         fixed_band = self.scaling == "fixed_band"
         # gamma and delta_e would fail alike at every level, so they are checked once,
         # unprefixed: on the band's bath under fixed_band, else on a one-atom bath
-        shared = self.bath if fixed_band else decay.BathSpec.from_gamma(1, self.gamma, self.delta_e)
+        shared = self.bath if fixed_band else decay.BathSpec(1, self.gamma, self.delta_e)
         band = shared.delta_e * shared.n_half
         try:
             return tuple(
-                decay.BathSpec.from_gamma(n, self.gamma, band / n if fixed_band else self.delta_e)
+                decay.BathSpec(n, self.gamma, band / n if fixed_band else self.delta_e)
                 for n in self.levels
             )
         except ValueError as exc:
@@ -310,11 +310,9 @@ class Rows:
     error: Optional[str] = None
 
     @functools.cached_property
-    def abs_error(self) -> Optional[np.ndarray]:
+    def abs_error(self) -> np.ndarray:
         # hypot is Python's complex abs bit for bit, but inf where that raises OverflowError;
         # numpy's complex abs can differ in the last bit
-        if self.error:
-            return None
         difference = self.value - self.reference
         return np.hypot(difference.real, difference.imag)
 

@@ -33,7 +33,8 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
 
     On the bath atom detuned by ``n * delta_e``, in the interaction picture,
     with the coupling eliminated through ``H = sqrt(gamma * delta_e / pi)``.
-    The bracket is formed by ``expm1``, so a small exponent keeps its digits.
+    The bracket is formed by ``expm1``, so a small exponent keeps its digits;
+    a phase ``n delta_e t`` that is not finite is refused unless ``gamma t`` is infinite.
     """
     t = np.asarray(t, dtype=float)
     check_times(t)
@@ -53,8 +54,13 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
         raise ValueError("gamma and the detuning cannot both vanish")
     if not math.isfinite(h / abs(pole)):
         raise ValueError(f"gamma: the scale H / |gamma - i n delta_e| overflows at ({gamma}, {delta_e}, {n})")
-    exponent = np.asarray((-gamma + 1j * detuning) * t)
-    decayed = exponent.real == -np.inf  # e^{x t} is 0 there, but expm1 of an infinite phase is NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf and an overflow are sorted out below
+        rate = gamma * t
+        phase = detuning * t if detuning else np.zeros(t.shape)  # 0 on resonance, also at t = inf
+    decayed = rate == np.inf  # e^{x t} is 0 there, but expm1 of an infinite phase is NaN
+    if not np.all(decayed | np.isfinite(phase)):
+        raise ValueError(f"t: the phase n delta_e t is not finite at ({n}, {delta_e}, {float(np.max(t))})")
+    exponent = np.asarray(-rate + 1j * np.where(decayed, 0.0, phase))
     bracket = np.expm1(exponent, out=np.full(exponent.shape, -1.0 + 0j), where=~decayed)
     return 1j * (h / pole) * bracket  # H / pole first: H (e^{x t} - 1) may underflow
 

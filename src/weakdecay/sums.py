@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laws
+from .core import check_phase_times
 
 # Weights per chunk and set; every chunk is folded into one reused workspace,
 # 2 MiB per set at the default width (4 MiB at 2^19), and the weights are
@@ -180,6 +181,7 @@ def _lattice(angles: np.ndarray, k_max: int, form, center: float = 0.0) -> np.nd
     # row r holds k = r W + m with -W/2 <= m < W/2
     width = max(2, min(_WIDTH, 1 << math.isqrt(max(k_max - 1, 0)).bit_length()))
     rows = -(-(k_max + 1 + width // 2) // width) if k_max else 0
+    check_phase_times(angles, rows * width)  # no table reaches a larger multiple of an angle
     kinds, sets, _ = form(1, 1).shape
     chunk = max(1, _CHUNK // width)  # rows of each set
     folds = np.empty((kinds, 2, sets, min(chunk, rows), width // 2 + 1))  # for every chunk

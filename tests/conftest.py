@@ -17,7 +17,7 @@ def rng():
 @pytest.fixture(scope="session")
 def small_bath():
     """Dim-21 bath: big enough to be structured, cheap enough for dense work."""
-    return BathSpec.from_gamma(10, 1.0, 0.05)
+    return BathSpec(10, 1.0, 0.05)
 
 
 @pytest.fixture

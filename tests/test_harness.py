@@ -190,6 +190,11 @@ def test_decay_scenario_small_bath():
     assert result.summary["recurrence_time"] == pytest.approx(2 * math.pi / 0.5)
 
 
+def test_default_asymptotic_summary_bounds_the_truncation_at_the_configured_gamma():
+    summary = harness.run_scenario(harness.build_config({"model": "decay", "post": "asymptotic"})).summary
+    assert summary["truncation_bound"] == 2 * 1.0 / (math.pi * 2000 * 0.05)
+
+
 def test_csv_abs_error_is_python_complex_abs():
     # on this grid numpy's complex abs differs from Python's in the last bit on some rows
     cfg = harness.build_config({"model": "decay", "n_half": "50", "delta_e": "0.5"})
@@ -569,7 +574,7 @@ def test_cli_non_finite_input_exits_2(argv, field, capsys):
         (["spin", "--set", "omega=1e308", "--set", "t_f=10", "--set", "n_points=3"],
          "omega: half-window phase 0.5 * |omega| * (t_f - t_i) exceeds 4.5e+15"),
         (["decay", "--set", "gamma=10", "--set", "delta_e=1e-308"],
-         "coupling/delta_e: (coupling / delta_e)**2 overflows"),
+         "gamma: (H / delta_e)^2 = gamma / (pi delta_e) overflows"),
         (["sweep", "--set", "t_i=-1", "--set", "levels=10,20"], "time grid"),
         (["sweep", "--set", "model=decay"],
          "config model 'decay' conflicts with subcommand 'sweep'"),

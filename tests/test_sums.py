@@ -262,6 +262,23 @@ def test_lattice_sum_needs_a_1d_array_of_finite_angles(angle):
         sums.lattice_sums(angle, np.ones((1, 3)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: phased_lorentzian_sum(SumParams(1.0, 0.05, 10**6), a / 0.05),
+        lambda a: sums.lattice_sums(np.array([a]), np.ones((1, 5000))),
+    ],
+    ids=["phased_lorentzian_sum", "lattice_sums"],
+)
+@pytest.mark.parametrize("angle", [1e305, 5e306])
+def test_lattice_sums_refuse_a_phase_that_overflows(call, angle):
+    # the tables' largest multiple of the angle overflowed in _trig with a
+    # warning, and the sum read nan
+    with pytest.raises(ValueError, match="^t: the phase .* overflows at"):
+        call(angle)
+    assert np.all(np.isfinite(call(1e300)))  # every multiple in the tables stays finite
+
+
 @pytest.mark.parametrize("sines", [False, True], ids=["cosines", "sines"])
 @pytest.mark.parametrize(
     "count, chunk",
