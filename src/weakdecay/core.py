@@ -178,18 +178,19 @@ def check_times(t: float | np.ndarray) -> None:
         raise ValueError("t must be nonnegative")
 
 
-def check_phase_times(t: float | np.ndarray, frequency: float) -> None:
+def check_phase_times(t: float | np.ndarray, frequency: float, name: str = "t") -> None:
     """Raise ValueError unless every time in ``t`` is finite, and so is its phase at ``frequency``.
 
     ``frequency`` bounds every frequency that turns a time into a phase; the
     phase ``frequency |t|`` must stay finite twice over, to spare the
-    rounding of a frequency at the bound.  Negative times pass.
+    rounding of a frequency at the bound.  Negative times pass.  ``name``
+    is the caller's name for ``t``, which the overflow's message uses.
     """
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
     largest = float(np.max(np.abs(t), initial=0.0))
     if largest and not np.isfinite(2.0 * frequency * largest):
-        raise ValueError(f"t: the phase {frequency:.6g} t overflows at |t| = {largest}")
+        raise ValueError(f"{name}: the phase {frequency:.6g} {name} overflows at |{name}| = {largest}")
 
 
 def check_recurrence(span: float, delta_e: float) -> None:

@@ -40,9 +40,9 @@ MAX_POINTS = 1_000_000
 # over a whole 1e6-row table raised that run's peak RSS from 390 to 727 MB.
 _RENDER_ROWS = 2048
 
-# Largest lattice-sum job (n_points * k_max terms): ~2.7-2.9 s on one core at
-# 2 points, where forming the k_max weights dominates, and 33 MB peak RSS;
-# ~0.8 s at 10 points.
+# Largest lattice-sum job (n_points * k_max terms): ~0.12 s on one core at 2
+# points, where the far rows' series coefficients and base tables, chunk by
+# chunk, dominate, and 32 MB peak RSS; ~0.04 s at 10 points.
 MAX_SUM_TERMS = 10**9
 
 _SPIN_POSTS = {

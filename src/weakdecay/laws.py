@@ -34,7 +34,8 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
     On the bath atom detuned by ``n * delta_e``, in the interaction picture,
     with the coupling eliminated through ``H = sqrt(gamma * delta_e / pi)``.
     The bracket is formed by ``expm1``, so a small exponent keeps its digits;
-    a phase ``n delta_e t`` that is not finite is refused unless ``gamma t`` is infinite.
+    a phase ``n delta_e t`` that is not finite is refused unless the time has
+    decayed, ``e^{-gamma t}`` underflowing to 0, where the bracket is -1.
     """
     t = np.asarray(t, dtype=float)
     check_times(t)
@@ -57,7 +58,7 @@ def un0_limit(gamma: float, delta_e: float, n: int, t: float | np.ndarray) -> co
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf and an overflow are sorted out below
         rate = gamma * t
         phase = detuning * t if detuning else np.zeros(t.shape)  # 0 on resonance, also at t = inf
-    decayed = rate == np.inf  # e^{x t} is 0 there, but expm1 of an infinite phase is NaN
+        decayed = np.exp(-rate) == 0.0  # e^{x t} is 0 there, but expm1 of an infinite phase is NaN
     if not np.all(decayed | np.isfinite(phase)):
         raise ValueError(f"t: the phase n delta_e t is not finite at ({n}, {delta_e}, {float(np.max(t))})")
     exponent = np.asarray(-rate + 1j * np.where(decayed, 0.0, phase))

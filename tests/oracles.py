@@ -15,12 +15,17 @@ The first two avoid the library's secular-equation spectrum:
 The sampled band series shares the spectrum and checks only the emission
 overlap's Chebyshev series, which it forms from samples instead of Bessel
 functions.
+
+The truncated Lorentzian lattice sum is summed term by term in 40-digit
+arithmetic (mpmath), from the same float ``gamma``, ``delta_e`` and ``t`` as
+the library's, with no rows, tables or series.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -100,3 +105,18 @@ def sampled_band_series(spec, top: float) -> np.ndarray:
     coeffs = np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real / degree
     coeffs[[0, -1]] *= 0.5
     return coeffs
+
+
+def lorentzian_lattice_sum(gamma: float, delta_e: float, k_max: int, t: float) -> float:
+    """``delta_e sum_{|k| <= k_max} e^{i k delta_e t} / (gamma^2 + k^2 delta_e^2)``, to 40 digits, rounded once.
+
+    Every float is taken exactly, and each phase ``k delta_e t`` is formed
+    and reduced in 40-digit arithmetic, so the oracle sits within half an
+    ulp of the exact sum; about 30 microseconds a term.
+    """
+    with mpmath.workdps(40):
+        g, de, t = mpmath.mpf(gamma), mpmath.mpf(delta_e), mpmath.mpf(t)
+        total = de / g**2
+        for k in range(1, k_max + 1):
+            total += 2 * de * mpmath.cos(k * de * t) / (g**2 + (k * de) ** 2)
+        return float(total)

@@ -943,6 +943,9 @@ def test_un0_limit_refuses_a_rate_it_cannot_take(args, message):
         ((0.0, 0.05, 100, 1e308), None),
         ((0.0, 0.05, 3, math.inf), None),
         ((1e-300, 0.05, 10**10, 1e300), None),  # read nan+nanj
+        # e^{-gamma t} underflows to 0 at a finite gamma t: un0_limit(1.0, 0.05, 10**10, inf),
+        # where the phase was refused
+        ((1.0, 0.05, 10**10, 1e300), 2.52313252202016e-10 - 5.046265044040321e-19j),
     ],
 )
 def test_un0_limit_takes_a_phase_only_where_it_is_a_number(args, expected):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,8 @@ from weakdecay import (
 )
 from weakdecay import sums
 from weakdecay.laws import lattice_limit, phased_closed_form
+
+from oracles import lorentzian_lattice_sum
 
 
 def test_params_validation():
@@ -263,18 +266,32 @@ def test_lattice_sum_needs_a_1d_array_of_finite_angles(angle):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, messages",
     [
-        lambda a: phased_lorentzian_sum(SumParams(1.0, 0.05, 10**6), a / 0.05),
-        lambda a: sums.lattice_sums(np.array([a]), np.ones((1, 5000))),
+        (
+            lambda a: phased_lorentzian_sum(SumParams(1.0, 0.05, 10**6), a / 0.05),
+            {
+                1e305: "t: the phase 50073.6 t overflows at |t| = 1.9999999999999997e+306",
+                5e306: "t: the phase 50073.6 t overflows at |t| = 1e+308",
+            },
+        ),
+        (
+            lambda a: sums.lattice_sums(np.array([a]), np.ones((1, 5000))),
+            {
+                1e305: "angle: the phase 5120 angle overflows at |angle| = 1e+305",
+                5e306: "angle: the phase 5120 angle overflows at |angle| = 5e+306",
+            },
+        ),
     ],
     ids=["phased_lorentzian_sum", "lattice_sums"],
 )
 @pytest.mark.parametrize("angle", [1e305, 5e306])
-def test_lattice_sums_refuse_a_phase_that_overflows(call, angle):
+def test_lattice_sums_refuse_a_phase_that_overflows(call, messages, angle):
     # the tables' largest multiple of the angle overflowed in _trig with a
-    # warning, and the sum read nan
-    with pytest.raises(ValueError, match="^t: the phase .* overflows at"):
+    # warning, and the sum read nan; the refusal names the caller's own time
+    # t (it named delta_e t) or angle, at the largest multiple the rows reach
+    # (0.05 * 978 rows * 1024 = 50073.6 and 40 rows * 128 = 5120)
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[angle])}$"):
         call(angle)
     assert np.all(np.isfinite(call(1e300)))  # every multiple in the tables stays finite
 
@@ -327,6 +344,88 @@ def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation():
     reference = np.array([_term_by_term(g, de, k_max, t) for t in times])
     values = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
     assert np.max(np.abs(values - reference)) <= 6e-16
+
+
+def _without_series(monkeypatch):
+    """Make every phased sum form and fold all its rows, as lattice_sums does: no row is expanded."""
+    lattice = sums._lattice
+    monkeypatch.setattr(sums, "_lattice", lambda *args, series=None: lattice(*args))
+
+
+def _expansion_cases():
+    """A fixed draw of (gamma, delta_e, k_max, angles), then tiny gamma and c >= 16 W."""
+    rng = np.random.default_rng(43)
+    for _ in range(12):
+        # k_max from about 2000 up, so that rows from r = 16 on exist
+        yield 10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-3, 0), int(10 ** rng.uniform(3.3, 5.5)), rng
+    yield 1e-100, 0.05, 3000, rng  # a pole on the real axis: c = 2e-99
+    yield 100.0, 0.01, 5000, rng  # c = 1e4 >= 16 W = 2048: every row from 1 on is far
+
+
+def test_expanded_rows_meet_the_formed_rows(monkeypatch):
+    monkeypatch.setattr(sums, "_SERIES_WIDTH", 2)  # rows narrower than 512 expand too
+    # the largest gap, relative to the sum of the weights, read 1.2e-15 over
+    # this draw (gamma = 0.035, delta_e = 0.717, k_max = 139331); on the four
+    # widest gaps of a 60-case draw the expanded sums were within 1.4e-16 to
+    # 4.3e-16 of a term-by-term fsum at exact phases, the formed 1.9e-16 to 1.2e-15
+    worst = 0.0
+    for gamma, delta_e, k_max, rng in _expansion_cases():
+        p = SumParams(gamma, delta_e, k_max)
+        angles = np.concatenate([[0.0, math.pi * (1 - 1e-9), math.pi * (1 - 1e-3)], rng.uniform(0.0, math.pi, 5)])
+        expanded = phased_lorentzian_sum(p, angles / delta_e, include_center=False).real
+        with monkeypatch.context() as patch:
+            _without_series(patch)
+            formed = phased_lorentzian_sum(p, angles / delta_e, include_center=False).real
+        worst = max(worst, np.max(np.abs(expanded - formed)) / formed[0])  # t = 0: the sum of the weights
+    assert worst <= 2e-15
+
+
+def test_phased_sum_meets_a_40_digit_oracle(monkeypatch):
+    # rows of width 64 and c = gamma / delta_e = 820: rows 10 to 46 are far
+    # (|64 r - 820 i| >= 1024) and hold most of the weight, row 47 runs past k_max
+    g, de, k_max = 164.0, 0.2, 3000
+    times = np.array([0.0, 1.7, math.pi / de * (1 - 1e-9)])
+    reference = np.array([lorentzian_lattice_sum(g, de, k_max, t) for t in times])
+    monkeypatch.setattr(sums, "_SERIES_WIDTH", 2)  # rows narrower than 512 expand too
+    expanded = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
+    _without_series(monkeypatch)
+    formed = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
+    # relative to the sum of the terms' magnitudes (the t = 0 value), both
+    # routes read 2.2e-16 (one rounding of that value), 3.7e-17 at t = 1.7
+    # and at most 2.6e-18 near t = pi / delta_e
+    for values in (expanded, formed):
+        assert np.max(np.abs(values - reference)) <= 4e-16 * reference[0]
+
+
+def test_narrow_rows_are_all_formed(monkeypatch):
+    # rows of width 256, below _SERIES_WIDTH: the sum is the formed route's, bit for bit
+    p, times = SumParams(1.0, 0.05, 65536), np.linspace(0.0, 3.0, 101)
+    expanded = phased_lorentzian_sum(p, times)
+    _without_series(monkeypatch)
+    assert np.array_equal(expanded, phased_lorentzian_sum(p, times))
+
+
+@pytest.mark.parametrize("points", [101, 1001])
+def test_default_sum_forms_only_its_near_rows(points, monkeypatch):
+    # the 1e6 weights were all formed and folded again for every block of 256
+    # times; now rows 0 to 15 and the last, partial row 977 are formed, per block
+    formed = np.zeros(10**6 + 1, dtype=int)
+    lattice = sums._lattice
+
+    def recorded(angles, k_max, form, center, series):
+        def record(lo, hi):
+            formed[lo:hi] += 1
+            return form(lo, hi)
+
+        return lattice(angles, k_max, record, center, series=series)
+
+    monkeypatch.setattr(sums, "_lattice", recorded)
+    phased_lorentzian_sum(SumParams(1.0, 0.05), np.linspace(0.0, 3.0, points))
+    blocks = -(-points // (sums._TABLE_ENTRIES // 1024))
+    near = np.zeros_like(formed)
+    near[1 : 16 * 1024 - 512] = near[977 * 1024 - 512 :] = blocks
+    assert np.array_equal(formed, near)
+    assert np.sum(formed) <= 17 * 1024 * blocks
 
 
 @pytest.mark.parametrize(
@@ -394,6 +493,8 @@ def test_default_phased_sum_memory_holds_no_second_k_array():
 
 
 def test_default_phased_sum_memory_stays_within_a_2_mib_workspace():
-    # chunks of 2^18 weights fold into a 2 MiB workspace: the default sum
-    # peaks at 3.6 MiB traced, against 6.5 MiB with chunks of 2^19
+    # chunks of 2^18 weights folded into a 2 MiB workspace, and the default
+    # sum peaked at 3.6 MiB traced (6.5 MiB with chunks of 2^19); now its far
+    # rows form no weights, the workspace holds the 16 near rows of its first
+    # chunk (64 KiB), and it peaks at 2.6 MiB
     assert _default_sum_peak() <= 4 * 2**20
