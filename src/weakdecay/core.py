@@ -166,10 +166,16 @@ class Propagator:
         return self.matrix.shape[-1]
 
 
-def check_window(t_i: float, t: float | np.ndarray, t_f: float) -> None:
-    """Raise ValueError unless ``t_i <= t_f`` (even for an empty grid) and ``t_i <= t <= t_f``."""
+def check_window(t_i: float, t, t_f: float) -> np.ndarray:
+    """``t`` as a float array, checked: ``t_i <= t_f`` (even for an empty grid) and ``t_i <= t <= t_f``.
+
+    A ValueError names a window or time that fails.  Callers use what this
+    returns, so a list of times is a grid too.
+    """
+    t = np.asarray(t, dtype=float)
     if not (t_i <= t_f and np.all((t_i <= t) & (t <= t_f))):
         raise ValueError(f"need t_i <= t <= t_f, got ({t_i}, {t}, {t_f})")
+    return t
 
 
 def check_times(t: float | np.ndarray) -> None:

@@ -838,7 +838,7 @@ def weak_survival_numeric(
     window is no error: the undecayed value is ``U00(0) ~ 1``, and the bath
     posts' overlap at 0 falls below the floor.
     """
-    check_window(t_i, t, t_f)
+    t = check_window(t_i, t, t_f)
     window = t_f - t_i
     check_recurrence(window, bath.delta_e)
     if post.photon_atom is not None:
@@ -868,7 +868,7 @@ def weak_survival_closed(
         return laws.decay_law(bath.gamma, -bath.gamma + 1j * (post.photon_atom * bath.delta_e), t_i, t, t_f)
     if post.word == "asymptotic":
         return laws.decay_law(bath.gamma, -2.0 * bath.gamma, t_i, t, t_f) + 0j
-    check_window(t_i, t, t_f)
+    t = check_window(t_i, t, t_f)
     return np.ones(np.shape(t), dtype=complex)[()]
 
 
@@ -892,7 +892,7 @@ def bath_weak_projector_scan(bath: BathSpec, t_i: float, t: float, t_f: float) -
     reference column at ``t_f - t``: each weak value is a product of two
     columns over their sum, the window's survival amplitude.
     """
-    check_window(t_i, t, t_f)
+    t = check_window(t_i, t, t_f)
     if np.ndim(t) != 0:
         raise ValueError(f"t: need one time, got {t}")
     check_recurrence(t_f - t_i, bath.delta_e)

@@ -80,7 +80,7 @@ def decay_law(gamma: float, x: complex, t_i: float, t, t_f: float) -> complex | 
     emission state.  Both give 1 at ``t_i`` and 0 at ``t_f``; at ``e_diff = 0``
     both tend to ``e^{-gamma (t - t_i)}`` as ``t_f -> inf``.
     """
-    check_window(t_i, t, t_f)
+    t = check_window(t_i, t, t_f)
     denom = nonsingular(1.0 - np.exp(x * (t_f - t_i)), "decay-law window")
     return np.exp(-gamma * (t - t_i)) * (1.0 - np.exp(x * (t_f - t))) / denom
 

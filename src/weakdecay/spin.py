@@ -76,10 +76,11 @@ def params_problem(omega: float, t_i: float, t_f: float) -> Optional[str]:
     return "; ".join(problems) or None
 
 
-def _check_operands(omega: float, t_i: float, t, t_f: float) -> None:
+def _check_operands(omega: float, t_i: float, t, t_f: float) -> np.ndarray:
+    """``t`` as a float array, once ``omega``, the window and ``t`` are checked."""
     if problem := params_problem(omega, t_i, t_f):
         raise ValueError(problem)
-    check_window(t_i, t, t_f)
+    return check_window(t_i, t, t_f)
 
 
 def _in_blocks(per_time, t):
@@ -129,6 +130,7 @@ def spin_strong_closed(
     axis: SpinAxis, omega: float, t_i: float, t: float | np.ndarray
 ) -> float | np.ndarray:
     """Closed-form strong expectation of the projector along ``axis``, per time in ``t``."""
+    t = np.asarray(t, dtype=float)
     if not np.all(t >= t_i):
         raise ValueError(f"need t >= t_i, got t={t}, t_i={t_i}")
     a = omega * (t - t_i)
@@ -150,7 +152,7 @@ def spin_weak_kernel(
     time, from propagator stacks of a block of times at a time.  The
     operands are checked before any propagator is built.
     """
-    _check_operands(omega, t_i, t, t_f)
+    t = _check_operands(omega, t_i, t, t_f)
     observable = projector_from_state(X_PLUS)
 
     def per_time(times):
@@ -170,7 +172,7 @@ def spin_weak_closed(
     on the window only, so it is checked once for every time in ``t`` (one
     time or a 1-D array), or once per block of times of a long grid.
     """
-    _check_operands(omega, t_i, t, t_f)
+    t = _check_operands(omega, t_i, t, t_f)
     h = 0.5 * omega * (t_f - t_i)
     what = f"{post.name} post-selection"
 

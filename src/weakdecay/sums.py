@@ -12,10 +12,10 @@ are checked against.
 
 Accumulation details: terms are combined in (k, -k) pairs so the phased
 sum's imaginary part cancels exactly, partial sums are taken over fixed-size
-chunks of 2^18 k, and chunk totals are combined per time with compensated
-(TwoSum) summation (Ogita, Rump & Oishi 2005), which for a single chunk
-gives the correctly rounded sum with the center term; million-term sums
-lose several digits if accumulated naively.
+chunks (and blocks of far rows) of 2^18 k, and their totals are combined per
+time with compensated (TwoSum) summation (Ogita, Rump & Oishi 2005), which
+for a single chunk gives the correctly rounded sum with the center term;
+million-term sums lose several digits if accumulated naively.
 The terms lie in rows of width W, with W near sqrt(k_max) and at most 1024:
 row r is centred on B = r W and holds k = B + m for -W/2 <= m < W/2 (row 0's
 k <= 0 and the last row's tail are zero, so row 0's large weights near
@@ -30,18 +30,19 @@ over W/2 + 1 offsets.  A near row's weights are formed, only for
 1 <= k <= k_max and 2^15 at a time, and :func:`_fold` lays them into a reused
 workspace of folded rows (2 MiB per chunk when every row is near), which
 meets the offset tables in two matrix products: one multiply-add per
-(time, k) pair.  In the phased Lorentzian sum, rows from r = 16 on
-(every row wholly inside 1..k_max whose centre lies 16 W or more from the
-pole k = i gamma / delta_e) are far once W >= 512: their weights are a power
-series in m / W with ratio at most 1/32 (:class:`_Series`), so their products
-are 16 moments of the offset tables, formed once per block of times, times
-each row's 16 coefficients, and no far weight is formed.  The default sum
-(101 times, k_max = 1e6) forms and folds 17 of its 978 rows.  The base tables
-cos(B a), sin(B a) and the offset tables hold (k_max / W + W / 2) T entries
-for a grid of T times, each one angle addition from a coarse and a fine table
-of library sines and cosines of about sqrt(width) entries each, so no error
-builds up along a table.  Times are taken in blocks so that the tables stay
-small for any grid size.  :func:`lattice_sums` runs the near-row route on a
+(time, k) pair.  In the phased Lorentzian sum, every row from r = 16 on that
+lies wholly inside 1..k_max is far once W >= 512: its centre lies 16 W or
+more from the pole k = i gamma / delta_e, so its weights are a power series
+in m / W with ratio at most 1/32.  The far rows run in blocks of their own,
+whose products are 16 moments of the offset tables, formed once per block of
+times, times each row's 16 coefficients, and no far weight is formed.  The
+default sum (101 times, k_max = 1e6) forms and folds 17 of its 978 rows, in
+one chunk of 16 and one of 1, and sums rows 16 to 976 in four blocks.  The
+base tables cos(B a), sin(B a) and the offset tables hold (k_max / W + W / 2)
+T entries for a grid of T times, each one angle addition from a coarse and a
+fine table of library sines and cosines of about sqrt(width) entries each, so
+no error builds up along a table.  Times are taken in blocks so that the
+tables stay small for any grid size.  :func:`lattice_sums` runs the near-row route on a
 stack of a caller's cosine and sine weight sets at the same angles, whose
 sines pair the same way, the even part against cos(m a) and the odd part
 against sin(m a): every set meets the same tables, in one matrix product per
@@ -65,9 +66,9 @@ import numpy as np
 from . import laws
 from .core import check_phase_times
 
-# Weights per chunk and set; the near rows of every chunk are folded into one
-# reused workspace, 2 MiB per set at the default width when all rows are near
-# (4 MiB at 2^19), and their weights are formed in blocks of _FOLD_ENTRIES,
+# Weights per chunk of near rows, or block of far rows, and set; every chunk is
+# folded into one reused workspace, 2 MiB per set at the default width when
+# all rows are near (4 MiB at 2^19), its weights formed in blocks of _FOLD_ENTRIES,
 # which pay for the extra chunks: the default sum (101 times, k_max = 1e6,
 # four chunks), when it formed all its rows, ran as fast as it did in two
 # chunks of 2^19.
@@ -84,11 +85,12 @@ _FOLD_ENTRIES = 1 << 15
 # It is not tied to _CHUNK: a smaller chunk leaves the time blocks as they are.
 _TABLE_ENTRIES = 1 << 18
 # A Lorentzian row centred on B = r W is far, and summed from the Taylor series
-# of its weights in u = m / W, when it lies wholly inside 1..k_max and |z| >=
-# _RADIUS W for z = B - i c: then |m / z| <= 1 / (2 _RADIUS) = 1/32 over the
-# row, and the p-th term of Im[1 / (z + m)] is at most (p + 1) 32^-p of the
-# row's smallest weight (|sin(n theta)| <= n |sin(theta)|).  _TERMS terms leave
-# at most 1.1 * 17 * 32^-16 = 1.6e-23 of every weight, far below its rounding.
+# of its weights in u = m / W, when it lies wholly inside 1..k_max and r >=
+# _RADIUS, so that |z| >= r W >= _RADIUS W for z = B - i c, whatever c: then
+# |m / z| <= 1 / (2 _RADIUS) = 1/32 over the row, and the p-th term of
+# Im[1 / (z + m)] is at most (p + 1) 32^-p of the row's smallest weight
+# (|sin(n theta)| <= n |sin(theta)|).  _TERMS terms leave at most
+# 1.1 * 17 * 32^-16 = 1.6e-23 of every weight, far below its rounding.
 _RADIUS = 16
 _TERMS = 16
 # Rows narrower than this are all formed: there the _TERMS moments cost about
@@ -129,6 +131,8 @@ def tail_bound(k_max: int, delta_e: float) -> float:
     """Bound on the weight dropped beyond ``|k| > k_max``: ``2 / (k_max delta_e)``."""
     if k_max <= 0:
         raise ValueError("tail bound needs k_max >= 1")
+    if not (math.isfinite(delta_e) and delta_e > 0):
+        raise ValueError(f"delta_e: need a finite value > 0, got {delta_e}")
     return 2.0 / (k_max * delta_e)
 
 
@@ -146,8 +150,8 @@ def phased_lorentzian_sum(
     value per time; a ValueError names the largest ``|t|`` if a table's
     phase ``k delta_e t`` overflows.  Symmetric (k, -k) pairing makes the
     imaginary part vanish identically.  Beyond ``k_max = 2^16``, far rows
-    are summed from the Taylor series of their weights (:class:`_Series`),
-    so only near rows' weights are formed.
+    are summed from the Taylor series of their weights (``expand``), so
+    only near rows' weights are formed.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
@@ -162,10 +166,26 @@ def phased_lorentzian_sum(
         w += p.gamma**2
         return np.divide(2.0 * p.delta_e, w, out=w)[None, None]  # one kind (cosines) of one set
 
+    def expand(lo: int, hi: int) -> np.ndarray:
+        """The same weights' series coefficients on the rows ``lo <= r < hi``, one line per power ``p``.
+
+        The weights are ``(2 / (delta_e c)) Im[1 / (k - i c)]``, ``c = gamma /
+        delta_e``, so row ``r``'s are ``sum_p a_p (m/W)^p`` with ``a_p = (2 /
+        (delta_e c)) Im[(-W/z)^p / z]``, ``z = r W - i c``.  No power of
+        ``-W/z`` exceeds ``1 / _RADIUS``, so none overflows where ``c`` is tiny.
+        """
+        term = 1.0 / (width * np.arange(lo, hi, dtype=float) - 1j * pole)  # 1 / z
+        ratio = -width * term
+        block = np.empty((_TERMS, hi - lo))
+        for line in block:
+            line[:] = term.imag
+            term *= ratio
+        block *= 2.0 / (p.delta_e * pole)
+        return block
+
     center = p.delta_e / p.gamma**2 if include_center else 0.0
     pole = p.gamma / p.delta_e
-    series = _Series(pole, 2.0 / (p.delta_e * pole))
-    values = _lattice(p.delta_e * times, p.k_max, form, center, series=series)[0].astype(complex)
+    values = _lattice(p.delta_e * times, p.k_max, form, center, expand=expand)[0].astype(complex)
     return values if np.ndim(t) else complex(values[0])
 
 
@@ -198,40 +218,6 @@ def lattice_sums(angle: np.ndarray, cos_rows: np.ndarray, sin_rows: np.ndarray |
     return _lattice(angles, weights.shape[-1], lambda lo, hi: weights[:, :, lo - 1 : hi - 1])
 
 
-@dataclass(frozen=True)
-class _Series:
-    """The Lorentzian weights ``scale Im[1 / (k - i c)]`` as power series about far rows' centres.
-
-    With ``c = gamma / delta_e`` and ``scale = 2 / (delta_e c)`` these are
-    ``2 delta_e / (gamma^2 + k^2 delta_e^2)``.  A row centred on ``B`` with
-    ``z = B - i c`` holds ``k = B + m``, and with ``u = m / W`` its weights
-    are ``sum_p a_p u^p``, ``a_p = scale Im[(-W/z)^p / z]``, wherever ``|z|
-    >= _RADIUS W``; ``_TERMS`` terms leave at most 1.6e-23 of each weight.
-    """
-
-    pole: float  # c
-    scale: float
-
-    def first(self, width: int) -> int:
-        """The first row ``r >= 1`` whose centre has ``|r W - i c| >= _RADIUS W``; ``_RADIUS`` at most."""
-        return next((r for r in range(1, _RADIUS) if math.hypot(r * width, self.pole) >= _RADIUS * width), _RADIUS)
-
-    def coefficients(self, lo: int, hi: int, width: int) -> np.ndarray:
-        """``a_p`` of the far rows ``lo <= r < hi``, one line per ``p < _TERMS``.
-
-        Each power of ``-W/z`` is at most ``1 / _RADIUS`` on a far row, so
-        no term overflows, even where ``c`` is tiny and ``scale`` large.
-        """
-        term = 1.0 / (width * np.arange(lo, hi, dtype=float) - 1j * self.pole)  # 1 / z
-        ratio = -width * term
-        block = np.empty((_TERMS, hi - lo))
-        for line in block:
-            line[:] = term.imag
-            term *= ratio
-        block *= self.scale
-        return block
-
-
 def _layout(k_max: int) -> tuple[int, int]:
     """Row width ``W`` and row count of a lattice of ``1 <= k <= k_max``.
 
@@ -243,49 +229,51 @@ def _layout(k_max: int) -> tuple[int, int]:
     return width, (-(-(k_max + 1 + width // 2) // width) if k_max else 0)
 
 
-def _lattice(angles: np.ndarray, k_max: int, form, center: float = 0.0, series: _Series | None = None) -> np.ndarray:
+def _lattice(angles: np.ndarray, k_max: int, form, center: float = 0.0, expand=None) -> np.ndarray:
     """``center + sum_{k=1}^{k_max} c_k cos(k a) + s_k sin(k a)`` for each angle ``a``, one row per set.
 
     ``form(lo, hi)`` returns the weights of ``lo <= k < hi`` for any ``1 <=
     lo <= hi <= k_max + 1`` as a ``(kinds, sets, hi - lo)`` block: kind 0
     holds each set's ``c_k`` and kind 1, if there are sines, its ``s_k``.
-    ``series``, for one set of cosines alone, expands them about far rows'
-    centres once rows are ``_SERIES_WIDTH`` wide: from ``series.first(W)`` to
-    the last row wholly inside ``1..k_max`` the rows meet the offset tables
-    through their coefficients and the moments of :func:`_moments`, and
-    ``form`` is asked only for the near rows before and after them.  Chunk
-    totals are combined per set and angle by TwoSum.  The callers check that
-    every table's phase stays finite.
+    ``expand(lo, hi)``, for one set of cosines alone, returns the series
+    coefficients of the rows ``lo <= r < hi``: once rows are
+    ``_SERIES_WIDTH`` wide, every row from ``_RADIUS`` on that lies wholly
+    inside ``1..k_max`` is far, and ``form`` is asked only for the near rows
+    before and after them.  The near rows are folded (:func:`_fold`) in
+    chunks of ``_CHUNK / W`` rows; the far rows run in blocks of as many
+    rows, each its coefficients times the moments of :func:`_moments`.
+    Every chunk and block total is one part of a TwoSum per set and angle.
+    The callers check that every table's phase stays finite.
     """
     width, rows = _layout(k_max)
     kinds, sets, _ = form(1, 1).shape
-    chunk = max(1, _CHUNK // width)  # rows of each set
-    far_lo = series.first(width) if series and width >= _SERIES_WIDTH else rows
-    far_hi = max(far_lo, (k_max + 1 + width // 2) // width)  # past the rows that end by k_max
-    chunks = []  # each chunk's first row, its far rows lo <= r < hi, and its end
-    for first in range(0, rows, chunk):
-        stop = min(first + chunk, rows)
-        lo = min(max(far_lo, first), stop)
-        chunks.append((first, lo, max(min(far_hi, stop), lo), stop))
-    near = max((stop - first - (hi - lo) for first, lo, hi, stop in chunks), default=0)
-    folds = np.empty((kinds, 2, sets, near, width // 2 + 1))  # the near rows of every chunk
+    chunk = max(1, _CHUNK // width)  # rows of each set in a chunk, and far rows in a block
+    far_lo = min(_RADIUS, rows) if expand and width >= _SERIES_WIDTH else rows
+    far_hi = max(far_lo, min(rows, (k_max + 1 + width // 2) // width))  # past the rows that end by k_max
+    near = [  # each chunk's rows lo <= r < hi
+        (lo, min(lo + chunk, end)) for begin, end in ((0, far_lo), (far_hi, rows)) for lo in range(begin, end, chunk)
+    ]
+    longest = min(chunk, max(far_lo, rows - far_hi))
+    folds = np.empty((kinds, 2, sets, longest, width // 2 + 1))  # every chunk's
     values = np.empty((sets, len(angles)))
     step = _TABLE_ENTRIES // width
     for start in range(0, len(angles), step):
         angle = angles[start : start + step]
         tables = _trig(angle, 0, 1, width // 2 + 1)  # the offsets 0 <= m <= W/2
-        moments = _moments(tables, width) if far_lo < far_hi else None
+        parts = []
+        for lo, hi in near:
+            chunk_folds = folds[:, :, :, : hi - lo]
+            _fold(form, lo * width, k_max, chunk_folds)
+            parts.append(_chunk_sum(lo * width, width, angle, tables, chunk_folds))
+        if far_lo < far_hi:
+            along, across = _moments(tables, width)
+            for lo in range(far_lo, far_hi, chunk):
+                block = expand(lo, min(lo + chunk, far_hi))
+                base_cos, base_sin = _trig(angle, lo * width, width, block.shape[1])
+                parts.append(np.sum((along @ block) * base_cos - (across @ block) * base_sin, axis=-1))
         total = np.full((sets, len(angle)), center)
         error = np.zeros((sets, len(angle)))
-        for first, lo, hi, stop in chunks:
-            chunk_folds = folds[:, :, :, : stop - first - (hi - lo)]
-            _fold(form, first * width, k_max, chunk_folds[:, :, :, : lo - first])
-            _fold(form, hi * width, k_max, chunk_folds[:, :, :, lo - first :])
-            far = None
-            if hi > lo:
-                block = series.coefficients(lo, hi, width)
-                far = lo - first, moments[0] @ block, moments[1] @ block
-            part = _chunk_sum(first * width, width, angle, tables, chunk_folds, far)
+        for part in parts:
             # TwoSum: the rounding error of total + part, exactly
             new = total + part
             seen = new - total
@@ -298,9 +286,10 @@ def _lattice(angles: np.ndarray, k_max: int, form, center: float = 0.0, series: 
 def _moments(tables, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The offset tables times the even and odd folds of ``u^p``, ``u = m / W``: ``(angles, _TERMS)`` each.
 
-    A far row's weights are ``sum_p a_p u^p`` (:class:`_Series`), so its
-    even and odd folds are ``sum_p a_p`` times these folds, and its products
-    with the offset tables are these moments times its ``a_p``.
+    A far row's weights are ``sum_p a_p u^p`` (``expand`` in
+    :func:`phased_lorentzian_sum`), so its even and odd folds are ``sum_p
+    a_p`` times these folds, and its products with the offset tables are
+    these moments times its ``a_p``.
     """
     half = width // 2
     powers = (np.arange(half + 1) / width) ** np.arange(_TERMS)[:, None]  # u^p for 0 <= m <= W/2
@@ -349,31 +338,25 @@ def _fold(form, base: int, k_max: int, folds: np.ndarray) -> None:
                 even[:, half], odd[:, half] = rows[:, 0], -rows[:, 0]
 
 
-def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds, far=None) -> np.ndarray:
-    """``sum_k c_k cos(k a) + s_k sin(k a)`` over a chunk of rows, per set and angle ``a``.
+def _chunk_sum(base: int, width: int, angle: np.ndarray, tables, folds) -> np.ndarray:
+    """``sum_k c_k cos(k a) + s_k sin(k a)`` over a chunk of folded rows, per set and angle ``a``.
 
     Row ``r``'s centre is ``B = base + r W``.  With ``e`` and ``o`` the even
     and odd parts of its weights (:func:`_fold`), the pairs ``B +- m`` give
     ``cos(B a) (e_c cos(m a) + o_s sin(m a)) - sin(B a) (o_c sin(m a) - e_s cos(m a))``,
     so each set's rows meet the offset tables in matrix products over ``W/2
     + 1`` offsets, one per table for all sets, and all sets share the base
-    tables.  Every set's product has the shape of its own sum's.  ``far``,
-    if given, is ``(head, along, across)``: the one set's products of its
-    far rows, which follow the first ``head`` rows of ``folds``.
+    tables.  Every set's product has the shape of its own sum's.
     """
     offset_cos, offset_sin = tables
     even, odd = folds[0].transpose(0, 1, 3, 2)  # sets x offsets x rows
+    base_cos, base_sin = _trig(angle, base, width, even.shape[-1])
     along = offset_cos @ even  # sets x angles x rows
     across = offset_sin @ odd
     if len(folds) > 1:
         sin_even, sin_odd = folds[1].transpose(0, 1, 3, 2)
         along += offset_sin @ sin_odd
         across -= offset_cos @ sin_even
-    if far:
-        head, far_along, far_across = far
-        along = np.concatenate((along[:, :, :head], far_along[None], along[:, :, head:]), axis=-1)
-        across = np.concatenate((across[:, :, :head], far_across[None], across[:, :, head:]), axis=-1)
-    base_cos, base_sin = _trig(angle, base, width, along.shape[-1])
     along *= base_cos
     across *= base_sin
     along -= across

@@ -56,6 +56,7 @@ CASES = {
     "phased_closed_form": lambda bath, t: phased_closed_form(1.0, 0.05, t),
     "survival_limit": lambda bath, t: survival_limit(1.0, t),
     "lattice_limit": lambda bath, t: lattice_limit(1.0, t),
+    "spin_strong_closed": lambda bath, t: spin_strong_closed(SpinAxis.X_PLUS, 1.3, 0.0, t),
 }
 
 
@@ -66,14 +67,16 @@ def test_grid_call_matches_per_time_calls(name, small_bath):
     per_time = np.array([fn(small_bath, t) for t in TIMES])
     assert grid.shape == per_time.shape
     assert np.max(np.abs(grid - per_time)) <= 1e-14
+    # a list of times is the same grid, bit for bit
+    assert np.array_equal(fn(small_bath, TIMES.tolist()), grid)
 
 
 # every route that takes survival times t >= 0, the spin's strong expectation t >= t_i
 TIME_ROUTES = {
     name: CASES[name]
     for name in ("u00_limit", "un0_limit", "survival_limit", "lattice_limit", "survival_probability",
-                 "lattice_sum", "phased_closed_form")
-} | {"spin_strong_closed": lambda bath, t: spin_strong_closed(SpinAxis.X_PLUS, 1.3, 0.0, t)}
+                 "lattice_sum", "phased_closed_form", "spin_strong_closed")
+}
 
 
 @pytest.mark.parametrize("bad", [-0.1, np.nan])

@@ -160,6 +160,10 @@ def test_tail_bound():
     assert tail_bound(1000, 0.01) == pytest.approx(0.2)
     with pytest.raises(ValueError, match="k_max >= 1"):
         tail_bound(0, 0.01)
+    # a spacing that is not finite and > 0 bounds nothing
+    for delta_e in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^delta_e: need a finite value > 0, got {delta_e}$"):
+            tail_bound(10, delta_e)
 
 
 def _term_by_term(g, de, k_max, t):
@@ -349,7 +353,7 @@ def test_phased_sum_keeps_its_largest_terms_clear_of_cancellation():
 def _without_series(monkeypatch):
     """Make every phased sum form and fold all its rows, as lattice_sums does: no row is expanded."""
     lattice = sums._lattice
-    monkeypatch.setattr(sums, "_lattice", lambda *args, series=None: lattice(*args))
+    monkeypatch.setattr(sums, "_lattice", lambda *args, expand=None: lattice(*args))
 
 
 def _expansion_cases():
@@ -359,7 +363,7 @@ def _expansion_cases():
         # k_max from about 2000 up, so that rows from r = 16 on exist
         yield 10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-3, 0), int(10 ** rng.uniform(3.3, 5.5)), rng
     yield 1e-100, 0.05, 3000, rng  # a pole on the real axis: c = 2e-99
-    yield 100.0, 0.01, 5000, rng  # c = 1e4 >= 16 W = 2048: every row from 1 on is far
+    yield 100.0, 0.01, 5000, rng  # c = 1e4 >= 16 W = 2048, yet rows 1 to 15 are formed and from 16 on far
 
 
 def test_expanded_rows_meet_the_formed_rows(monkeypatch):
@@ -380,9 +384,18 @@ def test_expanded_rows_meet_the_formed_rows(monkeypatch):
     assert worst <= 2e-15
 
 
-def test_phased_sum_meets_a_40_digit_oracle(monkeypatch):
-    # rows of width 64 and c = gamma / delta_e = 820: rows 10 to 46 are far
-    # (|64 r - 820 i| >= 1024) and hold most of the weight, row 47 runs past k_max
+@pytest.mark.parametrize(
+    "chunk",
+    # the default holds every row in one chunk or block; 8 rows split the far
+    # rows into four blocks and the head rows 0 to 15 into two chunks, 3 rows
+    # into eleven blocks and six chunks, each a part of the TwoSum
+    [sums._CHUNK, 8 * 64, 3 * 64],
+    ids=["whole", "8_rows", "3_rows"],
+)
+def test_phased_sum_meets_a_40_digit_oracle(chunk, monkeypatch):
+    # rows of width 64 and c = gamma / delta_e = 820: rows 16 to 46 are far
+    # and hold most of the weight, row 47 runs past k_max
+    monkeypatch.setattr(sums, "_CHUNK", chunk)
     g, de, k_max = 164.0, 0.2, 3000
     times = np.array([0.0, 1.7, math.pi / de * (1 - 1e-9)])
     reference = np.array([lorentzian_lattice_sum(g, de, k_max, t) for t in times])
@@ -390,9 +403,9 @@ def test_phased_sum_meets_a_40_digit_oracle(monkeypatch):
     expanded = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
     _without_series(monkeypatch)
     formed = phased_lorentzian_sum(SumParams(g, de, k_max), times).real
-    # relative to the sum of the terms' magnitudes (the t = 0 value), both
-    # routes read 2.2e-16 (one rounding of that value), 3.7e-17 at t = 1.7
-    # and at most 2.6e-18 near t = pi / delta_e
+    # relative to the sum of the terms' magnitudes (the t = 0 value), each
+    # route's worst time read 2.9e-17 to 2.2e-16 (one rounding of the t = 0
+    # value) over the three chunks, and at most 7.8e-18 near t = pi / delta_e
     for values in (expanded, formed):
         assert np.max(np.abs(values - reference)) <= 4e-16 * reference[0]
 
@@ -412,12 +425,12 @@ def test_default_sum_forms_only_its_near_rows(points, monkeypatch):
     formed = np.zeros(10**6 + 1, dtype=int)
     lattice = sums._lattice
 
-    def recorded(angles, k_max, form, center, series):
+    def recorded(angles, k_max, form, center, expand):
         def record(lo, hi):
             formed[lo:hi] += 1
             return form(lo, hi)
 
-        return lattice(angles, k_max, record, center, series=series)
+        return lattice(angles, k_max, record, center, expand=expand)
 
     monkeypatch.setattr(sums, "_lattice", recorded)
     phased_lorentzian_sum(SumParams(1.0, 0.05), np.linspace(0.0, 3.0, points))
@@ -495,6 +508,8 @@ def test_default_phased_sum_memory_holds_no_second_k_array():
 def test_default_phased_sum_memory_stays_within_a_2_mib_workspace():
     # chunks of 2^18 weights folded into a 2 MiB workspace, and the default
     # sum peaked at 3.6 MiB traced (6.5 MiB with chunks of 2^19); now its far
-    # rows form no weights, the workspace holds the 16 near rows of its first
-    # chunk (64 KiB), and it peaks at 2.6 MiB
-    assert _default_sum_peak() <= 4 * 2**20
+    # rows form no weights and the workspace holds its 16 head rows (64 KiB):
+    # it peaked at 2.59 MiB while each chunk spliced its far rows' products
+    # between the near rows' (copies of both), and at 2.19 MiB since the far
+    # rows run in blocks of their own
+    assert _default_sum_peak() <= 2.4 * 2**20

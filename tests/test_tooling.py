@@ -1,6 +1,7 @@
 """The repository's pytest settings, the library's dependencies and the homes of its laws and checks."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,10 @@ def test_a_failing_property_test_prints_its_falsifying_example(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
-def test_the_library_imports_only_the_standard_library_and_numpy():
-    # scipy and the other test dependencies stay oracles of the tests
-    allowed = set(sys.stdlib_module_names) | {"numpy"}
+def _outside(paths, allowed: set[str]) -> list[str]:
+    """``file:line module`` of each absolute import in ``paths`` whose top-level module is not ``allowed``."""
     outside = []
-    for path in sorted((PYPROJECT.parent / "src" / "weakdecay").glob("*.py")):
+    for path in sorted(paths):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -42,7 +42,23 @@ def test_the_library_imports_only_the_standard_library_and_numpy():
             outside += [
                 f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed
             ]
-    assert outside == []
+    return outside
+
+
+def test_the_library_imports_only_the_standard_library_and_numpy():
+    # scipy and the other test dependencies stay oracles of the tests
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    assert _outside((PYPROJECT.parent / "src" / "weakdecay").glob("*.py"), allowed) == []
+
+
+def test_the_tests_import_only_declared_dependencies():
+    # every other module the tests import must be named in the test extra,
+    # which is read by hand, since Python 3.10 has no tomllib
+    extra = re.search(r"^test = \[(.*?)\]", PYPROJECT.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+    declared = {re.match(r"[\w.-]+", spec)[0].replace("-", "_") for spec in re.findall(r'"([^"]+)"', extra[1])}
+    tests = list((PYPROJECT.parent / "tests").rglob("*.py"))
+    allowed = set(sys.stdlib_module_names) | {"numpy", "weakdecay"} | {path.stem for path in tests} | declared
+    assert _outside(tests, allowed) == []
 
 
 def test_the_harness_and_the_checks_take_every_law_from_laws():
